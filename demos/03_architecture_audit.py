@@ -32,14 +32,14 @@ for window_ms in (200, 300):
 
 # causality: perturbing the input at t never changes outputs before t
 rng = np.random.default_rng(1)
-x = rng.normal(size=(2, 12))
+x = rng.normal(size=(2, 12)).T  # (T, channels)
 kernel = Tensor(rng.normal(size=(2, 2, 3)))
 bias = Tensor(np.zeros(2))
 base = dilated_causal_conv1d(Tensor(x), kernel, bias, dilation=2).data
 bumped = x.copy()
-bumped[:, 8] += 10.0
+bumped[8, :] += 10.0
 after = dilated_causal_conv1d(Tensor(bumped), kernel, bias, dilation=2).data
-changed = np.flatnonzero(np.any(after != base, axis=0))
+changed = np.flatnonzero(np.any(after != base, axis=1))
 print(f"\nperturbed input index 8; changed output indices: {changed}")
 
 # receptive field growth: 1 + 2*(k-1)*sum(dilations)

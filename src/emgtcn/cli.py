@@ -111,6 +111,8 @@ class RunConfig:
         return int(round(n))
 
     def model_config(self, channels: int, seq_len: int) -> ModelConfig:
+        if self.num_patches < 1:
+            raise ConfigError(f"num_patches must be >= 1, got {self.num_patches}")
         if seq_len % self.num_patches != 0:
             raise ConfigError(
                 f"window length {seq_len} is not divisible into "
@@ -144,9 +146,8 @@ def _load_run_config(args) -> RunConfig:
                 f"{args.config}: unknown config keys {sorted(unknown)}"
             )
         for key, value in loaded.items():
-            if key in ("train_repetitions", "test_repetitions"):
-                value = tuple(int(v) for v in value)
-            setattr(cfg, key, value)
+            _check_field_type(args.config, key, value)
+            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
     overrides = {
         "window_ms": "window_ms", "stride_ms": "stride_ms",
         "num_patches": "num_patches", "model_dim": "model_dim",
@@ -167,6 +168,33 @@ def _load_run_config(args) -> RunConfig:
             setattr(cfg, field_name, _parse_rep_list(value))
     cfg.validate()
     return cfg
+
+
+def _check_field_type(source: str, key: str, value):
+    """Reject a config-file value whose JSON type does not fit its field.
+
+    The field's annotation text decides: ints exclude bools, strings and
+    floats; floats also take ints; repetition tuples come as integer lists.
+    """
+    kind = RunConfig.__dataclass_fields__[key].type
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    if kind == "tuple":
+        want = "a list of integers"
+        ok = isinstance(value, list) and all(map(is_int, value))
+    elif kind == "float":
+        want = "a number"
+        ok = is_int(value) or isinstance(value, float)
+    elif kind == "bool":
+        want = "true or false"
+        ok = isinstance(value, bool)
+    else:
+        want = "an integer"
+        ok = is_int(value) or (value is None and kind.endswith("None"))
+    if not ok:
+        raise ConfigError(f"{source}: {key} must be {want}, got {value!r}")
 
 
 def _parse_rep_list(text: str) -> tuple:

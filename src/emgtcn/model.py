@@ -180,10 +180,9 @@ def tc_block(h: Tensor, w: TcBlockWeights) -> Tensor:
     h is (..., N, D); both convolutions run causally over N with this
     block's dilation, treating D as channels.
     """
-    seq = _transpose_last2(h)
-    seq = T.relu(T.dilated_causal_conv1d(seq, w.kernel1, w.bias1, w.dilation))
+    seq = T.relu(T.dilated_causal_conv1d(h, w.kernel1, w.bias1, w.dilation))
     seq = T.relu(T.dilated_causal_conv1d(seq, w.kernel2, w.bias2, w.dilation))
-    return h + _transpose_last2(seq)
+    return h + seq
 
 
 class AttentionTcn:

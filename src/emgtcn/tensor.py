@@ -7,6 +7,10 @@ backward closure on the output node; ``Tensor.backward()`` replays the
 resulting tape in reverse topological order and accumulates gradients
 into every ``requires_grad`` ancestor.
 
+The convolution is channels-last, matching the model's (..., N, D)
+layout: its input ``x`` is (..., T, C_in) and its kernel is
+(C_out, C_in, k).
+
 Everything runs in 64-bit floats so finite-difference gradient checks
 are meaningful. Data buffers are row-major numpy arrays; tensors are
 treated as immutable once created (gradient buffers are the only thing
@@ -345,10 +349,14 @@ def dilated_causal_conv1d(
 ) -> Tensor:
     """Causal 1-D convolution with dilated taps and per-channel bias.
 
-    ``x`` is (channels_in, T) or (batch, channels_in, T); ``kernel`` is
-    (channels_out, channels_in, k). The input is left-padded with
-    (k-1)*dilation zeros so the output keeps length T and output t only
-    reads inputs at positions <= t.
+    ``x`` is channels-last, (T, channels_in) or (batch, T, channels_in);
+    ``kernel`` is (channels_out, channels_in, k). The input is left-padded
+    with (k-1)*dilation zeros so the output keeps length T and output t
+    only reads inputs at positions <= t.
+
+    The k dilated taps are gathered side by side into one
+    (..., T, k*channels_in) array and contracted with the kernel in a
+    single matrix product (im2col), in forward and in backward.
     """
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
         raise ConfigError(f"dilation must be a positive integer, got {dilation!r}")
@@ -356,46 +364,40 @@ def dilated_causal_conv1d(
         raise ConfigError(
             f"kernel must be channels_out*channels_in*k and nonempty, got shape {kernel.shape}"
         )
-    if x.ndim not in (2, 3) or x.shape[-2] != kernel.shape[1]:
+    if x.ndim not in (2, 3) or x.shape[-1] != kernel.shape[1]:
         raise DimensionError(
             f"conv1d: input shape {x.shape} does not match kernel shape {kernel.shape}"
         )
-    c_out, _, k = kernel.shape
+    c_out, c_in, k = kernel.shape
     if bias.shape != (c_out,):
         raise DimensionError(
             f"conv1d: bias shape {bias.shape} does not match {c_out} output channels"
         )
-    t_len = x.shape[-1]
-    pad = (k - 1) * int(dilation)
-    pad_spec = [(0, 0)] * (x.ndim - 1) + [(pad, 0)]
+    t_len = x.shape[-2]
+    dilation = int(dilation)
+    pad = (k - 1) * dilation
+    pad_spec = [(0, 0)] * (x.ndim - 2) + [(pad, 0), (0, 0)]
     xp = np.pad(x.data, pad_spec)
-
-    out = np.empty(x.shape[:-2] + (c_out, t_len))
-    out[...] = bias.data[..., :, None]
-    for i in range(k):
-        out += np.einsum(
-            "oi,...it->...ot", kernel.data[:, :, i], xp[..., :, i * dilation : i * dilation + t_len]
-        )
+    starts = range(0, pad + 1, dilation)
+    # row i*c_in + c of the (k*c_in, c_out) kernel matrix holds kernel[:, c, i]
+    taps = np.concatenate([xp[..., s : s + t_len, :] for s in starts], axis=-1)
+    taps = taps.reshape(-1, k * c_in)
+    w_mat = kernel.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    out = (taps @ w_mat + bias.data).reshape(x.shape[:-1] + (c_out,))
 
     def backward(g):
         gx = gk = gb = None
+        g2 = g.reshape(-1, c_out)
         if _needs(x):
+            gtaps = (g2 @ w_mat.T).reshape(x.shape[:-1] + (k * c_in,))
             gxp = np.zeros_like(xp)
-            for i in range(k):
-                gxp[..., :, i * dilation : i * dilation + t_len] += np.einsum(
-                    "oi,...ot->...it", kernel.data[:, :, i], g
-                )
-            gx = gxp[..., :, pad:]
+            for i, s in enumerate(starts):
+                gxp[..., s : s + t_len, :] += gtaps[..., i * c_in : (i + 1) * c_in]
+            gx = gxp[..., pad:, :]
         if _needs(kernel):
-            g3 = g.reshape(-1, c_out, t_len)
-            xp3 = xp.reshape(-1, xp.shape[-2], xp.shape[-1])
-            gk = np.empty_like(kernel.data)
-            for i in range(k):
-                gk[:, :, i] = np.einsum(
-                    "bot,bit->oi", g3, xp3[:, :, i * dilation : i * dilation + t_len]
-                )
+            gk = (taps.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
         if _needs(bias):
-            gb = g.reshape(-1, c_out, t_len).sum(axis=(0, 2))
+            gb = g2.sum(axis=0)
         return gx, gk, gb
 
     return make_op(out, (x, kernel, bias), backward)

@@ -144,16 +144,16 @@ def test_criterion_5_causality_and_receptive_field(acceptance_gate):
     every patch position from the last output."""
     with acceptance_gate.criterion(5, "temporal causality and full receptive field"):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(3, 16))
+        x = rng.normal(size=(3, 16)).T
         k = Tensor(rng.normal(size=(3, 3, 3)))
         b = Tensor(np.zeros(3))
         base = dilated_causal_conv1d(Tensor(x), k, b, dilation=2).data
         t0 = 7
         bumped = x.copy()
-        bumped[:, t0] += 1.0
+        bumped[t0, :] += 1.0
         out = dilated_causal_conv1d(Tensor(bumped), k, b, dilation=2).data
-        assert out[:, :t0].tobytes() == base[:, :t0].tobytes()
-        assert not np.array_equal(out[:, t0:], base[:, t0:])
+        assert out[:t0, :].tobytes() == base[:t0, :].tobytes()
+        assert not np.array_equal(out[t0:, :], base[t0:, :])
 
         for window_ms, n, d in VARIANTS:
             cfg = derive_config(window_ms, n, d)

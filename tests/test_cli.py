@@ -101,14 +101,15 @@ def test_eval_stdout_and_reports_agree(pipeline, capsys, tmp_path):
 
 
 def test_invalid_patch_count_exits_2(pipeline, tmp_path, capsys):
-    code = run([
-        "preprocess", pipeline["inputs"][0], "--out", tmp_path / "x.sseg",
-        "--num-patches", 7,
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "7" in captured.err
+    for num_patches in (7, 0):
+        code = run([
+            "preprocess", pipeline["inputs"][0], "--out", tmp_path / "x.sseg",
+            "--num-patches", num_patches,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2, num_patches
+        assert captured.out == ""
+        assert str(num_patches) in captured.err
 
 
 def test_corrupt_checkpoint_exits_4(pipeline, tmp_path, capsys):
@@ -273,6 +274,23 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"learning_rate": 0.1}))
     assert run(["params", "--config", cfg]) == 2
     assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("epochs", "10"), ("train_repetitions", 5)]
+)
+def test_config_value_of_wrong_type_exits_2(pipeline, tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    code = run([
+        "train", pipeline["segs"], "--config", cfg,
+        "--checkpoint", tmp_path / "m.ckpt", "--trace", tmp_path / "t.csv",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert key in captured.err
 
 
 def test_malformed_config_json_exits_2(tmp_path, capsys):

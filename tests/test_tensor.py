@@ -121,43 +121,43 @@ def test_relu_gradient_matches_fd():
 
 
 def test_conv_zero_input_zero_output():
-    x = T.Tensor(np.zeros((2, 8)))
+    x = T.Tensor(np.zeros((8, 2)))
     k = T.Tensor(np.ones((3, 2, 2)))
     out = T.dilated_causal_conv1d(x, k, T.Tensor(np.zeros(3)), dilation=1)
-    assert np.array_equal(out.data, np.zeros((3, 8)))
+    assert np.array_equal(out.data, np.zeros((8, 3)))
 
 
 def test_conv_identity_kernel():
-    x = T.Tensor([[1.0, 2.0, 3.0]])
+    x = T.Tensor([[1.0], [2.0], [3.0]])
     k = T.Tensor([[[0.0, 1.0]]])
     out = T.dilated_causal_conv1d(x, k, T.Tensor(np.zeros(1)), dilation=1)
-    assert np.array_equal(out.data, [[1.0, 2.0, 3.0]])
+    assert np.array_equal(out.data, [[1.0], [2.0], [3.0]])
 
 
 def test_conv_dilation_two_hand_oracle():
     # out[t] = x[t] + x[t-2], zero-padded on the left
-    x = T.Tensor([[1.0, 2.0, 3.0, 4.0]])
+    x = T.Tensor([[1.0], [2.0], [3.0], [4.0]])
     k = T.Tensor([[[1.0, 1.0]]])
     out = T.dilated_causal_conv1d(x, k, T.Tensor(np.zeros(1)), dilation=2)
-    assert np.array_equal(out.data, [[1.0, 2.0, 4.0, 6.0]])
+    assert np.array_equal(out.data, [[1.0], [2.0], [4.0], [6.0]])
 
 
 def test_conv_causality_exact():
     rng = np.random.default_rng(19)
-    x = rng.normal(size=(3, 16))
+    x = rng.normal(size=(3, 16)).T
     k = T.Tensor(rng.normal(size=(4, 3, 3)))
     b = T.Tensor(rng.normal(size=4))
     base = T.dilated_causal_conv1d(T.Tensor(x), k, b, dilation=2).data
     t = 9
     bumped = x.copy()
-    bumped[:, t] += 100.0
+    bumped[t, :] += 100.0
     out = T.dilated_causal_conv1d(T.Tensor(bumped), k, b, dilation=2).data
-    assert np.array_equal(out[:, :t], base[:, :t])
-    assert not np.array_equal(out[:, t:], base[:, t:])
+    assert np.array_equal(out[:t, :], base[:t, :])
+    assert not np.array_equal(out[t:, :], base[t:, :])
 
 
 def test_conv_rejects_bad_dilation_and_empty_kernel():
-    x = T.Tensor(np.zeros((1, 4)))
+    x = T.Tensor(np.zeros((4, 1)))
     b = T.Tensor(np.zeros(1))
     with pytest.raises(ConfigError):
         T.dilated_causal_conv1d(x, T.Tensor(np.zeros((1, 1, 2))), b, dilation=0)
@@ -168,7 +168,7 @@ def test_conv_rejects_bad_dilation_and_empty_kernel():
 def test_conv_channel_mismatch_rejected():
     with pytest.raises(DimensionError):
         T.dilated_causal_conv1d(
-            T.Tensor(np.zeros((2, 4))),
+            T.Tensor(np.zeros((4, 2))),
             T.Tensor(np.zeros((1, 3, 2))),
             T.Tensor(np.zeros(1)),
             dilation=1,
@@ -177,10 +177,10 @@ def test_conv_channel_mismatch_rejected():
 
 def test_conv_gradients_match_fd():
     rng = np.random.default_rng(23)
-    x = T.Tensor(rng.normal(size=(2, 7)), requires_grad=True)
+    x = T.Tensor(rng.normal(size=(2, 7)).T, requires_grad=True)
     k = T.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
     b = T.Tensor(rng.normal(size=3), requires_grad=True)
-    w = rng.normal(size=(3, 7))
+    w = rng.normal(size=(3, 7)).T
     (T.dilated_causal_conv1d(x, k, b, dilation=2) * T.Tensor(w)).sum().backward()
 
     def loss():
@@ -195,13 +195,62 @@ def test_conv_gradients_match_fd():
 
 def test_conv_batched_matches_per_example():
     rng = np.random.default_rng(29)
-    xs = rng.normal(size=(4, 2, 10))
+    xs = rng.normal(size=(4, 2, 10)).transpose(0, 2, 1)
     k = T.Tensor(rng.normal(size=(3, 2, 2)))
     b = T.Tensor(rng.normal(size=3))
     batched = T.dilated_causal_conv1d(T.Tensor(xs), k, b, dilation=4).data
     for i in range(4):
         single = T.dilated_causal_conv1d(T.Tensor(xs[i]), k, b, dilation=4).data
         assert np.array_equal(batched[i], single)
+
+
+def _loop_conv(x, kernel, bias, dilation, g):
+    """Per-output-position reference: out[t] = b + sum_i K[:, :, i] x[t - (k-1-i)d].
+
+    Returns the output and the x/kernel/bias gradients of sum(out * g),
+    for channels-last x of shape (B, T, C_in).
+    """
+    c_out, _, k = kernel.shape
+    batch, t_len, _ = x.shape
+    out = np.zeros((batch, t_len, c_out))
+    gx, gk, gb = np.zeros_like(x), np.zeros_like(kernel), np.zeros_like(bias)
+    for n in range(batch):
+        for t in range(t_len):
+            out[n, t] = bias
+            gb += g[n, t]
+            for i in range(k):
+                src = t - (k - 1 - i) * dilation
+                if src < 0:
+                    continue
+                out[n, t] += kernel[:, :, i] @ x[n, src]
+                gx[n, src] += kernel[:, :, i].T @ g[n, t]
+                gk[:, :, i] += np.outer(g[n, t], x[n, src])
+    return out, gx, gk, gb
+
+
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+@pytest.mark.parametrize("batched", [True, False])
+def test_conv_matches_loop_oracle(dilation, batched):
+    # model shapes: B=32, T=N=15, C=D=16, k=3; at dilation 8 the oldest
+    # tap reaches (k-1)*8 = 16 >= T steps back and reads only padding
+    rng = np.random.default_rng(47 + dilation)
+    shape = (32, 15, 16) if batched else (15, 16)
+    x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+    k = T.Tensor(rng.normal(size=(16, 16, 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=16), requires_grad=True)
+    g = rng.normal(size=shape)
+    out = T.dilated_causal_conv1d(x, k, b, dilation=dilation)
+    (out * T.Tensor(g)).sum().backward()
+
+    lead = (1,) if not batched else ()
+    want_out, want_gx, want_gk, want_gb = _loop_conv(
+        x.data.reshape(lead + shape), k.data, b.data, dilation, g.reshape(lead + shape)
+    )
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.data, want_out.reshape(shape), **tol)
+    np.testing.assert_allclose(x.grad, want_gx.reshape(shape), **tol)
+    np.testing.assert_allclose(k.grad, want_gk, **tol)
+    np.testing.assert_allclose(b.grad, want_gb, **tol)
 
 
 def test_linear_identity():
@@ -306,14 +355,14 @@ def test_composite_graph_matches_fd():
             e = np.exp(scores - scores.max(axis=-1, keepdims=True))
             att = (e / e.sum(axis=-1, keepdims=True)) @ v.data
             conv = T.dilated_causal_conv1d(
-                T.Tensor(att.T), T.Tensor(kern.data), T.Tensor(cb.data), dilation=2
+                T.Tensor(att), T.Tensor(kern.data), T.Tensor(cb.data), dilation=2
             ).data
-            h = np.maximum(conv.T, 0.0)
+            h = np.maximum(conv, 0.0)
             return float((h @ w.data + b.data).sum())
         scores = T.matmul(q, T.transpose(kx)) * T.Tensor(1.0 / np.sqrt(d))
         att = T.matmul(T.softmax_lastdim(scores), v)
-        conv = T.dilated_causal_conv1d(T.transpose(att), kern, cb, dilation=2)
-        return T.linear(T.relu(T.transpose(conv)), w, b).sum()
+        conv = T.dilated_causal_conv1d(att, kern, cb, dilation=2)
+        return T.linear(T.relu(conv), w, b).sum()
 
     forward(False).backward()
     for name, p in params.items():
