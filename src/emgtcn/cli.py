@@ -37,8 +37,8 @@ from .errors import (
 from .model import (
     BASELINE_RECURRENT_PARAMS,
     AttentionTcn,
-    ModelConfig,
     count_parameters,
+    derive_config,
 )
 
 __all__ = ["main", "RunConfig"]
@@ -87,10 +87,11 @@ class RunConfig:
         )
 
     def validate(self):
-        """Check every cross-field precondition up front."""
-        self.model_config(
-            channels=1, seq_len=self._window_samples()
-        )  # window/patch divisibility
+        """Check every cross-field precondition up front.
+
+        Model geometry is left to the subcommands: it depends on the
+        window, and ``train`` reads its window from the segment file.
+        """
         sig.FilterParams(cutoff_hz=self.cutoff_hz, sample_rate_hz=self.sample_rate_hz)
         sig.MuLawParams(mu=self.mu)
         self.split_spec()
@@ -100,33 +101,6 @@ class RunConfig:
         )
         if self.stride_ms is not None and self.stride_ms < 1:
             raise ConfigError(f"stride_ms must be >= 1, got {self.stride_ms}")
-
-    def _window_samples(self) -> int:
-        n = self.window_ms * self.sample_rate_hz / 1000.0
-        if abs(n - round(n)) > 1e-9 or n < 1:
-            raise ConfigError(
-                f"window of {self.window_ms} ms is not a whole number of samples "
-                f"at {self.sample_rate_hz} Hz"
-            )
-        return int(round(n))
-
-    def model_config(self, channels: int, seq_len: int) -> ModelConfig:
-        if self.num_patches < 1:
-            raise ConfigError(f"num_patches must be >= 1, got {self.num_patches}")
-        if seq_len % self.num_patches != 0:
-            raise ConfigError(
-                f"window length {seq_len} is not divisible into "
-                f"{self.num_patches} patches"
-            )
-        return ModelConfig(
-            channels=channels,
-            seq_len=seq_len,
-            num_patches=self.num_patches,
-            patch_len=seq_len // self.num_patches,
-            model_dim=self.model_dim,
-            kernel_size=self.kernel_size,
-            num_classes=self.num_classes,
-        )
 
 
 def _load_run_config(args) -> RunConfig:
@@ -148,17 +122,14 @@ def _load_run_config(args) -> RunConfig:
         for key, value in loaded.items():
             _check_field_type(args.config, key, value)
             setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
-    overrides = {
-        "window_ms": "window_ms", "stride_ms": "stride_ms",
-        "num_patches": "num_patches", "model_dim": "model_dim",
-        "kernel_size": "kernel_size", "num_classes": "num_classes",
-        "mu": "mu", "cutoff_hz": "cutoff_hz", "sample_rate_hz": "sample_rate_hz",
-        "batch_size": "batch_size", "epochs": "epochs", "lr": "lr", "seed": "seed",
-    }
-    for arg_name, field_name in overrides.items():
-        value = getattr(args, arg_name, None)
+    for name in (
+        "window_ms", "stride_ms", "num_patches", "model_dim", "kernel_size",
+        "num_classes", "mu", "cutoff_hz", "sample_rate_hz", "batch_size",
+        "epochs", "lr", "seed",
+    ):
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, field_name, value)
+            setattr(cfg, name, value)
     for arg_name, field_name in (
         ("train_reps", "train_repetitions"),
         ("test_reps", "test_repetitions"),
@@ -222,6 +193,12 @@ def _fmt(x: float) -> str:
 
 def _cmd_preprocess(args) -> int:
     cfg = _load_run_config(args)
+    # refuse a window the model could not patch before any input is read
+    derive_config(
+        cfg.window_ms, cfg.num_patches, cfg.model_dim,
+        sample_rate_hz=cfg.sample_rate_hz, kernel_size=cfg.kernel_size,
+        num_classes=cfg.num_classes,
+    )
     filt = sig.FilterParams(cutoff_hz=cfg.cutoff_hz, sample_rate_hz=cfg.sample_rate_hz)
     mu = sig.MuLawParams(mu=cfg.mu)
     parts = []
@@ -266,8 +243,10 @@ def _cmd_train(args) -> int:
             f"label {int(train_set.labels.max())} does not fit "
             f"{cfg.num_classes} classes"
         )
-    model_cfg = cfg.model_config(
-        channels=train_set.channels, seq_len=train_set.seg_len
+    model_cfg = derive_config(
+        segs.window_ms, cfg.num_patches, cfg.model_dim,
+        channels=segs.channels, sample_rate_hz=segs.sample_rate_hz,
+        kernel_size=cfg.kernel_size, num_classes=cfg.num_classes,
     )
     model = AttentionTcn(model_cfg, seed=seed)
     _note(
@@ -324,7 +303,7 @@ def _cmd_eval(args) -> int:
             preds, test_set.labels[mask]
         )
     report = stats.aggregate(per_subject, model_id=model_id)
-    paths = stats.emit_report(report, [], args.out_dir)
+    paths = stats.emit_report(report, args.out_dir)
     for subject in sorted(per_subject):
         _note(f"subject {subject}: accuracy {per_subject[subject]:.4f}")
     _emit(
@@ -345,7 +324,11 @@ def _predict(model: AttentionTcn, windows: np.ndarray, chunk: int = 256) -> np.n
 def _cmd_params(args) -> int:
     cfg = _load_run_config(args)
     channels = args.channels if args.channels is not None else 12
-    model_cfg = cfg.model_config(channels=channels, seq_len=cfg._window_samples())
+    model_cfg = derive_config(
+        cfg.window_ms, cfg.num_patches, cfg.model_dim, channels=channels,
+        sample_rate_hz=cfg.sample_rate_hz, kernel_size=cfg.kernel_size,
+        num_classes=cfg.num_classes,
+    )
     model = AttentionTcn(model_cfg, seed=0)
     total, breakdown = count_parameters(model)
     _note(

@@ -64,6 +64,11 @@ class Recording:
             self.data = self.data.astype(np.float32)
         if self.data.ndim != 2:
             raise DataError(f"samples must be channels x T, got {self.data.shape}")
+        if not np.isfinite(self.data).all():
+            c, i = np.argwhere(~np.isfinite(self.data))[0]
+            raise DataError(
+                f"sample {i} of channel ch{c + 1} is not finite ({float(self.data[c, i])})"
+            )
         if self.sample_rate_hz <= 0:
             raise DataError(f"sample rate must be positive, got {self.sample_rate_hz}")
         t = self.data.shape[1]
@@ -118,6 +123,8 @@ class SplitSpec:
 
 
 class _Reader:
+    """Bounds-checked cursor over a whole binary file (SEMG, SSEG, TCHG)."""
+
     def __init__(self, buf: bytes, what: str):
         self.buf = buf
         self.offset = 0

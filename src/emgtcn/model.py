@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError
+from .signal import ms_to_samples
 from .tensor import Tensor
 
 __all__ = [
@@ -89,14 +90,13 @@ def derive_config(
     kernel_size: int = 3,
     num_classes: int = 17,
 ) -> ModelConfig:
-    """Resolve a window length in milliseconds into a full ModelConfig."""
-    seq_len = window_ms * sample_rate_hz / 1000.0
-    if abs(seq_len - round(seq_len)) > 1e-9:
-        raise ConfigError(
-            f"window of {window_ms} ms is not a whole number of samples "
-            f"at {sample_rate_hz} Hz"
-        )
-    seq_len = int(round(seq_len))
+    """Resolve a window length in milliseconds into a full ModelConfig.
+
+    The window converts to samples by the same rule ``signal.segment``
+    uses, so a segment file's windows always fit the model built from
+    its ``window_ms`` and ``sample_rate_hz``.
+    """
+    seq_len = ms_to_samples(window_ms, sample_rate_hz, "window_ms")
     if num_patches < 1 or seq_len % num_patches != 0:
         raise ConfigError(
             f"window length {seq_len} is not divisible into {num_patches} patches"

@@ -15,7 +15,7 @@ length, i.e. non-overlapping segments.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, lfilter
@@ -25,13 +25,13 @@ from .errors import ConfigError, DataError, RangeError
 __all__ = [
     "MuLawParams",
     "FilterParams",
-    "Segment",
     "SegmentSet",
     "butterworth_lowpass",
     "normalize_max_abs",
     "mu_law",
     "segment",
     "preprocess",
+    "ms_to_samples",
 ]
 
 
@@ -64,16 +64,6 @@ class FilterParams:
 
 
 @dataclass
-class Segment:
-    """One labeled window: channels x samples, plus its provenance."""
-
-    x: np.ndarray
-    label: int
-    subject: int
-    repetition: int
-
-
-@dataclass
 class SegmentSet:
     """Columnar batch of segments.
 
@@ -87,7 +77,6 @@ class SegmentSet:
     repetitions: np.ndarray
     sample_rate_hz: float
     window_ms: int
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.data.ndim != 3:
@@ -102,14 +91,6 @@ class SegmentSet:
 
     def __len__(self) -> int:
         return self.data.shape[0]
-
-    def __getitem__(self, i: int) -> Segment:
-        return Segment(
-            x=self.data[i],
-            label=int(self.labels[i]),
-            subject=int(self.subjects[i]),
-            repetition=int(self.repetitions[i]),
-        )
 
     @property
     def channels(self) -> int:
@@ -181,12 +162,8 @@ def segment(
         stride_ms = window_ms
     if sample_rate_hz is None:
         sample_rate_hz = float(recording.sample_rate_hz)
-    if window_ms < 1 or stride_ms < 1:
-        raise ConfigError(
-            f"window_ms and stride_ms must be >= 1, got {window_ms}, {stride_ms}"
-        )
-    seg_len = _ms_to_samples(window_ms, sample_rate_hz, "window_ms")
-    stride = _ms_to_samples(stride_ms, sample_rate_hz, "stride_ms")
+    seg_len = ms_to_samples(window_ms, sample_rate_hz, "window_ms")
+    stride = ms_to_samples(stride_ms, sample_rate_hz, "stride_ms")
 
     data = np.asarray(recording.data, dtype=np.float64)
     gesture = np.asarray(recording.gesture)
@@ -237,7 +214,9 @@ def preprocess(
     return mu_law(normalize_max_abs(filtered), mu_params)
 
 
-def _ms_to_samples(ms: int, rate_hz: float, name: str) -> int:
+def ms_to_samples(ms: int, rate_hz: float, name: str) -> int:
+    """Convert a duration to a sample count, refusing any duration that
+    is not a whole positive number of samples at ``rate_hz``."""
     exact = ms * rate_hz / 1000.0
     n = round(exact)
     if abs(exact - n) > 1e-9 or n < 1:

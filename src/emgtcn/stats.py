@@ -205,10 +205,9 @@ def significance_band(p: float) -> str:
     return "ns"
 
 
-def emit_report(report: EvalReport, comparisons, out_dir) -> dict:
-    """Write per-subject, summary, and (if any) comparison CSVs.
+def emit_report(report: EvalReport, out_dir) -> dict:
+    """Write the per-subject and summary CSVs.
 
-    ``comparisons`` is a list of (model_a, model_b, WilcoxonResult).
     Floats are written with repr so parsing them back is lossless.
     Returns the paths written, keyed by file role.
     """
@@ -231,17 +230,6 @@ def emit_report(report: EvalReport, comparisons, out_dir) -> dict:
             f"{report.median!r},{report.q1!r},{report.q3!r}\n"
         )
     paths["summary"] = summary
-
-    if comparisons:
-        comp = os.path.join(out_dir, f"{stem}_comparisons.csv")
-        with open(comp, "w", encoding="utf-8", newline="") as fh:
-            fh.write("model_a,model_b,W,p,band\n")
-            for model_a, model_b, result in comparisons:
-                fh.write(
-                    f"{model_a},{model_b},{result.statistic!r},"
-                    f"{result.p_value!r},{significance_band(result.p_value)}\n"
-                )
-        paths["comparisons"] = comp
     return paths
 
 

@@ -198,10 +198,6 @@ def make_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     return out
 
 
-def _needs(parent: Tensor) -> bool:
-    return parent.requires_grad
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     extra = grad.ndim - len(shape)
@@ -222,8 +218,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        ga = _unbroadcast(g, a.data.shape) if _needs(a) else None
-        gb = _unbroadcast(g, b.data.shape) if _needs(b) else None
+        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return make_op(data, (a, b), backward)
@@ -233,8 +229,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        ga = _unbroadcast(g * b.data, a.data.shape) if _needs(a) else None
-        gb = _unbroadcast(g * a.data, b.data.shape) if _needs(b) else None
+        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return make_op(data, (a, b), backward)
@@ -252,9 +248,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         ga = gb = None
-        if _needs(a):
+        if a.requires_grad:
             ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        if _needs(b):
+        if b.requires_grad:
             gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
         return ga, gb
 
@@ -333,11 +329,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         gx = gw = gb = None
-        if _needs(x):
+        if x.requires_grad:
             gx = g @ weight.data.T
-        if _needs(weight):
+        if weight.requires_grad:
             gw = x.data.reshape(-1, n_in).T @ g.reshape(-1, n_out)
-        if _needs(bias):
+        if bias.requires_grad:
             gb = g.reshape(-1, n_out).sum(axis=0)
         return gx, gw, gb
 
@@ -388,15 +384,15 @@ def dilated_causal_conv1d(
     def backward(g):
         gx = gk = gb = None
         g2 = g.reshape(-1, c_out)
-        if _needs(x):
+        if x.requires_grad:
             gtaps = (g2 @ w_mat.T).reshape(x.shape[:-1] + (k * c_in,))
             gxp = np.zeros_like(xp)
             for i, s in enumerate(starts):
                 gxp[..., s : s + t_len, :] += gtaps[..., i * c_in : (i + 1) * c_in]
             gx = gxp[..., pad:, :]
-        if _needs(kernel):
+        if kernel.requires_grad:
             gk = (taps.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
-        if _needs(bias):
+        if bias.requires_grad:
             gb = g2.sum(axis=0)
         return gx, gk, gb
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import _Reader
 from .errors import (
     ConfigError,
     DataError,
@@ -130,10 +131,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         labels = np.asarray([labels], dtype=np.int64)
     else:
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    z2 = logits.data.reshape(1, -1) if squeeze else logits.data
-    if z2.ndim != 2:
+    z = logits.data.reshape(1, -1) if squeeze else logits.data
+    if z.ndim != 2:
         raise DimensionError(f"logits must be B x K, got shape {logits.shape}")
-    b, k = z2.shape
+    b, k = z.shape
     if labels.shape != (b,):
         raise DimensionError(
             f"need one label per row: {b} rows, {labels.shape[0]} labels"
@@ -144,7 +145,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise DataError(
             f"label {labels[i]} at index {i} outside [0, {k})"
         )
-    z = z2
     zmax = z.max(axis=1, keepdims=True)
     lse = zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
     losses = lse[:, 0] - z[np.arange(b), labels]
@@ -300,7 +300,8 @@ def restore_optimizer(ckpt: Checkpoint, model: AttentionTcn) -> Adam:
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    entries = [("config", 0, _cfg_to_json(ckpt.config)), ("epoch", 2, ckpt.epoch)]
+    config = json.dumps(asdict(ckpt.config), sort_keys=True)
+    entries = [("config", 0, config), ("epoch", 2, ckpt.epoch)]
     entries.append(("opt", 0, json.dumps(ckpt.opt, sort_keys=True)))
     if ckpt.rng_state is not None:
         entries.append(("rng", 0, json.dumps(ckpt.rng_state, sort_keys=True)))
@@ -337,7 +338,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         buf = fh.read()
-    r = _Reader(buf)
+    r = _Reader(buf, "checkpoint")
     magic = r.take(4, "magic")
     if magic != _MAGIC:
         raise FormatError(
@@ -371,10 +372,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(
                 f"unknown entry kind {kind} for {name!r} at offset {r.offset}"
             )
-    if r.offset != len(buf):
-        raise FormatError(
-            f"{len(buf) - r.offset} trailing bytes after offset {r.offset}"
-        )
+    r.done()
     try:
         config = ModelConfig(**json.loads(fields.pop("config")))
         epoch = int(fields.pop("epoch"))
@@ -392,35 +390,4 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         config=config, epoch=epoch, weights=weights, m=moments_m, v=moments_v,
         opt=opt, rng_state=rng_state, version=version,
-    )
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.offset = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.buf):
-            raise FormatError(
-                f"truncated checkpoint: needed {n} bytes for {what} at offset "
-                f"{self.offset}, only {len(self.buf) - self.offset} remain"
-            )
-        out = self.buf[self.offset : self.offset + n]
-        self.offset += n
-        return out
-
-
-def _cfg_to_json(cfg: ModelConfig) -> str:
-    return json.dumps(
-        {
-            "channels": cfg.channels,
-            "seq_len": cfg.seq_len,
-            "num_patches": cfg.num_patches,
-            "patch_len": cfg.patch_len,
-            "model_dim": cfg.model_dim,
-            "kernel_size": cfg.kernel_size,
-            "num_classes": cfg.num_classes,
-        },
-        sort_keys=True,
     )

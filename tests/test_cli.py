@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from emgtcn import stats, train as tr
+from emgtcn import data as dio, stats, train as tr
 from emgtcn.cli import main
 from emgtcn.model import AttentionTcn
 
@@ -110,6 +110,45 @@ def test_invalid_patch_count_exits_2(pipeline, tmp_path, capsys):
         assert code == 2, num_patches
         assert captured.out == ""
         assert str(num_patches) in captured.err
+
+
+def test_train_takes_window_from_segment_file(pipeline, tmp_path, capsys):
+    wide = tmp_path / "w300.sseg"
+    assert run([
+        "preprocess", *pipeline["inputs"], "--out", wide, "--window-ms", 300,
+    ]) == 0
+    ckpt = tmp_path / "w300.ckpt"
+    code = run([
+        "train", wide, "--checkpoint", ckpt, "--trace", tmp_path / "t.csv",
+        "--num-patches", 15, "--model-dim", 16, "--num-classes", 3,
+        "--epochs", 1,
+    ])
+    assert code == 0, capsys.readouterr().err
+    cfg = tr.load_checkpoint(ckpt).config
+    assert (cfg.seq_len, cfg.patch_len) == (600, 40)
+
+
+def test_non_finite_csv_sample_exits_2(tmp_path, capsys):
+    t = 500
+    gesture = np.zeros(t)
+    gesture[100:] = 1
+    rec = dio.Recording(
+        data=np.ones((2, t), dtype=np.float32), sample_rate_hz=2000.0,
+        gesture=gesture, repetition=(gesture > 0).astype(int),
+    )
+    csv_path = tmp_path / "rec.csv"
+    dio.write_annotated_csv(csv_path, rec)
+    lines = csv_path.read_text().splitlines()
+    lines[301] = "1.0,nan,1,1"  # sample 300 of channel ch2
+    csv_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.sseg"
+    code = run(["preprocess", csv_path, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "ch2" in captured.err and "300" in captured.err
+    assert not out.exists()
 
 
 def test_corrupt_checkpoint_exits_4(pipeline, tmp_path, capsys):

@@ -15,7 +15,9 @@ from emgtcn.data import (
     write_segments,
 )
 from emgtcn.errors import ConfigError, DataError, FormatError
+from emgtcn.model import AttentionTcn, ModelConfig
 from emgtcn.signal import SegmentSet, segment
+from emgtcn.train import Adam, load_checkpoint, make_checkpoint, save_checkpoint
 
 
 def sample_recording(channels=3, t=50, rate=2000.0, seed=0):
@@ -128,6 +130,41 @@ def test_recording_version_mismatch(tmp_path):
     with pytest.raises(FormatError) as err:
         read_recording(bad)
     assert "9" in str(err.value)
+
+
+def test_recording_rejects_non_finite_sample(tmp_path):
+    rec = sample_recording(channels=3, t=50)
+    path = tmp_path / "rec.semg"
+    write_recording(path, rec)
+    raw = bytearray(path.read_bytes())
+    at = 28 + 4 * (1 * 50 + 5)  # header, then channel 1, sample 5
+    raw[at : at + 4] = np.array([np.inf], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError) as err:
+        read_recording(path)
+    msg = str(err.value)
+    assert "ch2" in msg and "5" in msg and "inf" in msg
+
+
+def test_trailing_bytes_rejected_in_every_format(tmp_path):
+    model = AttentionTcn(ModelConfig(
+        channels=2, seq_len=4, num_patches=2, patch_len=2, model_dim=2,
+    ))
+    ckpt = make_checkpoint(
+        model, Adam(model.named_parameters()), epoch=0, rng_state=None
+    )
+    cases = [
+        ("r.semg", lambda p: write_recording(p, sample_recording()), read_recording),
+        ("s.sseg", lambda p: write_segments(p, sample_segments()), read_segments),
+        ("m.ckpt", lambda p: save_checkpoint(p, ckpt), load_checkpoint),
+    ]
+    for name, write, read in cases:
+        path = tmp_path / name
+        write(path)
+        read(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            read(path)
 
 
 def test_annotated_csv_round_trip(tmp_path):

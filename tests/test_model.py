@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from emgtcn.data import Recording
 from emgtcn.errors import ConfigError, DimensionError
 from emgtcn.model import (
     AttentionTcn,
@@ -15,6 +16,7 @@ from emgtcn.model import (
     self_attention,
     tc_block,
 )
+from emgtcn.signal import segment
 from emgtcn.tensor import Tensor
 
 # the eight standard architecture variants as (window_ms, N, D), with
@@ -76,6 +78,20 @@ def test_derive_config_indivisible_names_sizes():
         derive_config(200, num_patches=7, model_dim=12)
     msg = str(err.value)
     assert "400" in msg and "7" in msg
+    with pytest.raises(ConfigError):
+        derive_config(200, num_patches=10, model_dim=12, sample_rate_hz=999.0)
+    with pytest.raises(ConfigError):
+        derive_config(0, num_patches=10, model_dim=12)
+    # segment() and the model convert a window to samples by one rule
+    for window_ms, rate in ((200, 2000.0), (300, 2000.0), (150, 1000.0),
+                            (250, 1200.0), (125, 4000.0)):
+        rec = Recording(
+            data=np.zeros((2, 1000), dtype=np.float32), sample_rate_hz=rate,
+            gesture=np.ones(1000), repetition=np.ones(1000),
+        )
+        cfg = derive_config(window_ms, num_patches=10, model_dim=4,
+                            channels=2, sample_rate_hz=rate)
+        assert segment(rec, window_ms=window_ms).seg_len == cfg.seq_len
 
 
 def test_embed_patches_identity_projection():

@@ -269,7 +269,7 @@ def test_significance_band_range_errors():
 def test_emit_report_round_trip(tmp_path):
     per_subject = {1: 1.0 / 3.0, 2: 0.8, 7: 0.911111111111111}
     report = aggregate(per_subject, model_id="m1")
-    paths = emit_report(report, [], tmp_path)
+    paths = emit_report(report, tmp_path)
     assert "comparisons" not in paths
 
     parsed = read_per_subject(paths["per_subject"])
@@ -283,25 +283,6 @@ def test_emit_report_round_trip(tmp_path):
     assert cells[0] == "m1"
     assert float(cells[1]) == report.mean
     assert float(cells[2]) == report.std
-
-
-def test_emit_report_comparisons(tmp_path):
-    base = {s: 0.7 + 0.01 * s for s in range(8)}
-    report = aggregate(base, model_id="m1")
-    comparisons = []
-    for other in ("m2", "m3", "m4"):
-        rng = np.random.default_rng(hash(other) % 2**32)
-        a = np.array(sorted(base.values()))
-        b = a + rng.normal(scale=0.05, size=len(a))
-        comparisons.append((report.model_id, other, wilcoxon_signed_rank(a, b)))
-    paths = emit_report(report, comparisons, tmp_path)
-    lines = open(paths["comparisons"]).read().splitlines()
-    assert lines[0] == "model_a,model_b,W,p,band"
-    assert len(lines) == 4
-    for line in lines[1:]:
-        model_a, model_b, w, p, band = line.split(",")
-        assert model_a == "m1"
-        assert significance_band(float(p)) == band
 
 
 def test_read_per_subject_rejects_malformed(tmp_path):
