@@ -35,7 +35,7 @@ with tempfile.TemporaryDirectory() as tmp:
                      "--num-classes", "5", "--seed", seed]) == 0
         out_dir = root / f"report_s{seed}"
         assert main(["eval", str(ckpt), str(segs), "--out-dir", str(out_dir),
-                     "--num-classes", "5", "--model-id", f"seed{seed}"]) == 0
+                     "--model-id", f"seed{seed}"]) == 0
         reports.append(out_dir / f"seed{seed}_per_subject.csv")
 
     assert main(["params", "--window-ms", "200", "--num-patches", "10",

@@ -1,7 +1,8 @@
 """Command-line surface for the full pipeline.
 
-Subcommands: preprocess, train, eval, params, compare, synth. Options
-come from an optional JSON config file plus flags, with flags winning.
+Subcommands: preprocess, train, eval, params, compare, synth. Settings
+come from an optional JSON config file plus flags, with flags winning;
+each subcommand has flags only for the settings it reads.
 The seed resolves as: --seed flag, then the config file, then the
 TCHGR_SEED environment variable, then 0.
 
@@ -48,7 +49,8 @@ _VALIDATION_ERRORS = (ConfigError, DimensionError, RangeError, DataError, UsageE
 
 @dataclass
 class RunConfig:
-    """Merged file + flag settings, validated before any work starts."""
+    """Merged file + flag settings. Each subcommand checks the ones it
+    reads by building the typed objects it uses from them."""
 
     window_ms: int = 200
     stride_ms: int | None = None
@@ -86,27 +88,11 @@ class RunConfig:
             test_repetitions=frozenset(self.test_repetitions),
         )
 
-    def validate(self):
-        """Check every cross-field precondition up front.
-
-        Model geometry is left to the subcommands: it depends on the
-        window, and ``train`` reads its window from the segment file.
-        """
-        sig.FilterParams(cutoff_hz=self.cutoff_hz, sample_rate_hz=self.sample_rate_hz)
-        sig.MuLawParams(mu=self.mu)
-        self.split_spec()
-        tr.TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-            seed=0, shuffle=self.shuffle,
-        )
-        if self.stride_ms is not None and self.stride_ms < 1:
-            raise ConfigError(f"stride_ms must be >= 1, got {self.stride_ms}")
-
 
 def _load_run_config(args) -> RunConfig:
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -122,22 +108,10 @@ def _load_run_config(args) -> RunConfig:
         for key, value in loaded.items():
             _check_field_type(args.config, key, value)
             setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
-    for name in (
-        "window_ms", "stride_ms", "num_patches", "model_dim", "kernel_size",
-        "num_classes", "mu", "cutoff_hz", "sample_rate_hz", "batch_size",
-        "epochs", "lr", "seed",
-    ):
+    for name in known:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    for arg_name, field_name in (
-        ("train_reps", "train_repetitions"),
-        ("test_reps", "test_repetitions"),
-    ):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            setattr(cfg, field_name, _parse_rep_list(value))
-    cfg.validate()
     return cfg
 
 
@@ -193,22 +167,16 @@ def _fmt(x: float) -> str:
 
 def _cmd_preprocess(args) -> int:
     cfg = _load_run_config(args)
-    # refuse a window the model could not patch before any input is read
-    derive_config(
-        cfg.window_ms, cfg.num_patches, cfg.model_dim,
-        sample_rate_hz=cfg.sample_rate_hz, kernel_size=cfg.kernel_size,
-        num_classes=cfg.num_classes,
-    )
-    filt = sig.FilterParams(cutoff_hz=cfg.cutoff_hz, sample_rate_hz=cfg.sample_rate_hz)
     mu = sig.MuLawParams(mu=cfg.mu)
     parts = []
     for index, path in enumerate(args.inputs, start=1):
-        rec = _read_any_recording(path, cfg, subject=index)
-        processed = rec.with_data(sig.preprocess(rec.data, filt, mu))
-        segs = sig.segment(
-            processed, window_ms=cfg.window_ms, stride_ms=cfg.stride_ms,
-            sample_rate_hz=rec.sample_rate_hz,
-        )
+        try:
+            segs = _segment_input(path, index, cfg, mu)
+        except EmgTcnError as err:
+            # CSV reader errors already lead with their path
+            if str(err).startswith(f"{path}:"):
+                raise
+            raise type(err)(f"{path}: {err}") from None
         _note(f"{path}: {len(segs)} segments from subject {index}")
         parts.append(segs)
     combined = dio.concat_segments(parts)
@@ -220,19 +188,30 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _read_any_recording(path, cfg: RunConfig, subject: int) -> dio.Recording:
+def _segment_input(path, subject: int, cfg: RunConfig, mu: sig.MuLawParams):
+    """Read one recording, then filter it at its own sample rate and cut
+    it into windows. Only a CSV takes its rate from the settings."""
     if str(path).endswith(".csv"):
-        return dio.read_annotated_csv(
+        rec = dio.read_annotated_csv(
             path, sample_rate_hz=cfg.sample_rate_hz, subject=subject
         )
-    return dio.read_recording(path, subject=subject)
+    else:
+        rec = dio.read_recording(path, subject=subject)
+    filt = sig.FilterParams(cutoff_hz=cfg.cutoff_hz, sample_rate_hz=rec.sample_rate_hz)
+    processed = rec.with_data(sig.preprocess(rec.data, filt, mu))
+    return sig.segment(processed, window_ms=cfg.window_ms, stride_ms=cfg.stride_ms)
 
 
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
     seed = cfg.resolved_seed()
+    spec = cfg.split_spec()
+    train_cfg = tr.TrainConfig(
+        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+        seed=seed, shuffle=cfg.shuffle,
+    )
     segs = dio.read_segments(args.segments)
-    train_set, _ = dio.split(segs, cfg.split_spec())
+    train_set, _ = dio.split(segs, spec)
     if len(train_set) == 0:
         raise UsageError(
             f"no segments with repetitions {sorted(cfg.train_repetitions)} "
@@ -255,14 +234,7 @@ def _cmd_train(args) -> int:
         f"Z={model_cfg.num_blocks}) for {cfg.epochs} epochs"
     )
     opt = tr.Adam(model.named_parameters(), lr=cfg.lr)
-    result = tr.train(
-        model, train_set,
-        tr.TrainConfig(
-            epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-            seed=seed, shuffle=cfg.shuffle,
-        ),
-        optimizer=opt,
-    )
+    result = tr.train(model, train_set, train_cfg, optimizer=opt)
     tr.save_checkpoint(
         args.checkpoint,
         tr.make_checkpoint(model, opt, epoch=cfg.epochs, rng_state=result.rng_state),
@@ -279,10 +251,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
+    spec = cfg.split_spec()
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = tr.restore_model(ckpt)
     segs = dio.read_segments(args.segments)
-    _, test_set = dio.split(segs, cfg.split_spec())
+    _, test_set = dio.split(segs, spec)
     if len(test_set) == 0:
         raise UsageError(
             f"no segments with repetitions {sorted(cfg.test_repetitions)} "
@@ -421,43 +394,43 @@ def _stem(path, strip: str = "") -> str:
 # -- parser and entry point -----------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *names):
-    flags = {
-        "config": lambda: p.add_argument("--config", help="JSON config file"),
-        "seed": lambda: p.add_argument("--seed", type=int),
-        "window": lambda: (
-            p.add_argument("--window-ms", type=int, dest="window_ms"),
-            p.add_argument("--stride-ms", type=int, dest="stride_ms"),
-        ),
-        "model": lambda: (
-            p.add_argument("--num-patches", type=int, dest="num_patches"),
-            p.add_argument("--model-dim", type=int, dest="model_dim"),
-            p.add_argument("--kernel-size", type=int, dest="kernel_size"),
-            p.add_argument("--num-classes", type=int, dest="num_classes"),
-        ),
-        "signal": lambda: (
-            p.add_argument("--cutoff-hz", type=float, dest="cutoff_hz"),
-            p.add_argument("--mu", type=float),
-            p.add_argument("--sample-rate-hz", type=float, dest="sample_rate_hz"),
-        ),
-        "training": lambda: (
-            p.add_argument("--epochs", type=int),
-            p.add_argument("--batch-size", type=int, dest="batch_size"),
-            p.add_argument("--lr", type=float),
-        ),
-        "splits": lambda: (
-            p.add_argument("--train-reps", dest="train_reps",
-                           help="comma-separated repetition ids"),
-            p.add_argument("--test-reps", dest="test_reps",
-                           help="comma-separated repetition ids"),
-        ),
-    }
-    for name in names:
-        flags[name]()
+# Every settings flag once, with the subcommands that read it. The dest
+# is the RunConfig field, so _load_run_config finds it by name.
+_SETTINGS = (
+    ("--config", "config", str, ("preprocess", "train", "eval", "params", "synth"),
+     "JSON config file"),
+    ("--window-ms", "window_ms", int, ("preprocess", "params"), None),
+    ("--stride-ms", "stride_ms", int, ("preprocess",), None),
+    ("--num-patches", "num_patches", int, ("train", "params"), None),
+    ("--model-dim", "model_dim", int, ("train", "params"), None),
+    ("--kernel-size", "kernel_size", int, ("train", "params"), None),
+    ("--num-classes", "num_classes", int, ("train", "params", "synth"), None),
+    ("--cutoff-hz", "cutoff_hz", float, ("preprocess",), None),
+    ("--mu", "mu", float, ("preprocess",), None),
+    ("--sample-rate-hz", "sample_rate_hz", float, ("preprocess", "params", "synth"),
+     "rate of .csv inputs, of synth output and of params; "
+     ".semg files carry their own"),
+    ("--epochs", "epochs", int, ("train",), None),
+    ("--batch-size", "batch_size", int, ("train",), None),
+    ("--lr", "lr", float, ("train",), None),
+    ("--seed", "seed", int, ("train", "synth"), None),
+    ("--train-reps", "train_repetitions", _parse_rep_list, ("train", "eval"),
+     "comma-separated repetition ids"),
+    ("--test-reps", "test_repetitions", _parse_rep_list, ("train", "eval"),
+     "comma-separated repetition ids"),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as UsageError, so main() prints one line
+    and exits 2 like every other validation failure."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="emgtcn",
         description="surface-EMG gesture recognition pipeline",
     )
@@ -466,15 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="filter, compand, and segment recordings")
     p.add_argument("inputs", nargs="+", help="recording files (.semg or .csv)")
     p.add_argument("--out", required=True, help="segment file to write")
-    _add_common(p, "config", "window", "signal", "model", "seed")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("train", help="train a classifier on a segment file")
     p.add_argument("segments", help="segment file from preprocess")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--trace", required=True, help="per-epoch CSV to write")
-    _add_common(p, "config", "model", "training", "seed", "splits", "signal",
-                "window")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on held-out segments")
@@ -482,12 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("segments")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--model-id", dest="model_id")
-    _add_common(p, "config", "seed", "splits", "signal", "window", "model")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("params", help="audit the parameter count of a config")
     p.add_argument("--channels", type=int)
-    _add_common(p, "config", "window", "model", "signal", "seed")
     p.set_defaults(func=_cmd_params)
 
     p = sub.add_parser("compare", help="Wilcoxon baseline-vs-rest over reports")
@@ -503,15 +471,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gesture-seconds", type=float, default=1.0,
                    dest="gesture_seconds")
     p.add_argument("--rest-seconds", type=float, default=0.25, dest="rest_seconds")
-    _add_common(p, "config", "signal", "model", "seed")
     p.set_defaults(func=_cmd_synth)
+
+    for flag, dest, kind, commands, help_text in _SETTINGS:
+        for command in commands:
+            sub.choices[command].add_argument(
+                flag, dest=dest, type=kind, help=help_text,
+                metavar=flag[2:].upper().replace("-", "_"),
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _VALIDATION_ERRORS as err:
         _note(f"error: {err}")

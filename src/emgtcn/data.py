@@ -399,6 +399,8 @@ def generate_synthetic(
         raise ConfigError(f"need at least 1 subject, got {subjects}")
     if not 1 <= reps <= 6:
         raise ConfigError(f"repetitions must lie in 1..6, got {reps}")
+    if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
+        raise ConfigError(f"sample rate must be positive and finite, got {sample_rate_hz}")
     active_n = int(round(gesture_seconds * sample_rate_hz))
     rest_n = int(round(rest_seconds * sample_rate_hz))
     if active_n < 1:

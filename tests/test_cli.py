@@ -6,11 +6,13 @@ stderr only, and byte-identical artifacts for identical invocations.
 """
 
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from emgtcn import data as dio, stats, train as tr
+from emgtcn import data as dio, signal, stats, train as tr
 from emgtcn.cli import main
 from emgtcn.model import AttentionTcn
 
@@ -48,9 +50,7 @@ def pipeline(tmp_path_factory):
         "--epochs", 2, "--lr", 0.01, "--model-dim", 4,
         "--num-classes", 3, "--seed", 5,
     ]) == 0
-    assert run([
-        "eval", ckpt, segs, "--out-dir", reports, "--num-classes", 3,
-    ]) == 0
+    assert run(["eval", ckpt, segs, "--out-dir", reports]) == 0
     return {
         "root": root, "raw": raw, "segs": segs, "ckpt": ckpt,
         "trace": trace, "reports": reports, "inputs": inputs,
@@ -90,7 +90,7 @@ def test_eval_stdout_and_reports_agree(pipeline, capsys, tmp_path):
     out_dir = tmp_path / "rep"
     assert run([
         "eval", pipeline["ckpt"], pipeline["segs"], "--out-dir", out_dir,
-        "--num-classes", 3, "--model-id", "trial",
+        "--model-id", "trial",
     ]) == 0
     fields = machine_line(capsys)
     per_subject = stats.read_per_subject(fields["per_subject"])
@@ -103,8 +103,8 @@ def test_eval_stdout_and_reports_agree(pipeline, capsys, tmp_path):
 def test_invalid_patch_count_exits_2(pipeline, tmp_path, capsys):
     for num_patches in (7, 0):
         code = run([
-            "preprocess", pipeline["inputs"][0], "--out", tmp_path / "x.sseg",
-            "--num-patches", num_patches,
+            "train", pipeline["segs"], "--checkpoint", tmp_path / "m.ckpt",
+            "--trace", tmp_path / "t.csv", "--num-patches", num_patches,
         ])
         captured = capsys.readouterr()
         assert code == 2, num_patches
@@ -148,7 +148,151 @@ def test_non_finite_csv_sample_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "ch2" in captured.err and "300" in captured.err
+    assert "rec.csv" in captured.err
     assert not out.exists()
+
+
+def test_truncated_second_semg_input_exits_4(pipeline, tmp_path, capsys):
+    trunc = tmp_path / "trunc.semg"
+    with open(pipeline["inputs"][1], "rb") as fh:
+        trunc.write_bytes(fh.read()[:-100])
+    out = tmp_path / "x.sseg"
+    code = run(["preprocess", pipeline["inputs"][0], trunc, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    last = captured.err.strip().splitlines()[-1]
+    assert last.startswith("file error: ") and "truncated" in last
+    assert captured.err.count(str(trunc)) == 1
+    assert not out.exists()
+
+
+def test_semg_filtered_at_its_own_rate(tmp_path):
+    raw, out = tmp_path / "khz.semg", tmp_path / "khz.sseg"
+    (rec,) = dio.generate_synthetic(
+        1, classes=3, reps=2, sample_rate_hz=1000.0,
+        gesture_seconds=0.5, rest_seconds=0.1,
+    )
+    dio.write_recording(raw, rec)
+    assert run(["preprocess", raw, "--out", out]) == 0
+    rec = dio.read_recording(raw, subject=1)
+    filt = signal.FilterParams(sample_rate_hz=1000.0)
+    want = signal.segment(rec.with_data(signal.preprocess(rec.data, filt)), 200)
+    got = dio.read_segments(out)
+    assert got.sample_rate_hz == 1000.0
+    assert len(got) > 0
+    np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_array_equal(got.labels, want.labels)
+
+
+def test_preprocess_takes_a_window_no_model_could_patch(pipeline, tmp_path):
+    # 1 ms is two samples at 2 kHz: not 10 patches, but a valid window
+    assert run([
+        "preprocess", pipeline["inputs"][0], "--out", tmp_path / "x.sseg",
+        "--window-ms", 1,
+    ]) == 0
+
+
+def test_synth_rate_needs_no_filter_cutoff(tmp_path, capsys):
+    # 800 Hz is below twice the 450 Hz cutoff; synth builds no filter
+    assert run([
+        "synth", "--out-dir", tmp_path / "s", "--subjects", 1,
+        "--num-classes", 2, "--reps", 1, "--gesture-seconds", 0.2,
+        "--sample-rate-hz", 800,
+    ]) == 0
+    rec = dio.read_recording(tmp_path / "s" / "subject01.semg")
+    assert rec.sample_rate_hz == 800.0
+
+
+def test_non_finite_sample_rate_exits_2(tmp_path, capsys):
+    (rec,) = dio.generate_synthetic(1, classes=2, reps=1, gesture_seconds=0.2)
+    for rate in ("inf", "nan"):
+        semg = tmp_path / f"{rate}.semg"
+        dio.write_recording(semg, replace(rec, sample_rate_hz=float(rate)))
+        for argv in (
+            ["synth", "--out-dir", tmp_path / "s", "--sample-rate-hz", rate],
+            ["params", "--sample-rate-hz", rate],
+            ["preprocess", semg, "--out", tmp_path / "x.sseg"],
+        ):
+            assert run(argv) == 2, (argv, rate)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.strip().splitlines()) == 1
+
+
+# (subcommand, flag) pairs the subcommand never reads, so refuses
+UNREAD_FLAGS = [
+    *(("preprocess", f) for f in (
+        "--num-patches", "--model-dim", "--kernel-size", "--num-classes",
+        "--seed",
+    )),
+    *(("train", f) for f in (
+        "--window-ms", "--stride-ms", "--cutoff-hz", "--mu", "--sample-rate-hz",
+    )),
+    *(("eval", f) for f in (
+        "--window-ms", "--stride-ms", "--num-patches", "--model-dim",
+        "--kernel-size", "--num-classes", "--cutoff-hz", "--mu",
+        "--sample-rate-hz", "--seed",
+    )),
+    *(("params", f) for f in ("--stride-ms", "--cutoff-hz", "--mu", "--seed")),
+    *(("synth", f) for f in (
+        "--num-patches", "--model-dim", "--kernel-size", "--cutoff-hz", "--mu",
+    )),
+]
+
+
+def required_args(command, tmp_path):
+    return {
+        "preprocess": ["preprocess", tmp_path / "a.semg", "--out", tmp_path / "x.sseg"],
+        "train": ["train", tmp_path / "s.sseg", "--checkpoint", tmp_path / "m.ckpt",
+                  "--trace", tmp_path / "t.csv"],
+        "eval": ["eval", tmp_path / "m.ckpt", tmp_path / "s.sseg",
+                 "--out-dir", tmp_path / "r"],
+        "params": ["params"],
+        "synth": ["synth", "--out-dir", tmp_path / "raw"],
+    }[command]
+
+
+def test_unread_flags_exit_2(tmp_path, capsys):
+    assert len(UNREAD_FLAGS) == 29
+    for command, flag in UNREAD_FLAGS:
+        code = run([*required_args(command, tmp_path), flag, 1])
+        captured = capsys.readouterr()
+        assert code == 2, (command, flag)
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and flag in lines[0], (command, flag, lines)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_error_is_one_line(tmp_path, capsys):
+    assert run(["params", "--bogus", 1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "--bogus" in lines[0]
+
+
+def test_help_lists_exactly_the_read_settings(capsys):
+    settings = {
+        "preprocess": "--config --window-ms --stride-ms --cutoff-hz --mu "
+                      "--sample-rate-hz --out",
+        "train": "--config --num-patches --model-dim --kernel-size "
+                 "--num-classes --epochs --batch-size --lr --seed --train-reps "
+                 "--test-reps --checkpoint --trace",
+        "eval": "--config --train-reps --test-reps --out-dir --model-id",
+        "params": "--config --window-ms --num-patches --model-dim "
+                  "--kernel-size --num-classes --sample-rate-hz --channels",
+        "synth": "--config --seed --num-classes --sample-rate-hz --out-dir "
+                 "--subjects --reps --channels --gesture-seconds --rest-seconds",
+        "compare": "--out",
+    }
+    for command, flags in settings.items():
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", *flags.split()}, command
 
 
 def test_corrupt_checkpoint_exits_4(pipeline, tmp_path, capsys):
@@ -172,10 +316,7 @@ def test_eval_window_mismatch_exits_2(pipeline, tmp_path, capsys):
         "--window-ms", 100,
     ]) == 0
     capsys.readouterr()
-    code = run([
-        "eval", pipeline["ckpt"], narrow, "--out-dir", tmp_path,
-        "--num-classes", 3,
-    ])
+    code = run(["eval", pipeline["ckpt"], narrow, "--out-dir", tmp_path])
     assert code == 2
     assert "200" in capsys.readouterr().err  # 100 ms at 2 kHz
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from emgtcn.errors import (
     ConfigError,
@@ -237,6 +238,24 @@ def test_wilcoxon_p_always_in_unit_interval():
         r = wilcoxon_signed_rank(a, b)
         assert 0.0 <= r.p_value <= 1.0
         assert r.n_effective <= n
+
+
+def test_wilcoxon_matches_scipy_on_tie_free_samples():
+    # scipy is an independent oracle: exact for n <= 20 (our auto
+    # switch), continuity-corrected normal approximation above it
+    rng = np.random.default_rng(2110)
+    for case in range(200):
+        n = int(rng.integers(5, 41))
+        a = rng.normal(size=n)
+        b = a + rng.normal(loc=rng.uniform(-1.0, 1.0), size=n)
+        assert np.unique(np.abs(a - b)).size == n and np.all(a != b)
+        ours = wilcoxon_signed_rank(a, b)
+        if n <= 20:
+            ref = scipy.stats.wilcoxon(a, b, method="exact")
+        else:
+            ref = scipy.stats.wilcoxon(a, b, method="approx", correction=True)
+        assert ours.statistic == ref.statistic, (case, n)
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0), (case, n)
 
 
 def test_significance_band_thresholds():
