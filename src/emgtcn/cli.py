@@ -423,7 +423,14 @@ _SETTINGS = (
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as UsageError, so main() prints one line
-    and exits 2 like every other validation failure."""
+    and exits 2 like every other validation failure.
+
+    Flags must be spelled in full: abbreviation is off here and, since
+    subcommand parsers are built from this class, in every subcommand.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")

@@ -401,6 +401,11 @@ def generate_synthetic(
         raise ConfigError(f"repetitions must lie in 1..6, got {reps}")
     if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
         raise ConfigError(f"sample rate must be positive and finite, got {sample_rate_hz}")
+    for name, seconds in (("gesture", gesture_seconds), ("rest", rest_seconds)):
+        if not (seconds >= 0 and np.isfinite(seconds)):
+            raise ConfigError(
+                f"{name} span must be non-negative and finite seconds, got {seconds}"
+            )
     active_n = int(round(gesture_seconds * sample_rate_hz))
     rest_n = int(round(rest_seconds * sample_rate_hz))
     if active_n < 1:

@@ -346,13 +346,17 @@ def dilated_causal_conv1d(
     """Causal 1-D convolution with dilated taps and per-channel bias.
 
     ``x`` is channels-last, (T, channels_in) or (batch, T, channels_in);
-    ``kernel`` is (channels_out, channels_in, k). The input is left-padded
-    with (k-1)*dilation zeros so the output keeps length T and output t
-    only reads inputs at positions <= t.
+    ``kernel`` is (channels_out, channels_in, k). Tap i reads the input
+    (k-1-i)*dilation steps back, and positions before the start read
+    zero, so the output keeps length T and output t only reads inputs at
+    positions <= t.
 
-    The k dilated taps are gathered side by side into one
+    The k shifted taps are written side by side into one zero-initialised
     (..., T, k*channels_in) array and contracted with the kernel in a
-    single matrix product (im2col), in forward and in backward.
+    single matrix product (im2col); no padded copy of ``x`` is made. In
+    backward the input gradient is built at length T by adding each
+    tap's shifted gradient slice in tap order. A tap that reaches T or
+    more steps back reads only zeros and is skipped.
     """
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
         raise ConfigError(f"dilation must be a positive integer, got {dilation!r}")
@@ -371,12 +375,13 @@ def dilated_causal_conv1d(
         )
     t_len = x.shape[-2]
     dilation = int(dilation)
-    pad = (k - 1) * dilation
-    pad_spec = [(0, 0)] * (x.ndim - 2) + [(pad, 0), (0, 0)]
-    xp = np.pad(x.data, pad_spec)
-    starts = range(0, pad + 1, dilation)
+    # (tap index, shift back in time) for every tap that reads any input
+    live = [(i, (k - 1 - i) * dilation) for i in range(k)]
+    live = [(i, shift) for i, shift in live if shift < t_len]
     # row i*c_in + c of the (k*c_in, c_out) kernel matrix holds kernel[:, c, i]
-    taps = np.concatenate([xp[..., s : s + t_len, :] for s in starts], axis=-1)
+    taps = np.zeros(x.shape[:-1] + (k * c_in,))
+    for i, shift in live:
+        taps[..., shift:, i * c_in : (i + 1) * c_in] = x.data[..., : t_len - shift, :]
     taps = taps.reshape(-1, k * c_in)
     w_mat = kernel.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
     out = (taps @ w_mat + bias.data).reshape(x.shape[:-1] + (c_out,))
@@ -386,10 +391,9 @@ def dilated_causal_conv1d(
         g2 = g.reshape(-1, c_out)
         if x.requires_grad:
             gtaps = (g2 @ w_mat.T).reshape(x.shape[:-1] + (k * c_in,))
-            gxp = np.zeros_like(xp)
-            for i, s in enumerate(starts):
-                gxp[..., s : s + t_len, :] += gtaps[..., i * c_in : (i + 1) * c_in]
-            gx = gxp[..., pad:, :]
+            gx = np.zeros(x.shape)
+            for i, shift in live:
+                gx[..., : t_len - shift, :] += gtaps[..., shift:, i * c_in : (i + 1) * c_in]
         if kernel.requires_grad:
             gk = (taps.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
         if bias.requires_grad:

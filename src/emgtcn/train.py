@@ -78,7 +78,13 @@ class TrainResult:
 
 
 class Adam:
-    """Standard Adam with bias correction over a name -> Tensor map."""
+    """Standard Adam with bias correction over a name -> Tensor map.
+
+    The moments live in two flat float64 vectors, one slot per parameter
+    in dict order; ``m[name]`` and ``v[name]`` are reshaped views into
+    them, so moment state is read per name and written in place
+    (``opt.m[name][...] = values``), never rebound.
+    """
 
     def __init__(self, params: dict, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -88,31 +94,48 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # (name, tensor, flat slice) for each parameter, in dict order
+        self._slots = []
+        offset = 0
+        for name, p in self.params.items():
+            self._slots.append((name, p, slice(offset, offset + p.data.size)))
+            offset += p.data.size
+        self._m = np.zeros(offset)
+        self._v = np.zeros(offset)
+        self.m = {n: self._m[s].reshape(p.data.shape) for n, p, s in self._slots}
+        self.v = {n: self._v[s].reshape(p.data.shape) for n, p, s in self._slots}
 
     def step(self):
         """Apply one update from the gradients currently on the params.
 
-        A missing gradient counts as zero (the moments still decay).
+        A missing gradient counts as zero (the moments still decay). The
+        gradients are joined into one flat vector and the moment and
+        update arithmetic runs once over it. A non-finite gradient raises
+        ``NumericalError`` naming the first offending parameter and leaves
+        every parameter, moment and the step count untouched.
         """
-        self.step_count += 1
-        t = self.step_count
+        t = self.step_count + 1
+        g = np.concatenate([
+            p.grad.reshape(-1) if p.grad is not None else np.zeros(p.data.size)
+            for _, p, _ in self._slots
+        ])
+        if not np.isfinite(g).all():
+            name = next(n for n, _, s in self._slots if not np.isfinite(g[s]).all())
+            raise NumericalError(
+                f"non-finite gradient for parameter {name!r} at step {t}"
+            )
+        self.step_count = t
         c1 = 1.0 - self.beta1**t
         c2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise NumericalError(
-                    f"non-finite gradient for parameter {name!r} at step {t}"
-                )
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m = self._m
+        v = self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for _, p, s in self._slots:
+            p.data -= update[s].reshape(p.data.shape)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -293,9 +316,22 @@ def restore_optimizer(ckpt: Checkpoint, model: AttentionTcn) -> Adam:
         eps=ckpt.opt["eps"],
     )
     opt.step_count = int(ckpt.opt["step"])
-    for name in opt.m:
-        opt.m[name] = np.ascontiguousarray(ckpt.m[name], dtype=np.float64)
-        opt.v[name] = np.ascontiguousarray(ckpt.v[name], dtype=np.float64)
+    for group, saved, views in (("m", ckpt.m, opt.m), ("v", ckpt.v, opt.v)):
+        missing = sorted(set(views) - set(saved))
+        if missing:
+            raise FormatError(f"checkpoint is missing entry '{group}/{missing[0]}'")
+        unknown = sorted(set(saved) - set(views))
+        if unknown:
+            raise FormatError(
+                f"checkpoint entry '{group}/{unknown[0]}' is not a model parameter"
+            )
+        for name, view in views.items():
+            if saved[name].shape != view.shape:
+                raise FormatError(
+                    f"checkpoint entry '{group}/{name}' has shape "
+                    f"{saved[name].shape}, expected {view.shape}"
+                )
+            view[...] = saved[name]
     return opt
 
 

@@ -273,6 +273,29 @@ def test_usage_error_is_one_line(tmp_path, capsys):
     assert len(lines) == 1 and "--bogus" in lines[0]
 
 
+def test_abbreviated_flag_exits_2(tmp_path, capsys):
+    # without allow_abbrev=False argparse would run this as --epochs 3
+    argv = ["train", tmp_path / "s.sseg", "--checkpoint", tmp_path / "a",
+            "--trace", tmp_path / "b", "--ep", 3]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "--ep" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_bad_span_seconds_exit_2(tmp_path, capsys):
+    for flag, value in (("--gesture-seconds", "inf"), ("--rest-seconds", "nan"),
+                        ("--rest-seconds", "-0.5")):
+        assert run(["synth", "--out-dir", tmp_path / "s", flag, value]) == 2, flag
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "span" in lines[0], (flag, value, lines)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_lists_exactly_the_read_settings(capsys):
     settings = {
         "preprocess": "--config --window-ms --stride-ms --cutoff-hz --mu "

@@ -253,6 +253,31 @@ def test_conv_matches_loop_oracle(dilation, batched):
     np.testing.assert_allclose(b.grad, want_gb, **tol)
 
 
+@pytest.mark.parametrize("batched", [True, False])
+def test_conv_reach_beyond_window_matches_loop_oracle(batched):
+    # T=3, k=3, dilation 4: taps 0 and 1 reach 8 and 4 >= T steps back,
+    # read nothing and are skipped, so only the newest tap contributes
+    rng = np.random.default_rng(53)
+    shape = (5, 3, 4) if batched else (3, 4)
+    x = T.Tensor(rng.normal(size=shape), requires_grad=True)
+    k = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=2), requires_grad=True)
+    g = rng.normal(size=shape[:-1] + (2,))
+    out = T.dilated_causal_conv1d(x, k, b, dilation=4)
+    (out * T.Tensor(g)).sum().backward()
+
+    lead = (1,) if not batched else ()
+    want_out, want_gx, want_gk, want_gb = _loop_conv(
+        x.data.reshape(lead + shape), k.data, b.data, 4, g.reshape(lead + g.shape)
+    )
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.data, want_out.reshape(out.shape), **tol)
+    np.testing.assert_allclose(x.grad, want_gx.reshape(shape), **tol)
+    np.testing.assert_allclose(k.grad, want_gk, **tol)
+    np.testing.assert_allclose(b.grad, want_gb, **tol)
+    assert not k.grad[:, :, :2].any()
+
+
 def test_linear_identity():
     x = T.Tensor([[1.5, -2.0]])
     out = T.linear(x, T.Tensor(np.eye(2)), T.Tensor(np.zeros(2)))

@@ -169,6 +169,74 @@ def test_adam_nan_gradient_names_parameter():
     assert "patch.w" in str(err.value)
 
 
+def desk_model():
+    return AttentionTcn(
+        derive_config(window_ms=200, num_patches=10, model_dim=12, num_classes=17),
+        seed=0,
+    )
+
+
+def reference_adam_step(opt, m, v, t):
+    """Per-parameter Adam update, one parameter at a time, as the
+    flat step must reproduce bit for bit."""
+    c1 = 1.0 - opt.beta1**t
+    c2 = 1.0 - opt.beta2**t
+    for name, p in opt.params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m[name] *= opt.beta1
+        m[name] += (1.0 - opt.beta1) * g
+        v[name] *= opt.beta2
+        v[name] += (1.0 - opt.beta2) * g * g
+        p.data -= opt.lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + opt.eps)
+
+
+def test_adam_flat_step_matches_per_parameter_loop():
+    flat_model, ref_model = desk_model(), desk_model()
+    opt = Adam(flat_model.named_parameters(), lr=1e-3)
+    ref = Adam(ref_model.named_parameters(), lr=1e-3)
+    ref_m = {k: np.zeros_like(a) for k, a in ref.m.items()}
+    ref_v = {k: np.zeros_like(a) for k, a in ref.v.items()}
+    skipped = list(opt.params)[3]
+    rng = np.random.default_rng(17)
+    for t in range(1, 6):
+        for name, p in opt.params.items():
+            g = None if name == skipped else rng.normal(size=p.data.shape)
+            p.grad = g
+            ref.params[name].grad = g
+        opt.step()
+        reference_adam_step(ref, ref_m, ref_v, t)
+    assert opt.step_count == 5
+    for name, p in opt.params.items():
+        assert p.data.tobytes() == ref.params[name].data.tobytes(), name
+        assert opt.m[name].tobytes() == ref_m[name].tobytes(), name
+        assert opt.v[name].tobytes() == ref_v[name].tobytes(), name
+        assert opt.m[name].shape == p.data.shape
+
+
+def test_adam_non_finite_gradient_leaves_every_parameter_untouched():
+    model = desk_model()
+    opt = Adam(model.named_parameters(), lr=1e-3)
+    rng = np.random.default_rng(19)
+    for p in opt.params.values():
+        p.grad = rng.normal(size=p.data.shape)
+    opt.step()
+    names = list(opt.params)
+    bad = names[-2]
+    opt.params[bad].grad.flat[1] = np.inf
+    before = {k: p.data.copy() for k, p in opt.params.items()}
+    m_before = {k: a.copy() for k, a in opt.m.items()}
+    v_before = {k: a.copy() for k, a in opt.v.items()}
+    with pytest.raises(NumericalError) as err:
+        opt.step()
+    assert repr(bad) in str(err.value)
+    assert all(repr(n) not in str(err.value) for n in names if n != bad)
+    assert opt.step_count == 1
+    for name, p in opt.params.items():
+        assert np.array_equal(p.data, before[name]), name
+        assert np.array_equal(opt.m[name], m_before[name]), name
+        assert np.array_equal(opt.v[name], v_before[name]), name
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, batch_size=0)
@@ -373,3 +441,26 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         assert p.data.tobytes() == second.named_parameters()[name].data.tobytes()
     assert solo_res.losses[3:] == second_res.losses
     assert solo_res.accuracies[3:] == second_res.accuracies
+
+
+def test_restore_optimizer_rejects_mismatched_moments(tmp_path):
+    model = tiny_model(seed=4)
+    opt = Adam(model.named_parameters(), lr=1e-3)
+    path = tmp_path / "good.tchg"
+    save_checkpoint(path, make_checkpoint(model, opt, epoch=0, rng_state=None))
+    name = next(iter(opt.m))
+
+    wrong_shape = load_checkpoint(path)
+    wrong_shape.v[name] = np.ones(1)
+    missing = load_checkpoint(path)
+    del missing.m[name]
+    unknown = load_checkpoint(path)
+    unknown.m["no.such"] = np.ones(1)
+    for ckpt, entry in ((wrong_shape, f"v/{name}"), (missing, f"m/{name}"),
+                        (unknown, "m/no.such")):
+        doctored = tmp_path / "doctored.tchg"
+        save_checkpoint(doctored, ckpt)
+        loaded = load_checkpoint(doctored)
+        with pytest.raises(FormatError) as err:
+            restore_optimizer(loaded, restore_model(loaded))
+        assert entry in str(err.value)
