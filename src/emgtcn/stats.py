@@ -103,8 +103,10 @@ class WilcoxonResult:
 def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     """Two-sided paired signed-rank test on per-subject accuracies.
 
-    Zero differences are dropped; tied absolute differences receive
-    average ranks; W = min(W+, W-). ``method`` is "auto" (exact up to
+    Differences are compared after rounding to 1e-12, so zero and tied
+    differences of per-subject accuracies are found exactly. Zero
+    differences are dropped; tied absolute differences receive average
+    ranks; W = min(W+, W-). ``method`` is "auto" (exact up to
     20 effective pairs, then normal approximation), "exact", or
     "normal". All differences zero yields the degenerate result
     (p = 1.0, n_effective = 0).
@@ -122,7 +124,11 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("samples must be finite")
 
-    d = a - b
+    # Accuracies are fractions k/n, so one difference can come out as two
+    # floats a few ulps apart. Rounding to 1e-12 makes equal fractions
+    # equal floats before zeros are dropped and ties ranked; distinct
+    # fractions with n <= 10**5 lie at least 1e-10 apart and stay distinct.
+    d = np.round(a - b, 12)
     d = d[d != 0.0]
     n = d.size
     if n == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -84,6 +85,11 @@ class Adam:
     in dict order; ``m[name]`` and ``v[name]`` are reshaped views into
     them, so moment state is read per name and written in place
     (``opt.m[name][...] = values``), never rebound.
+
+    Building an ``Adam`` turns gradient tracking on for every parameter
+    it updates. This is the one place training enables it, so a frozen
+    model (see ``restore_model``) becomes trainable exactly when it gets
+    an optimizer, and never trains silently on zero gradients.
     """
 
     def __init__(self, params: dict, lr: float = 1e-4, beta1: float = 0.9,
@@ -98,6 +104,7 @@ class Adam:
         self._slots = []
         offset = 0
         for name, p in self.params.items():
+            p.requires_grad = True
             self._slots.append((name, p, slice(offset, offset + p.data.size)))
             offset += p.data.size
         self._m = np.zeros(offset)
@@ -255,6 +262,7 @@ def write_trace(path, result: TrainResult):
 
 _MAGIC = b"TCHG"
 _VERSION = 1
+_OPT_KEYS = {"lr", "beta1", "beta2", "eps", "step"}
 
 
 @dataclass
@@ -290,6 +298,15 @@ def make_checkpoint(
 
 
 def restore_model(ckpt: Checkpoint) -> AttentionTcn:
+    """Rebuild the model of a checkpoint as an inference model.
+
+    Every parameter comes back with ``requires_grad=False``, so a forward
+    pass records no graph and keeps no activations for backward. The
+    weights are copies, so training the model leaves ``ckpt`` as it was,
+    and two models restored from one checkpoint share nothing. Passing
+    the parameters to an optimizer (``Adam``, ``restore_optimizer`` or
+    ``train``'s default) makes them trainable again.
+    """
     model = AttentionTcn(ckpt.config, seed=0)
     params = model.named_parameters()
     if set(params) != set(ckpt.weights):
@@ -303,7 +320,8 @@ def restore_model(ckpt: Checkpoint) -> AttentionTcn:
             raise FormatError(
                 f"weight {name!r} has shape {buf.shape}, expected {p.data.shape}"
             )
-        p.data = np.ascontiguousarray(buf, dtype=np.float64)
+        p.data = np.array(buf, dtype=np.float64, order="C")
+        p.requires_grad = False
     return model
 
 
@@ -386,36 +404,60 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint version {version} is not supported; this build reads {_VERSION}"
         )
     fields: dict = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", r.take(4, "entry name length"))
-        name = r.take(name_len, "entry name").decode("utf-8")
-        (kind,) = struct.unpack("<B", r.take(1, f"kind of {name!r}"))
-        if kind == 0:
-            (blob_len,) = struct.unpack("<Q", r.take(8, f"length of {name!r}"))
-            fields[name] = r.take(blob_len, f"payload of {name!r}").decode("utf-8")
-        elif kind == 1:
-            (ndim,) = struct.unpack("<I", r.take(4, f"rank of {name!r}"))
-            dims = struct.unpack(
-                f"<{max(ndim, 1)}Q", r.take(8 * max(ndim, 1), f"shape of {name!r}")
-            )
-            shape = dims[:ndim] if ndim else ()
-            n = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            raw = r.take(8 * n, f"data of {name!r}")
-            fields[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        elif kind == 2:
-            (fields[name],) = struct.unpack("<q", r.take(8, f"value of {name!r}"))
-        else:
-            raise FormatError(
-                f"unknown entry kind {kind} for {name!r} at offset {r.offset}"
-            )
+    try:
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", r.take(4, "entry name length"))
+            name = r.take(name_len, "entry name").decode("utf-8")
+            (kind,) = struct.unpack("<B", r.take(1, f"kind of {name!r}"))
+            if kind == 0:
+                (blob_len,) = struct.unpack("<Q", r.take(8, f"length of {name!r}"))
+                fields[name] = r.take(blob_len, f"payload of {name!r}").decode("utf-8")
+            elif kind == 1:
+                (ndim,) = struct.unpack("<I", r.take(4, f"rank of {name!r}"))
+                dims = struct.unpack(
+                    f"<{max(ndim, 1)}Q", r.take(8 * max(ndim, 1), f"shape of {name!r}")
+                )
+                shape = dims[:ndim]
+                raw = r.take(8 * math.prod(shape), f"data of {name!r}")
+                fields[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            elif kind == 2:
+                (fields[name],) = struct.unpack("<q", r.take(8, f"value of {name!r}"))
+            else:
+                raise FormatError(
+                    f"unknown entry kind {kind} for {name!r} at offset {r.offset}"
+                )
+    except ValueError as err:  # bad UTF-8, or more dimensions than numpy allows
+        raise FormatError(
+            f"malformed checkpoint entry before offset {r.offset}: {err}"
+        ) from None
     r.done()
     try:
-        config = ModelConfig(**json.loads(fields.pop("config")))
+        config = json.loads(fields.pop("config"))
         epoch = int(fields.pop("epoch"))
         opt = json.loads(fields.pop("opt"))
         rng_state = json.loads(fields.pop("rng")) if "rng" in fields else None
     except KeyError as missing:
         raise FormatError(f"checkpoint is missing entry {missing}") from None
+    except (TypeError, ValueError) as err:
+        raise FormatError(f"checkpoint metadata is malformed: {err}") from None
+    if not (isinstance(config, dict) and all(type(v) is int for v in config.values())):
+        raise FormatError(f"checkpoint config must map names to integers, got {config!r}")
+    try:
+        config = ModelConfig(**config)
+    except (TypeError, ConfigError) as err:
+        raise FormatError(f"checkpoint config is invalid: {err}") from None
+    if not (isinstance(opt, dict) and set(opt) == _OPT_KEYS
+            and all(isinstance(v, (int, float)) for v in opt.values())):
+        raise FormatError(
+            f"checkpoint entry 'opt' must hold the numbers {sorted(_OPT_KEYS)}, got {opt!r}"
+        )
+    if rng_state is not None:
+        try:
+            np.random.PCG64().state = rng_state
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise FormatError(
+                f"checkpoint entry 'rng' is not a PCG64 state: {err!r}"
+            ) from None
     weights, moments_m, moments_v = {}, {}, {}
     for name, value in fields.items():
         group, _, param = name.partition("/")

@@ -6,8 +6,12 @@ stderr only, and byte-identical artifacts for identical invocations.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +297,24 @@ def test_synth_bad_span_seconds_exit_2(tmp_path, capsys):
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and "span" in lines[0], (flag, value, lines)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_module_entry_point_error_is_one_line(tmp_path):
+    # `python -m emgtcn` runs the CLI without the installed script and
+    # without runpy's "found in sys.modules" warning ahead of the message
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "emgtcn", "synth", "--out-dir", str(tmp_path / "x"),
+         "--rest-seconds", "nan"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "span" in lines[0], lines
     assert list(tmp_path.iterdir()) == []
 
 

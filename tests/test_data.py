@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emgtcn.data import (
     Recording,
@@ -17,7 +18,14 @@ from emgtcn.data import (
 from emgtcn.errors import ConfigError, DataError, FormatError
 from emgtcn.model import AttentionTcn, ModelConfig
 from emgtcn.signal import SegmentSet, segment
-from emgtcn.train import Adam, load_checkpoint, make_checkpoint, save_checkpoint
+from emgtcn.train import (
+    Adam,
+    load_checkpoint,
+    make_checkpoint,
+    restore_model,
+    restore_optimizer,
+    save_checkpoint,
+)
 
 
 def sample_recording(channels=3, t=50, rate=2000.0, seed=0):
@@ -165,6 +173,76 @@ def test_trailing_bytes_rejected_in_every_format(tmp_path):
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             read(path)
+
+
+def _read_checkpoint_fully(path):
+    ckpt = load_checkpoint(path)
+    restore_optimizer(ckpt, restore_model(ckpt))
+
+
+class PristineFiles:
+    """One small valid file of each binary format, its bytes and the
+    function that reads it, keyed by file name."""
+
+    def __init__(self, root):
+        self.root = root
+        model = AttentionTcn(ModelConfig(
+            channels=2, seq_len=4, num_patches=2, patch_len=2, model_dim=2,
+        ))
+        rng_state = np.random.Generator(np.random.PCG64(7)).bit_generator.state
+        ckpt = make_checkpoint(model, Adam(model.named_parameters()), 3, rng_state)
+        self.cases = {}
+        writers = {
+            "r.semg": (lambda p: write_recording(p, sample_recording(t=12)), read_recording),
+            "s.sseg": (lambda p: write_segments(p, sample_segments(m=3, l=4)), read_segments),
+            "m.ckpt": (lambda p: save_checkpoint(p, ckpt), _read_checkpoint_fully),
+        }
+        for name, (write, read) in writers.items():
+            path = root / name
+            write(path)
+            read(path)
+            self.cases[name] = (path, path.read_bytes(), read)
+
+    def __repr__(self):
+        return f"PristineFiles({self.root})"
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    return PristineFiles(tmp_path_factory.mktemp("pristine"))
+
+
+_NAMES = st.sampled_from(["r.semg", "s.sseg", "m.ckpt"])
+# the headers and the checkpoint's JSON entries sit in the first few
+# hundred bytes, so half of the flips are drawn there
+_BIT = st.one_of(st.integers(0, 8 * 400 - 1), st.integers(0, 2**40))
+_HOSTILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_HOSTILE
+@given(name=_NAMES, cut=st.integers(0, 2**40))
+def test_truncated_file_raises_format_error(pristine, name, cut):
+    path, blob, read = pristine.cases[name]
+    path.write_bytes(blob[: cut % len(blob)])
+    with pytest.raises(FormatError, match="truncated"):
+        read(path)
+
+
+@_HOSTILE
+@given(name=_NAMES, bits=st.lists(_BIT, min_size=1, max_size=3))
+def test_bit_flipped_file_raises_only_format_or_data_error(pristine, name, bits):
+    # a flip may leave a readable file (a changed sample, say); any error
+    # it causes must be one the CLI maps to its exit codes
+    path, blob, read = pristine.cases[name]
+    damaged = bytearray(blob)
+    for bit in bits:
+        bit %= 8 * len(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(damaged))
+    try:
+        read(path)
+    except (FormatError, DataError):
+        pass
 
 
 def test_annotated_csv_round_trip(tmp_path):

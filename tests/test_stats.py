@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,7 +156,10 @@ def test_wilcoxon_exact_matches_literal_enumeration():
         r = wilcoxon_signed_rank(a, b, method="exact")
         if r.method == "degenerate":
             continue
-        assert r.p_value == pytest.approx(literal_enumeration_p(a - b), abs=1e-12)
+        # a and b are multiples of 0.1; the oracle gets the differences as
+        # exact integers (in tenths), so its float equality finds every tie
+        exact_d = np.rint(10.0 * (a - b))
+        assert r.p_value == pytest.approx(literal_enumeration_p(exact_d), abs=1e-12)
 
 
 def test_wilcoxon_symmetric_in_arguments():
@@ -256,6 +260,71 @@ def test_wilcoxon_matches_scipy_on_tie_free_samples():
             ref = scipy.stats.wilcoxon(a, b, method="approx", correction=True)
         assert ours.statistic == ref.statistic, (case, n)
         assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0), (case, n)
+
+
+def fraction_reference(ka, kb, n):
+    """Independent oracle for accuracies ka/n vs kb/n: the differences are
+    exact Fractions, so zeros and ties are found by exact equality. Returns
+    (W, two-sided p): exact enumeration up to 20 pairs, else the tie- and
+    continuity-corrected normal approximation."""
+    d = [Fraction(int(x) - int(y), n) for x, y in zip(ka, kb) if x != y]
+    counts = {}
+    for x in d:
+        counts[abs(x)] = counts.get(abs(x), 0) + 1
+    rank_of, first = {}, 1
+    for mag in sorted(counts):
+        rank_of[mag] = Fraction(2 * first + counts[mag] - 1, 2)
+        first += counts[mag]
+    ranks = [rank_of[abs(x)] for x in d]
+    w = min(sum(r for r, x in zip(ranks, d) if x > 0),
+            sum(r for r, x in zip(ranks, d) if x < 0))
+    m = len(d)
+    if m <= 20:
+        # average ranks are half-integers: enumerate on doubled integer ranks
+        twice, w2 = [int(2 * r) for r in ranks], int(2 * w)
+        below = sum(
+            1 for signs in itertools.product((0, 1), repeat=m)
+            if sum(r for r, s in zip(twice, signs) if s) <= w2
+        )
+        return w, min(1.0, float(Fraction(2 * below, 2**m)))
+    var = Fraction(m * (m + 1) * (2 * m + 1), 24)
+    var -= sum(Fraction(c**3 - c, 48) for c in counts.values())
+    z = (float(w) - m * (m + 1) / 4.0 + 0.5) / math.sqrt(float(var))
+    return w, min(1.0, math.erfc(-z / math.sqrt(2.0)))
+
+
+def test_wilcoxon_ties_found_by_exact_value():
+    # four equal |d| = 10/850 that come out as two distinct floats
+    ka, kb = np.array([500, 600, 700, 300]), np.array([490, 590, 690, 310])
+    a, b = ka / 850, kb / 850
+    assert np.unique(np.abs(a - b)).size == 2
+    r = wilcoxon_signed_rank(a, b)
+    assert r.statistic == 2.5
+    assert r.p_value == fraction_reference(ka, kb, 850)[1] == 0.625
+
+    rng = np.random.default_rng(850)
+    float_split = 0
+    for case in range(60):
+        n = 850 if case % 2 else int(rng.integers(50, 10**5))
+        ka = rng.integers(3, n - 2, size=int(rng.integers(4, 11)))
+        shift = rng.integers(-3, 4, size=ka.size)
+        if case >= 40:  # more than 20 nonzero pairs: the normal approximation
+            ka = rng.integers(3, n - 2, size=int(rng.integers(21, 41)))
+            shift = rng.choice([-3, -2, -1, 1, 2, 3], size=ka.size)
+        kb = ka + shift
+        a, b = ka / n, kb / n
+        exact = {Fraction(int(x - y), n) for x, y in zip(ka, kb) if x != y}
+        distinct_floats = np.unique(np.abs(a - b)[ka != kb]).size
+        float_split += distinct_floats > len({abs(x) for x in exact})
+        w, p = fraction_reference(ka, kb, n)
+        r = wilcoxon_signed_rank(a, b)
+        if not exact:
+            assert r.method == "degenerate"
+            continue
+        assert r.n_effective == sum(ka != kb), case
+        assert r.statistic == float(w), case
+        assert r.p_value == pytest.approx(p, rel=1e-12, abs=0), case
+    assert float_split > 0
 
 
 def test_significance_band_thresholds():

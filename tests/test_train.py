@@ -371,6 +371,45 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert clone(x).data.tobytes() == model(x).data.tobytes()
 
 
+def test_restored_model_is_frozen(tmp_path):
+    model = tiny_model(seed=8)
+    path = tmp_path / "model.tchg"
+    save_checkpoint(path, make_checkpoint(model, Adam(model.named_parameters()), 0, None))
+    frozen = restore_model(load_checkpoint(path))
+    assert not any(p.requires_grad for p in frozen.named_parameters().values())
+    out = frozen(np.random.default_rng(0).normal(size=(4, 2, 12)))
+    assert not out.requires_grad
+    assert out._backward is None and out._parents == ()
+
+
+@pytest.mark.parametrize("window_ms,patches,dim", [(200, 10, 12), (300, 15, 16)])
+def test_frozen_logits_equal_trainable_logits(window_ms, patches, dim):
+    trainable = AttentionTcn(derive_config(window_ms, patches, dim), seed=0)
+    ckpt = make_checkpoint(trainable, Adam(trainable.named_parameters()), 0, None)
+    frozen = restore_model(ckpt)
+    rng = np.random.default_rng(1)
+    for shape in ((12, trainable.cfg.seq_len), (256, 12, trainable.cfg.seq_len)):
+        x = rng.normal(size=shape)
+        graph = trainable(x)
+        assert graph._backward is not None
+        assert frozen(x).data.tobytes() == graph.data.tobytes(), shape
+
+
+def test_train_makes_restored_model_trainable():
+    model = tiny_model(seed=6)
+    segs = random_segments(24, model.cfg, seed=4)
+    ckpt = make_checkpoint(model, Adam(model.named_parameters()), 0, None)
+    restored = restore_model(ckpt)
+    cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=5)
+    res = train(restored, segs, cfg)
+    ref = train(model, segs, cfg)
+    assert res.losses == ref.losses
+    for name, p in restored.named_parameters().items():
+        assert p.requires_grad
+        assert p.data.tobytes() == model.named_parameters()[name].data.tobytes(), name
+        assert p.data.tobytes() != ckpt.weights[name].tobytes(), name
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.tchg"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
