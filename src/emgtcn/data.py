@@ -163,6 +163,12 @@ def write_recording(path, rec: Recording):
         fh.write(ann.tobytes())
 
 
+def _check_rate(rate: float):
+    """Refuse a header sample rate that is not finite and positive."""
+    if not (np.isfinite(rate) and rate > 0):
+        raise DataError(f"sample rate must be finite and positive, got {rate}")
+
+
 def read_recording(path, subject: int = 0) -> Recording:
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -177,6 +183,7 @@ def read_recording(path, subject: int = 0) -> Recording:
             f"{_REC_VERSION}"
         )
     (rate,) = struct.unpack("<d", r.take(8, "sample rate"))
+    _check_rate(rate)
     (t,) = struct.unpack("<Q", r.take(8, "sample count"))
     data = (
         np.frombuffer(r.take(4 * channels * t, "samples"), dtype="<f4")
@@ -284,6 +291,7 @@ def read_segments(path) -> SegmentSet:
             f"{_SEG_VERSION}"
         )
     rate, window_ms = struct.unpack("<dI", r.take(12, "rate/window"))
+    _check_rate(rate)
     labels = np.frombuffer(r.take(2 * m, "labels"), dtype="<u2").astype(np.int64)
     subjects = np.frombuffer(r.take(2 * m, "subjects"), dtype="<u2").astype(np.int64)
     reps = np.frombuffer(r.take(2 * m, "repetitions"), dtype="<u2").astype(np.int64)
@@ -293,6 +301,13 @@ def read_segments(path) -> SegmentSet:
         .copy()
     )
     r.done()
+    # min/max scan without a full-size mask; NaN and +-inf show in them
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        i, c, t = np.argwhere(~np.isfinite(data))[0]
+        raise DataError(
+            f"window {i}: sample {t} of channel ch{c + 1} is not finite "
+            f"({data[i, c, t]})"
+        )
     return SegmentSet(
         data=data, labels=labels, subjects=subjects, repetitions=reps,
         sample_rate_hz=rate, window_ms=window_ms,

@@ -47,7 +47,7 @@ class Tensor:
     is ``None`` until a backward pass reaches this tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -57,7 +57,7 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
-        self._tape = None
+        self._consumed = False
 
     @property
     def shape(self) -> tuple:
@@ -109,17 +109,20 @@ class Tensor:
     def backward(self) -> "ComputationTape":
         """Run reverse-mode accumulation from this scalar loss.
 
-        The tape built on the first call is cached; calling again without
-        ``tape.reset()`` is rejected so gradients cannot silently double.
+        Each call builds a fresh tape and returns it. The tape refers to
+        this loss, but the loss keeps no reference to the tape, so the
+        step's graph is freed by reference counting as soon as the caller
+        drops the loss and the tape. Running marks this loss as consumed;
+        calling again before ``tape.reset()`` is rejected so gradients
+        cannot silently double.
         """
         if self.data.size != 1:
             raise UsageError(
                 f"backward() needs a scalar loss; got shape {self.data.shape}"
             )
-        if self._tape is None:
-            self._tape = ComputationTape(self)
-        self._tape.run()
-        return self._tape
+        tape = ComputationTape(self)
+        tape.run()
+        return tape
 
 
 def _as_tensor(value) -> Tensor:
@@ -131,20 +134,20 @@ class ComputationTape:
 
     ``nodes`` lists parents before children, so iterating it in reverse
     visits the graph in reverse topological order. ``run()`` may only be
-    invoked once per ``reset()``.
+    invoked once per ``reset()``; the flag that enforces this lives on
+    the root, so it also holds across tapes built from the same root.
     """
 
     def __init__(self, root: Tensor):
         self.root = root
         self.nodes = _topo_order(root)
-        self.consumed = False
 
     def run(self):
-        if self.consumed:
+        if self.root._consumed:
             raise StateError(
                 "backward() already ran for this tape; call reset() before replaying"
             )
-        self.consumed = True
+        self.root._consumed = True
         self.root.grad = np.ones_like(self.root.data)
         for node in reversed(self.nodes):
             if node._backward is None or node.grad is None:
@@ -161,7 +164,7 @@ class ComputationTape:
         """Clear all gradients so the tape can be replayed."""
         for node in self.nodes:
             node.grad = None
-        self.consumed = False
+        self.root._consumed = False
 
 
 def _topo_order(root: Tensor) -> list:

@@ -554,3 +554,24 @@ def test_out_of_range_rep_exits_2(pipeline, tmp_path):
         "--trace", tmp_path / "t.csv", "--epochs", 1,
         "--model-dim", 4, "--num-classes", 3, "--train-reps", "1,7",
     ]) == 2
+
+
+@pytest.mark.parametrize("field", ["last window value", "sample rate"])
+def test_non_finite_segment_file_exits_2(pipeline, tmp_path, capsys, field):
+    raw = bytearray(pipeline["segs"].read_bytes())
+    at, value = (len(raw) - 8, np.nan) if field == "last window value" else (24, -np.inf)
+    raw[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+    bad = tmp_path / "bad.sseg"
+    bad.write_bytes(bytes(raw))
+    ck = tmp_path / "m.ckpt"
+    for argv in (
+        ["train", bad, "--checkpoint", ck, "--trace", tmp_path / "t.csv",
+         "--epochs", 1, "--model-dim", 4, "--num-classes", 3],
+        ["eval", pipeline["ckpt"], bad, "--out-dir", tmp_path / "reports"],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "finite" in captured.err
+    assert not ck.exists()

@@ -296,6 +296,40 @@ def test_segments_bad_magic_and_truncation(tmp_path):
     assert "offset" in str(err.value)
 
 
+def test_segments_reject_non_finite_window_value(tmp_path):
+    path = tmp_path / "nan.sseg"
+    write_segments(path, sample_segments(m=3))
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError) as err:
+        read_segments(path)
+    msg = str(err.value)
+    assert "window 2" in msg and "sample 7" in msg and "ch2" in msg and "nan" in msg
+
+
+def test_segments_reject_non_finite_rate(tmp_path):
+    path = tmp_path / "rate.sseg"
+    write_segments(path, sample_segments(m=3))
+    raw = bytearray(path.read_bytes())
+    raw[24:32] = np.array([-np.inf], dtype="<f8").tobytes()  # after the header
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError) as err:
+        read_segments(path)
+    assert "-inf" in str(err.value)
+
+
+def test_recording_rejects_nan_rate(tmp_path):
+    path = tmp_path / "rate.semg"
+    write_recording(path, sample_recording(t=12))
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = np.array([np.nan], dtype="<f8").tobytes()  # magic, version, channels
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError) as err:
+        read_recording(path)
+    assert "nan" in str(err.value)
+
+
 def test_concat_segments():
     a = sample_segments(m=4, seed=2)
     b = sample_segments(m=6, seed=3)

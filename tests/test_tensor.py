@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -341,6 +344,35 @@ def test_double_backward_without_reset_rejected():
     assert x.grad is None
     loss.backward()
     assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def test_second_backward_refused_after_tape_dropped():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    loss = (x * x).sum()
+    loss.backward()  # the returned tape is dropped at once
+    with pytest.raises(StateError):
+        loss.backward()
+    assert np.array_equal(x.grad, [2.0, 4.0])
+
+
+def test_graph_freed_when_loss_and_tape_dropped():
+    rng = np.random.default_rng(47)
+    x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        hidden = T.matmul(x, w)
+        loss = T.relu(hidden).sum()
+        tape = loss.backward()
+        # Tensor has no __weakref__ slot; these arrays are owned by the graph alone
+        refs = [weakref.ref(hidden.data), weakref.ref(loss.data)]
+        del hidden, loss, tape
+        assert all(r() is None for r in refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
 
 
 def test_grad_accumulates_across_uses():

@@ -1,4 +1,6 @@
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,21 @@ def test_train_deterministic_across_runs():
     w2, l2 = run()
     assert w1 == w2
     assert l1 == l2
+
+
+def test_train_leaves_no_cyclic_garbage():
+    # each step's graph must be freed by reference counting, not by the
+    # cyclic collector
+    model = tiny_model(seed=3)
+    segs = random_segments(20, model.cfg, seed=9)
+    gc.collect()
+    gc.disable()
+    try:
+        train(model, segs, TrainConfig(epochs=2, batch_size=8, seed=5, lr=1e-3))
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_train_shuffle_changes_batching():
