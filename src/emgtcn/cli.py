@@ -4,7 +4,7 @@ Subcommands: preprocess, train, eval, params, compare, synth. Settings
 come from an optional JSON config file plus flags, with flags winning;
 each subcommand has flags only for the settings it reads.
 The seed resolves as: --seed flag, then the config file, then the
-TCHGR_SEED environment variable, then 0.
+TCHGR_SEED environment variable, then 0; a negative seed is refused.
 
 Stream discipline: anything meant for humans goes to stderr; stdout
 carries exactly one machine-readable key=value line per command.
@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,114 +31,17 @@ from .errors import (
     EmgTcnError,
     FormatError,
     NumericalError,
-    RangeError,
     UsageError,
 )
 from .model import (
     BASELINE_RECURRENT_PARAMS,
     AttentionTcn,
+    ModelConfig,
     count_parameters,
     derive_config,
 )
 
-__all__ = ["main", "RunConfig"]
-
-_VALIDATION_ERRORS = (ConfigError, DimensionError, RangeError, DataError, UsageError)
-
-
-@dataclass
-class RunConfig:
-    """Merged file + flag settings. Each subcommand checks the ones it
-    reads by building the typed objects it uses from them."""
-
-    window_ms: int = 200
-    stride_ms: int | None = None
-    num_patches: int = 10
-    model_dim: int = 12
-    kernel_size: int = 3
-    num_classes: int = 17
-    mu: float = 255.0
-    cutoff_hz: float = 450.0
-    sample_rate_hz: float = 2000.0
-    batch_size: int = 32
-    epochs: int = 10
-    lr: float = 1e-4
-    seed: int | None = None
-    shuffle: bool = True
-    train_repetitions: tuple = (1, 3, 4, 6)
-    test_repetitions: tuple = (2, 5)
-
-    def resolved_seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
-        env = os.environ.get("TCHGR_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"TCHGR_SEED must be an integer, got {env!r}"
-                ) from None
-        return 0
-
-    def split_spec(self) -> dio.SplitSpec:
-        return dio.SplitSpec(
-            train_repetitions=frozenset(self.train_repetitions),
-            test_repetitions=frozenset(self.test_repetitions),
-        )
-
-
-def _load_run_config(args) -> RunConfig:
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{args.config}: not valid JSON ({err})") from None
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"{args.config}: top level must be an object")
-        unknown = set(loaded) - known
-        if unknown:
-            raise ConfigError(
-                f"{args.config}: unknown config keys {sorted(unknown)}"
-            )
-        for key, value in loaded.items():
-            _check_field_type(args.config, key, value)
-            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
-    for name in known:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    return cfg
-
-
-def _check_field_type(source: str, key: str, value):
-    """Reject a config-file value whose JSON type does not fit its field.
-
-    The field's annotation text decides: ints exclude bools, strings and
-    floats; floats also take ints; repetition tuples come as integer lists.
-    """
-    kind = RunConfig.__dataclass_fields__[key].type
-
-    def is_int(v):
-        return isinstance(v, int) and not isinstance(v, bool)
-
-    if kind == "tuple":
-        want = "a list of integers"
-        ok = isinstance(value, list) and all(map(is_int, value))
-    elif kind == "float":
-        want = "a number"
-        ok = is_int(value) or isinstance(value, float)
-    elif kind == "bool":
-        want = "true or false"
-        ok = isinstance(value, bool)
-    else:
-        want = "an integer"
-        ok = is_int(value) or (value is None and kind.endswith("None"))
-    if not ok:
-        raise ConfigError(f"{source}: {key} must be {want}, got {value!r}")
+__all__ = ["main"]
 
 
 def _parse_rep_list(text: str) -> tuple:
@@ -148,6 +50,105 @@ def _parse_rep_list(text: str) -> tuple:
     except ValueError:
         raise ConfigError(f"repetition list must be integers, got {text!r}") from None
     return reps
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON kind of a setting -> (flag parser, what a config file value must
+# be, the check on that value); floats also take ints
+_KINDS = {
+    "int": (int, "an integer", _is_int),
+    "int|null": (int, "an integer", lambda v: v is None or _is_int(v)),
+    "number": (float, "a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": (None, "true or false", lambda v: isinstance(v, bool)),
+    "reps": (_parse_rep_list, "a list of integers",
+             lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+# Every setting once: config key (also the flag's dest), flag, JSON kind,
+# default, the subcommands that take the flag, and help text. A default
+# that a library type owns is read from it; a setting without a flag
+# comes from the config file only.
+_SETTINGS = (
+    ("window_ms", "--window-ms", "int", 200, ("preprocess", "params"), None),
+    ("stride_ms", "--stride-ms", "int|null", None, ("preprocess",), None),
+    ("num_patches", "--num-patches", "int", 10, ("train", "params"), None),
+    ("model_dim", "--model-dim", "int", 12, ("train", "params"), None),
+    ("kernel_size", "--kernel-size", "int", ModelConfig.kernel_size,
+     ("train", "params"), None),
+    ("num_classes", "--num-classes", "int", ModelConfig.num_classes,
+     ("train", "params", "synth"), None),
+    ("cutoff_hz", "--cutoff-hz", "number", sig.FilterParams.cutoff_hz,
+     ("preprocess",), None),
+    ("mu", "--mu", "number", sig.MuLawParams.mu, ("preprocess",), None),
+    ("sample_rate_hz", "--sample-rate-hz", "number", sig.FilterParams.sample_rate_hz,
+     ("preprocess", "params", "synth"),
+     "rate of .csv inputs, of synth output and of params; "
+     ".semg files carry their own"),
+    ("epochs", "--epochs", "int", 10, ("train",), None),
+    ("batch_size", "--batch-size", "int", tr.TrainConfig.batch_size, ("train",), None),
+    ("lr", "--lr", "number", tr.TrainConfig.lr, ("train",), None),
+    ("seed", "--seed", "int|null", None, ("train", "synth"), None),
+    ("shuffle", None, "bool", tr.TrainConfig.shuffle, (), None),
+    ("train_repetitions", "--train-reps", "reps", dio.SplitSpec.train_repetitions,
+     ("train", "eval"), "comma-separated repetition ids"),
+    ("test_repetitions", "--test-reps", "reps", dio.SplitSpec.test_repetitions,
+     ("train", "eval"), "comma-separated repetition ids"),
+)
+_CONFIG_COMMANDS = ("preprocess", "train", "eval", "params", "synth")
+
+
+def _load_run_config(args) -> argparse.Namespace:
+    """The table's defaults, overlaid by the config file, then by the
+    flags. Each subcommand checks the settings it reads by building the
+    typed objects it uses from them."""
+    kinds = {name: kind for name, _, kind, _, _, _ in _SETTINGS}
+    cfg = {name: default for name, _, _, default, _, _ in _SETTINGS}
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{args.config}: not valid JSON ({err})") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{args.config}: top level must be an object")
+        unknown = set(loaded) - set(kinds)
+        if unknown:
+            raise ConfigError(
+                f"{args.config}: unknown config keys {sorted(unknown)}"
+            )
+        for key, value in loaded.items():
+            _, want, fits = _KINDS[kinds[key]]
+            if not fits(value):
+                raise ConfigError(f"{args.config}: {key} must be {want}, got {value!r}")
+        cfg.update(loaded)
+    for name in kinds:
+        value = getattr(args, name, None)
+        if value is not None:
+            cfg[name] = value
+    return argparse.Namespace(**cfg)
+
+
+def _resolved_seed(args, cfg) -> int:
+    """--seed flag, then the config file, then TCHGR_SEED, then 0; a
+    negative seed is refused with the source it came from."""
+    if cfg.seed is not None:
+        seed = cfg.seed
+        source = "--seed" if args.seed is not None else f"{args.config}: seed"
+    else:
+        env = os.environ.get("TCHGR_SEED")
+        if env is None:
+            return 0
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"TCHGR_SEED must be an integer, got {env!r}") from None
+        source = "TCHGR_SEED"
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _note(msg: str):
@@ -188,7 +189,7 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _segment_input(path, subject: int, cfg: RunConfig, mu: sig.MuLawParams):
+def _segment_input(path, subject: int, cfg, mu: sig.MuLawParams):
     """Read one recording, then filter it at its own sample rate and cut
     it into windows. Only a CSV takes its rate from the settings."""
     if str(path).endswith(".csv"):
@@ -204,8 +205,8 @@ def _segment_input(path, subject: int, cfg: RunConfig, mu: sig.MuLawParams):
 
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
-    seed = cfg.resolved_seed()
-    spec = cfg.split_spec()
+    seed = _resolved_seed(args, cfg)
+    spec = dio.SplitSpec(cfg.train_repetitions, cfg.test_repetitions)
     train_cfg = tr.TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
         seed=seed, shuffle=cfg.shuffle,
@@ -251,7 +252,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    spec = cfg.split_spec()
+    spec = dio.SplitSpec(cfg.train_repetitions, cfg.test_repetitions)
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = tr.restore_model(ckpt)
     segs = dio.read_segments(args.segments)
@@ -296,9 +297,8 @@ def _predict(model: AttentionTcn, windows: np.ndarray, chunk: int = 256) -> np.n
 
 def _cmd_params(args) -> int:
     cfg = _load_run_config(args)
-    channels = args.channels if args.channels is not None else 12
     model_cfg = derive_config(
-        cfg.window_ms, cfg.num_patches, cfg.model_dim, channels=channels,
+        cfg.window_ms, cfg.num_patches, cfg.model_dim, channels=args.channels,
         sample_rate_hz=cfg.sample_rate_hz, kernel_size=cfg.kernel_size,
         num_classes=cfg.num_classes,
     )
@@ -365,7 +365,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_synth(args) -> int:
     cfg = _load_run_config(args)
-    seed = cfg.resolved_seed()
+    seed = _resolved_seed(args, cfg)
     recordings = dio.generate_synthetic(
         subjects=args.subjects, classes=cfg.num_classes, reps=args.reps,
         seed=seed, channels=args.channels,
@@ -392,33 +392,6 @@ def _stem(path, strip: str = "") -> str:
 
 
 # -- parser and entry point -----------------------------------------------
-
-
-# Every settings flag once, with the subcommands that read it. The dest
-# is the RunConfig field, so _load_run_config finds it by name.
-_SETTINGS = (
-    ("--config", "config", str, ("preprocess", "train", "eval", "params", "synth"),
-     "JSON config file"),
-    ("--window-ms", "window_ms", int, ("preprocess", "params"), None),
-    ("--stride-ms", "stride_ms", int, ("preprocess",), None),
-    ("--num-patches", "num_patches", int, ("train", "params"), None),
-    ("--model-dim", "model_dim", int, ("train", "params"), None),
-    ("--kernel-size", "kernel_size", int, ("train", "params"), None),
-    ("--num-classes", "num_classes", int, ("train", "params", "synth"), None),
-    ("--cutoff-hz", "cutoff_hz", float, ("preprocess",), None),
-    ("--mu", "mu", float, ("preprocess",), None),
-    ("--sample-rate-hz", "sample_rate_hz", float, ("preprocess", "params", "synth"),
-     "rate of .csv inputs, of synth output and of params; "
-     ".semg files carry their own"),
-    ("--epochs", "epochs", int, ("train",), None),
-    ("--batch-size", "batch_size", int, ("train",), None),
-    ("--lr", "lr", float, ("train",), None),
-    ("--seed", "seed", int, ("train", "synth"), None),
-    ("--train-reps", "train_repetitions", _parse_rep_list, ("train", "eval"),
-     "comma-separated repetition ids"),
-    ("--test-reps", "test_repetitions", _parse_rep_list, ("train", "eval"),
-     "comma-separated repetition ids"),
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -462,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("params", help="audit the parameter count of a config")
-    p.add_argument("--channels", type=int)
+    p.add_argument("--channels", type=int, default=12)
     p.set_defaults(func=_cmd_params)
 
     p = sub.add_parser("compare", help="Wilcoxon baseline-vs-rest over reports")
@@ -480,10 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rest-seconds", type=float, default=0.25, dest="rest_seconds")
     p.set_defaults(func=_cmd_synth)
 
-    for flag, dest, kind, commands, help_text in _SETTINGS:
+    for command in _CONFIG_COMMANDS:
+        sub.choices[command].add_argument(
+            "--config", help="JSON config file", metavar="CONFIG"
+        )
+    for name, flag, kind, _, commands, help_text in _SETTINGS:
         for command in commands:
             sub.choices[command].add_argument(
-                flag, dest=dest, type=kind, help=help_text,
+                flag, dest=name, type=_KINDS[kind][0], help=help_text,
                 metavar=flag[2:].upper().replace("-", "_"),
             )
     return parser
@@ -493,9 +470,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except _VALIDATION_ERRORS as err:
-        _note(f"error: {err}")
-        return 2
     except NumericalError as err:
         _note(f"numerical failure: {err}")
         return 3
@@ -504,6 +478,9 @@ def main(argv=None) -> int:
         return 4
     except EmgTcnError as err:
         _note(f"error: {err}")
+        return 2
+    except MemoryError as err:
+        _note(f"error: out of memory: {err}")
         return 2
 
 

@@ -69,8 +69,10 @@ class Recording:
             raise DataError(
                 f"sample {i} of channel ch{c + 1} is not finite ({float(self.data[c, i])})"
             )
-        if self.sample_rate_hz <= 0:
-            raise DataError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise DataError(
+                f"sample rate must be finite and positive, got {self.sample_rate_hz}"
+            )
         t = self.data.shape[1]
         self.gesture = np.ascontiguousarray(self.gesture, dtype=np.uint16)
         self.repetition = np.ascontiguousarray(self.repetition, dtype=np.uint16)
@@ -163,12 +165,6 @@ def write_recording(path, rec: Recording):
         fh.write(ann.tobytes())
 
 
-def _check_rate(rate: float):
-    """Refuse a header sample rate that is not finite and positive."""
-    if not (np.isfinite(rate) and rate > 0):
-        raise DataError(f"sample rate must be finite and positive, got {rate}")
-
-
 def read_recording(path, subject: int = 0) -> Recording:
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -183,7 +179,6 @@ def read_recording(path, subject: int = 0) -> Recording:
             f"{_REC_VERSION}"
         )
     (rate,) = struct.unpack("<d", r.take(8, "sample rate"))
-    _check_rate(rate)
     (t,) = struct.unpack("<Q", r.take(8, "sample count"))
     data = (
         np.frombuffer(r.take(4 * channels * t, "samples"), dtype="<f4")
@@ -291,7 +286,6 @@ def read_segments(path) -> SegmentSet:
             f"{_SEG_VERSION}"
         )
     rate, window_ms = struct.unpack("<dI", r.take(12, "rate/window"))
-    _check_rate(rate)
     labels = np.frombuffer(r.take(2 * m, "labels"), dtype="<u2").astype(np.int64)
     subjects = np.frombuffer(r.take(2 * m, "subjects"), dtype="<u2").astype(np.int64)
     reps = np.frombuffer(r.take(2 * m, "repetitions"), dtype="<u2").astype(np.int64)

@@ -197,56 +197,41 @@ class AttentionTcn:
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         c, p, d, k = cfg.channels, cfg.patch_len, cfg.model_dim, cfg.kernel_size
+        # every parameter under its checkpoint name, in creation order
+        params = self._params = {}
 
-        def weight(shape, fan_in):
+        def param(name, data):
+            params[name] = Tensor(data, requires_grad=True)
+            return params[name]
+
+        def weight(name, shape, fan_in):
             bound = 1.0 / math.sqrt(fan_in)
-            return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+            return param(name, rng.uniform(-bound, bound, size=shape))
 
-        def zeros(n):
-            return Tensor(np.zeros(n), requires_grad=True)
-
-        self.patch_weight = weight((c * p, d), c * p)
-        self.patch_bias = zeros(d)
-        self.attention = AttentionWeights(
-            wq=weight((d, d), d), bq=zeros(d),
-            wk=weight((d, d), d), bk=zeros(d),
-            wv=weight((d, d), d), bv=zeros(d),
-            wo=weight((d, d), d), bo=zeros(d),
-        )
+        self.patch_weight = weight("patch.w", (c * p, d), c * p)
+        self.patch_bias = param("patch.b", np.zeros(d))
+        attn = {}
+        for role in "qkvo":
+            attn[f"w{role}"] = weight(f"attn.w{role}", (d, d), d)
+            attn[f"b{role}"] = param(f"attn.b{role}", np.zeros(d))
+        self.attention = AttentionWeights(**attn)
         self.blocks = [
             TcBlockWeights(
-                kernel1=weight((d, d, k), d * k), bias1=zeros(d),
-                kernel2=weight((d, d, k), d * k), bias2=zeros(d),
+                kernel1=weight(f"block{i}.conv1.k", (d, d, k), d * k),
+                bias1=param(f"block{i}.conv1.b", np.zeros(d)),
+                kernel2=weight(f"block{i}.conv2.k", (d, d, k), d * k),
+                bias2=param(f"block{i}.conv2.b", np.zeros(d)),
                 dilation=dil,
             )
-            for dil in cfg.dilations
+            for i, dil in enumerate(cfg.dilations)
         ]
-        self.head_weight = weight((cfg.num_patches * d, cfg.num_classes), cfg.num_patches * d)
-        self.head_bias = zeros(cfg.num_classes)
+        n = cfg.num_patches * d
+        self.head_weight = weight("head.w", (n, cfg.num_classes), n)
+        self.head_bias = param("head.b", np.zeros(cfg.num_classes))
 
     def named_parameters(self) -> dict:
         """Every trainable tensor, keyed by a stable dotted name."""
-        params = {
-            "patch.w": self.patch_weight,
-            "patch.b": self.patch_bias,
-        }
-        a = self.attention
-        params.update(
-            {
-                "attn.wq": a.wq, "attn.bq": a.bq,
-                "attn.wk": a.wk, "attn.bk": a.bk,
-                "attn.wv": a.wv, "attn.bv": a.bv,
-                "attn.wo": a.wo, "attn.bo": a.bo,
-            }
-        )
-        for i, blk in enumerate(self.blocks):
-            params[f"block{i}.conv1.k"] = blk.kernel1
-            params[f"block{i}.conv1.b"] = blk.bias1
-            params[f"block{i}.conv2.k"] = blk.kernel2
-            params[f"block{i}.conv2.b"] = blk.bias2
-        params["head.w"] = self.head_weight
-        params["head.b"] = self.head_bias
-        return params
+        return dict(self._params)
 
     def forward(self, x) -> Tensor:
         """Logits for one window (C x L -> num_classes) or a batch

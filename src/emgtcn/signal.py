@@ -81,6 +81,10 @@ class SegmentSet:
     def __post_init__(self):
         if self.data.ndim != 3:
             raise DataError(f"segment data must be M x C x L, got {self.data.shape}")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise DataError(
+                f"sample rate must be finite and positive, got {self.sample_rate_hz}"
+            )
         m = self.data.shape[0]
         for name in ("labels", "subjects", "repetitions"):
             arr = getattr(self, name)
@@ -144,12 +148,7 @@ def mu_law(x, p: MuLawParams = MuLawParams()):
     return float(out) if np.isscalar(x) else out
 
 
-def segment(
-    recording,
-    window_ms: int,
-    stride_ms: int | None = None,
-    sample_rate_hz: float | None = None,
-) -> SegmentSet:
+def segment(recording, window_ms: int, stride_ms: int | None = None) -> SegmentSet:
     """Cut a recording into labeled windows.
 
     A window is emitted only when it fits entirely inside one
@@ -160,8 +159,7 @@ def segment(
     """
     if stride_ms is None:
         stride_ms = window_ms
-    if sample_rate_hz is None:
-        sample_rate_hz = float(recording.sample_rate_hz)
+    sample_rate_hz = float(recording.sample_rate_hz)
     seg_len = ms_to_samples(window_ms, sample_rate_hz, "window_ms")
     stride = ms_to_samples(stride_ms, sample_rate_hz, "stride_ms")
 

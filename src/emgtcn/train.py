@@ -59,8 +59,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not (self.lr > 0):
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass

@@ -5,16 +5,19 @@ Every test drives main() in-process and checks the contract: exit code
 stderr only, and byte-identical artifacts for identical invocations.
 """
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emgtcn import data as dio, signal, stats, train as tr
 from emgtcn.cli import main
@@ -210,9 +213,13 @@ def test_synth_rate_needs_no_filter_cutoff(tmp_path, capsys):
 
 def test_non_finite_sample_rate_exits_2(tmp_path, capsys):
     (rec,) = dio.generate_synthetic(1, classes=2, reps=1, gesture_seconds=0.2)
+    good = tmp_path / "good.semg"
+    dio.write_recording(good, rec)
     for rate in ("inf", "nan"):
         semg = tmp_path / f"{rate}.semg"
-        dio.write_recording(semg, replace(rec, sample_rate_hz=float(rate)))
+        raw = bytearray(good.read_bytes())
+        raw[12:20] = np.array([float(rate)], dtype="<f8").tobytes()  # header rate
+        semg.write_bytes(bytes(raw))
         for argv in (
             ["synth", "--out-dir", tmp_path / "s", "--sample-rate-hz", rate],
             ["params", "--sample-rate-hz", rate],
@@ -575,3 +582,121 @@ def test_non_finite_segment_file_exits_2(pipeline, tmp_path, capsys, field):
         assert len(captured.err.strip().splitlines()) == 1
         assert "finite" in captured.err
     assert not ck.exists()
+
+
+def assert_one_error_line(code, captured):
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def test_negative_seed_exits_2(pipeline, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TCHGR_SEED", raising=False)
+    synth = ["synth", "--out-dir", tmp_path / "s", "--subjects", 1,
+             "--num-classes", 2, "--reps", 1, "--gesture-seconds", 0.2]
+    train = ["train", pipeline["segs"], "--checkpoint", tmp_path / "m.ckpt",
+             "--trace", tmp_path / "t.csv", "--epochs", 0, "--model-dim", 4,
+             "--num-classes", 3]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -3}))
+    for argv, source in (
+        ([*synth, "--seed", -1], "--seed"),
+        ([*train, "--seed", -1], "--seed"),
+        ([*train, "--config", cfg], f"{cfg}: seed"),
+    ):
+        line = assert_one_error_line(run(argv), capsys.readouterr())
+        assert source in line and "non-negative" in line, line
+    monkeypatch.setenv("TCHGR_SEED", "-5")
+    line = assert_one_error_line(run(synth), capsys.readouterr())
+    assert "TCHGR_SEED" in line and "-5" in line
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_infinite_lr_exits_2(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    train = ["train", pipeline["segs"], "--checkpoint", ckpt,
+             "--trace", tmp_path / "t.csv", "--epochs", 1, "--model-dim", 4,
+             "--num-classes", 3]
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"lr": Infinity}')  # Python's json reads this as a float
+    for argv in ([*train, "--lr", "inf"], [*train, "--config", cfg]):
+        line = assert_one_error_line(run(argv), capsys.readouterr())
+        assert "lr" in line and "inf" in line, line
+        assert not ckpt.exists()
+
+
+def test_out_of_memory_exits_2(capsys):
+    # a 2 EiB patch projection; numpy refuses it at once on any host
+    code = run(["params", "--window-ms", 10**15, "--num-patches", 1])
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert "memory" in line
+
+
+# magnitudes stay small, so no draw allocates more than a few MB;
+# negative integers get a strategy of their own, as Hypothesis rarely
+# draws them from a range that spans zero
+_JSON_INT = st.integers(0, 32) | st.integers(-5, -1)
+_JSON_NUMBER = _JSON_INT | st.floats(-5, 32) | st.sampled_from(
+    [math.nan, math.inf, -math.inf]
+)
+_JSON_REPS = st.lists(_JSON_INT, max_size=4)
+_JSON_VALUES = st.one_of(
+    _JSON_NUMBER, st.booleans(), st.text(max_size=3), st.none(), _JSON_REPS
+)
+# every config key with the values of its JSON kind
+_SETTING_VALUES = {
+    **dict.fromkeys(
+        ["window_ms", "stride_ms", "num_patches", "model_dim", "kernel_size",
+         "num_classes", "batch_size", "epochs", "seed"], _JSON_INT,
+    ),
+    **dict.fromkeys(["mu", "cutoff_hz", "sample_rate_hz", "lr"], _JSON_NUMBER),
+    "shuffle": st.booleans(),
+    "train_repetitions": _JSON_REPS,
+    "test_repetitions": _JSON_REPS,
+}
+
+
+def _config_of(keys):
+    """A JSON object over ``keys``: each setting's value fits its kind in
+    half the draws, so runs get past the type check to the subcommand."""
+    return st.fixed_dictionaries({
+        key: st.booleans().flatmap(
+            lambda fit, key=key: _SETTING_VALUES.get(key, _JSON_VALUES) if fit
+            else _JSON_VALUES
+        )
+        for key in keys
+    })
+
+
+# the config keys plus one that no subcommand knows, at most four a file
+_CONFIGS = st.lists(
+    st.sampled_from([*_SETTING_VALUES, "bogus"]), unique=True, max_size=4
+).flatmap(_config_of)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=_CONFIGS)
+def test_random_config_exits_0_or_2(pipeline, config):
+    root = pipeline["root"] / "fuzz"
+    root.mkdir(exist_ok=True)
+    cfg = root / "run.json"
+    cfg.write_text(json.dumps(config))
+    for argv in (
+        ["params"],
+        ["synth", "--out-dir", root / "raw", "--subjects", 1, "--reps", 1,
+         "--gesture-seconds", 0.02, "--rest-seconds", 0],
+        ["train", pipeline["segs"], "--checkpoint", root / "m.ckpt",
+         "--trace", root / "t.csv", "--epochs", 0],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([*argv, "--config", cfg])
+        assert code in (0, 2), (argv[0], config, code, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == ""
+            assert "Traceback" not in err.getvalue()
+            lines = err.getvalue().strip().splitlines()
+            assert lines[-1].startswith("error: "), (argv[0], config, lines)
+            assert sum(ln.startswith("error:") for ln in lines) == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,6 +330,20 @@ def test_recording_rejects_nan_rate(tmp_path):
     with pytest.raises(DataError) as err:
         read_recording(path)
     assert "nan" in str(err.value)
+
+
+def test_constructors_reject_non_finite_rate():
+    # the constructors own the check, so code that builds these in
+    # memory meets it as the file readers do
+    with pytest.raises(DataError, match="finite and positive.*nan"):
+        replace(sample_recording(), sample_rate_hz=float("nan"))
+    segs = sample_segments(m=3)
+    with pytest.raises(DataError, match="finite and positive.*inf"):
+        SegmentSet(
+            data=segs.data, labels=segs.labels, subjects=segs.subjects,
+            repetitions=segs.repetitions, sample_rate_hz=float("inf"),
+            window_ms=segs.window_ms,
+        )
 
 
 def test_concat_segments():
