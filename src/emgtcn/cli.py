@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -466,7 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    # a library warning reaches stderr as one line, without its source
+    saved_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -482,6 +489,8 @@ def main(argv=None) -> int:
     except MemoryError as err:
         _note(f"error: out of memory: {err}")
         return 2
+    finally:
+        warnings.formatwarning = saved_format
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ hand off through the filesystem.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -125,27 +127,71 @@ class SplitSpec:
 
 
 class _Reader:
-    """Bounds-checked cursor over a whole binary file (SEMG, SSEG, TCHG)."""
+    """Bounds-checked cursor over an open binary file (SEMG, SSEG, TCHG).
 
-    def __init__(self, buf: bytes, what: str):
-        self.buf = buf
-        self.offset = 0
+    Every part's byte count is checked against the bytes left in the
+    file before anything is allocated for it, and arrays are read
+    straight into place.
+    """
+
+    def __init__(self, fh, what: str):
+        self.fh = fh
         self.what = what
+        self.offset = 0
+        self.size = os.fstat(fh.fileno()).st_size
 
-    def take(self, n: int, part: str) -> bytes:
-        if self.offset + n > len(self.buf):
+    def _need(self, n: int, part: str):
+        if n > self.size - self.offset:
             raise FormatError(
                 f"truncated {self.what}: needed {n} bytes for {part} at offset "
-                f"{self.offset}, only {len(self.buf) - self.offset} remain"
+                f"{self.offset}, only {self.size - self.offset} remain"
             )
-        out = self.buf[self.offset : self.offset + n]
-        self.offset += n
+
+    def _advance(self, got: int, n: int, part: str):
+        self.offset += got
+        if got != n:
+            raise FormatError(f"truncated {self.what}: short read of {part}")
+
+    def take(self, n: int, part: str) -> bytes:
+        self._need(n, part)
+        out = self.fh.read(n)
+        self._advance(len(out), n, part)
+        return out
+
+    def unpack(self, fmt: str, part: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), part))
+
+    def header(self, magic: bytes, version: int):
+        """Check the four-byte magic and the u32 format version."""
+        found = self.take(4, "magic")
+        if found != magic:
+            raise FormatError(f"not a {self.what}: bad magic {found!r} at offset 0")
+        (found,) = self.unpack("<I", "version")
+        if found != version:
+            raise FormatError(
+                f"{self.what} version {found} is not supported; this build reads "
+                f"{version}"
+            )
+
+    def array(self, dtype: str, shape: tuple, part: str) -> np.ndarray:
+        """A fresh array of ``shape`` read from the next bytes; a shape
+        numpy cannot hold is a format error like a short file."""
+        dtype = np.dtype(dtype)
+        n = dtype.itemsize * math.prod(shape)
+        self._need(n, part)
+        try:
+            out = np.empty(shape, dtype)
+        except ValueError as err:
+            raise FormatError(
+                f"{self.what}: {part} has shape {shape}, which numpy cannot hold"
+            ) from None
+        self._advance(self.fh.readinto(out), n, part)
         return out
 
     def done(self):
-        if self.offset != len(self.buf):
+        if self.offset != self.size:
             raise FormatError(
-                f"{self.what} has {len(self.buf) - self.offset} trailing bytes "
+                f"{self.what} has {self.size - self.offset} trailing bytes "
                 f"after offset {self.offset}"
             )
 
@@ -158,39 +204,20 @@ def write_recording(path, rec: Recording):
     ann[:, 1] = rec.repetition
     with open(path, "wb") as fh:
         fh.write(_REC_MAGIC)
-        fh.write(struct.pack("<II", _REC_VERSION, rec.channels))
-        fh.write(struct.pack("<d", rec.sample_rate_hz))
-        fh.write(struct.pack("<Q", rec.num_samples))
-        fh.write(samples.tobytes())
-        fh.write(ann.tobytes())
+        fh.write(struct.pack("<IIdQ", _REC_VERSION, rec.channels,
+                             rec.sample_rate_hz, rec.num_samples))
+        fh.write(samples)
+        fh.write(ann)
 
 
 def read_recording(path, subject: int = 0) -> Recording:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf, "recording")
-    magic = r.take(4, "magic")
-    if magic != _REC_MAGIC:
-        raise FormatError(f"not a recording file: bad magic {magic!r} at offset 0")
-    version, channels = struct.unpack("<II", r.take(8, "header"))
-    if version != _REC_VERSION:
-        raise FormatError(
-            f"recording version {version} is not supported; this build reads "
-            f"{_REC_VERSION}"
-        )
-    (rate,) = struct.unpack("<d", r.take(8, "sample rate"))
-    (t,) = struct.unpack("<Q", r.take(8, "sample count"))
-    data = (
-        np.frombuffer(r.take(4 * channels * t, "samples"), dtype="<f4")
-        .reshape(channels, t)
-        .copy()
-    )
-    ann = (
-        np.frombuffer(r.take(4 * t, "annotations"), dtype="<u2")
-        .reshape(t, 2)
-        .copy()
-    )
-    r.done()
+        r = _Reader(fh, "recording file")
+        r.header(_REC_MAGIC, _REC_VERSION)
+        channels, rate, t = r.unpack("<IdQ", "header")
+        data = r.array("<f4", (channels, t), "samples")
+        ann = r.array("<u2", (t, 2), "annotations")
+        r.done()
     return Recording(
         data=data, sample_rate_hz=rate, gesture=ann[:, 0], repetition=ann[:, 1],
         subject=subject,
@@ -260,41 +287,25 @@ def write_segments(path, segments: SegmentSet):
             raise DataError(f"{name} exceed the u16 range of the segment format")
     with open(path, "wb") as fh:
         fh.write(_SEG_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIQ", _SEG_VERSION, segments.channels, segments.seg_len, m
-            )
-        )
-        fh.write(struct.pack("<dI", segments.sample_rate_hz, segments.window_ms))
-        fh.write(np.ascontiguousarray(segments.labels, dtype="<u2").tobytes())
-        fh.write(np.ascontiguousarray(segments.subjects, dtype="<u2").tobytes())
-        fh.write(np.ascontiguousarray(segments.repetitions, dtype="<u2").tobytes())
-        fh.write(np.ascontiguousarray(segments.data, dtype="<f8").tobytes())
+        fh.write(struct.pack("<IIIQdI", _SEG_VERSION, segments.channels,
+                             segments.seg_len, m, segments.sample_rate_hz,
+                             segments.window_ms))
+        for arr in (segments.labels, segments.subjects, segments.repetitions):
+            fh.write(np.ascontiguousarray(arr, dtype="<u2"))
+        fh.write(np.ascontiguousarray(segments.data, dtype="<f8"))
 
 
 def read_segments(path) -> SegmentSet:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf, "segment file")
-    magic = r.take(4, "magic")
-    if magic != _SEG_MAGIC:
-        raise FormatError(f"not a segment file: bad magic {magic!r} at offset 0")
-    version, channels, seg_len, m = struct.unpack("<IIIQ", r.take(20, "header"))
-    if version != _SEG_VERSION:
-        raise FormatError(
-            f"segment file version {version} is not supported; this build reads "
-            f"{_SEG_VERSION}"
+        r = _Reader(fh, "segment file")
+        r.header(_SEG_MAGIC, _SEG_VERSION)
+        channels, seg_len, m, rate, window_ms = r.unpack("<IIQdI", "header")
+        labels, subjects, reps = (
+            r.array("<u2", (m,), part).astype(np.int64)
+            for part in ("labels", "subjects", "repetitions")
         )
-    rate, window_ms = struct.unpack("<dI", r.take(12, "rate/window"))
-    labels = np.frombuffer(r.take(2 * m, "labels"), dtype="<u2").astype(np.int64)
-    subjects = np.frombuffer(r.take(2 * m, "subjects"), dtype="<u2").astype(np.int64)
-    reps = np.frombuffer(r.take(2 * m, "repetitions"), dtype="<u2").astype(np.int64)
-    data = (
-        np.frombuffer(r.take(8 * m * channels * seg_len, "windows"), dtype="<f8")
-        .reshape(m, channels, seg_len)
-        .copy()
-    )
-    r.done()
+        data = r.array("<f8", (m, channels, seg_len), "windows")
+        r.done()
     # min/max scan without a full-size mask; NaN and +-inf show in them
     if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         i, c, t = np.argwhere(~np.isfinite(data))[0]

@@ -71,6 +71,13 @@ class ModelConfig:
                 f"patches must tile the window exactly: "
                 f"{self.num_patches} * {self.patch_len} != {self.seq_len}"
             )
+        c, p, d, k = self.channels, self.patch_len, self.model_dim, self.kernel_size
+        largest = max(c * p * d, d * d * k, self.num_patches * d * self.num_classes)
+        if largest > np.iinfo(np.intp).max // 8:
+            raise ConfigError(
+                f"the largest weight would hold {largest} float64 values, beyond "
+                "what numpy can index"
+            )
 
     @property
     def num_blocks(self) -> int:

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .errors import ConfigError, DataError, DimensionError, RangeError, UsageError
 
@@ -135,7 +136,7 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
         return WilcoxonResult(statistic=0.0, p_value=1.0, n_effective=0,
                               method="degenerate")
 
-    ranks = _average_ranks(np.abs(d))
+    ranks = rankdata(np.abs(d), method="average")
     w_pos = float(ranks[d > 0].sum())
     w_neg = float(ranks[d < 0].sum())
     w = min(w_pos, w_neg)
@@ -147,20 +148,6 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
         p = _normal_p(ranks, w, np.abs(d))
         used = "normal-approximation"
     return WilcoxonResult(statistic=w, p_value=p, n_effective=n, method=used)
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with tied values sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 def _exact_p(ranks: np.ndarray, w: float) -> float:

@@ -10,7 +10,6 @@ epoch e reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -274,7 +273,6 @@ class Checkpoint:
     v: dict
     opt: dict
     rng_state: dict | None
-    version: int = _VERSION
 
 
 def make_checkpoint(
@@ -309,18 +307,9 @@ def restore_model(ckpt: Checkpoint) -> AttentionTcn:
     """
     model = AttentionTcn(ckpt.config, seed=0)
     params = model.named_parameters()
-    if set(params) != set(ckpt.weights):
-        raise FormatError(
-            "checkpoint weight names do not match the architecture "
-            f"(missing {sorted(set(params) - set(ckpt.weights))[:3]}...)"
-        )
+    _check_group("w", ckpt.weights, params)
     for name, p in params.items():
-        buf = ckpt.weights[name]
-        if buf.shape != p.data.shape:
-            raise FormatError(
-                f"weight {name!r} has shape {buf.shape}, expected {p.data.shape}"
-            )
-        p.data = np.array(buf, dtype=np.float64, order="C")
+        p.data = np.array(ckpt.weights[name], dtype=np.float64, order="C")
         p.requires_grad = False
     return model
 
@@ -335,22 +324,30 @@ def restore_optimizer(ckpt: Checkpoint, model: AttentionTcn) -> Adam:
     )
     opt.step_count = int(ckpt.opt["step"])
     for group, saved, views in (("m", ckpt.m, opt.m), ("v", ckpt.v, opt.v)):
-        missing = sorted(set(views) - set(saved))
-        if missing:
-            raise FormatError(f"checkpoint is missing entry '{group}/{missing[0]}'")
-        unknown = sorted(set(saved) - set(views))
-        if unknown:
-            raise FormatError(
-                f"checkpoint entry '{group}/{unknown[0]}' is not a model parameter"
-            )
+        _check_group(group, saved, views)
         for name, view in views.items():
-            if saved[name].shape != view.shape:
-                raise FormatError(
-                    f"checkpoint entry '{group}/{name}' has shape "
-                    f"{saved[name].shape}, expected {view.shape}"
-                )
             view[...] = saved[name]
     return opt
+
+
+def _check_group(group: str, saved: dict, expected: dict):
+    """Refuse a checkpoint group (``w``, ``m`` or ``v``) unless it holds
+    exactly the model's parameter names, each in the expected shape;
+    ``expected`` maps names to arrays or tensors of that shape."""
+    missing = sorted(set(expected) - set(saved))
+    if missing:
+        raise FormatError(f"checkpoint is missing entry '{group}/{missing[0]}'")
+    unknown = sorted(set(saved) - set(expected))
+    if unknown:
+        raise FormatError(
+            f"checkpoint entry '{group}/{unknown[0]}' is not a model parameter"
+        )
+    for name, want in expected.items():
+        if saved[name].shape != want.shape:
+            raise FormatError(
+                f"checkpoint entry '{group}/{name}' has shape "
+                f"{saved[name].shape}, expected {want.shape}"
+            )
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
@@ -359,78 +356,57 @@ def save_checkpoint(path, ckpt: Checkpoint):
     entries.append(("opt", 0, json.dumps(ckpt.opt, sort_keys=True)))
     if ckpt.rng_state is not None:
         entries.append(("rng", 0, json.dumps(ckpt.rng_state, sort_keys=True)))
-    for name, arr in ckpt.weights.items():
-        entries.append((f"w/{name}", 1, arr))
-    for name, arr in ckpt.m.items():
-        entries.append((f"m/{name}", 1, arr))
-    for name, arr in ckpt.v.items():
-        entries.append((f"v/{name}", 1, arr))
+    for group, arrays in (("w", ckpt.weights), ("m", ckpt.m), ("v", ckpt.v)):
+        entries.extend((f"{group}/{name}", 1, arr) for name, arr in arrays.items())
 
-    out = io.BytesIO()
-    out.write(_MAGIC)
-    out.write(struct.pack("<II", ckpt.version, len(entries)))
-    for name, kind, payload in entries:
-        raw = name.encode("utf-8")
-        out.write(struct.pack("<I", len(raw)))
-        out.write(raw)
-        out.write(struct.pack("<B", kind))
-        if kind == 0:
-            blob = payload.encode("utf-8")
-            out.write(struct.pack("<Q", len(blob)))
-            out.write(blob)
-        elif kind == 1:
-            arr = np.ascontiguousarray(payload, dtype="<f8")
-            out.write(struct.pack("<I", arr.ndim))
-            out.write(struct.pack(f"<{max(arr.ndim, 1)}Q", *(arr.shape or (1,))))
-            out.write(arr.tobytes())
-        else:
-            out.write(struct.pack("<q", int(payload)))
     with open(path, "wb") as fh:
-        fh.write(out.getvalue())
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<II", _VERSION, len(entries)))
+        for name, kind, payload in entries:
+            raw = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(raw)}sB", len(raw), raw, kind))
+            if kind == 0:
+                blob = payload.encode("utf-8")
+                fh.write(struct.pack("<Q", len(blob)))
+                fh.write(blob)
+            elif kind == 1:
+                arr = np.ascontiguousarray(payload, dtype="<f8")
+                shape = arr.shape or (1,)
+                fh.write(struct.pack(f"<I{len(shape)}Q", arr.ndim, *shape))
+                fh.write(arr)
+            else:
+                fh.write(struct.pack("<q", int(payload)))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf, "checkpoint")
-    magic = r.take(4, "magic")
-    if magic != _MAGIC:
-        raise FormatError(
-            f"not a checkpoint file: bad magic {magic!r} at offset 0"
-        )
-    version, count = struct.unpack("<II", r.take(8, "header"))
-    if version != _VERSION:
-        raise FormatError(
-            f"checkpoint version {version} is not supported; this build reads {_VERSION}"
-        )
     fields: dict = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", r.take(4, "entry name length"))
-            name = r.take(name_len, "entry name").decode("utf-8")
-            (kind,) = struct.unpack("<B", r.take(1, f"kind of {name!r}"))
-            if kind == 0:
-                (blob_len,) = struct.unpack("<Q", r.take(8, f"length of {name!r}"))
-                fields[name] = r.take(blob_len, f"payload of {name!r}").decode("utf-8")
-            elif kind == 1:
-                (ndim,) = struct.unpack("<I", r.take(4, f"rank of {name!r}"))
-                dims = struct.unpack(
-                    f"<{max(ndim, 1)}Q", r.take(8 * max(ndim, 1), f"shape of {name!r}")
-                )
-                shape = dims[:ndim]
-                raw = r.take(8 * math.prod(shape), f"data of {name!r}")
-                fields[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            elif kind == 2:
-                (fields[name],) = struct.unpack("<q", r.take(8, f"value of {name!r}"))
-            else:
-                raise FormatError(
-                    f"unknown entry kind {kind} for {name!r} at offset {r.offset}"
-                )
-    except ValueError as err:  # bad UTF-8, or more dimensions than numpy allows
-        raise FormatError(
-            f"malformed checkpoint entry before offset {r.offset}: {err}"
-        ) from None
-    r.done()
+    with open(path, "rb") as fh:
+        r = _Reader(fh, "checkpoint file")
+        r.header(_MAGIC, _VERSION)
+        (count,) = r.unpack("<I", "entry count")
+        try:
+            for _ in range(count):
+                (name_len,) = r.unpack("<I", "entry name length")
+                name = r.take(name_len, "entry name").decode("utf-8")
+                (kind,) = r.unpack("<B", f"kind of {name!r}")
+                if kind == 0:
+                    (blob_len,) = r.unpack("<Q", f"length of {name!r}")
+                    fields[name] = r.take(blob_len, f"payload of {name!r}").decode("utf-8")
+                elif kind == 1:
+                    (ndim,) = r.unpack("<I", f"rank of {name!r}")
+                    dims = r.unpack(f"<{max(ndim, 1)}Q", f"shape of {name!r}")
+                    fields[name] = r.array("<f8", dims[:ndim], f"data of {name!r}")
+                elif kind == 2:
+                    (fields[name],) = r.unpack("<q", f"value of {name!r}")
+                else:
+                    raise FormatError(
+                        f"unknown entry kind {kind} for {name!r} at offset {r.offset}"
+                    )
+        except UnicodeDecodeError as err:
+            raise FormatError(
+                f"malformed checkpoint entry before offset {r.offset}: {err}"
+            ) from None
+        r.done()
     try:
         config = json.loads(fields.pop("config"))
         epoch = int(fields.pop("epoch"))
@@ -467,5 +443,5 @@ def load_checkpoint(path) -> Checkpoint:
         target[param] = value
     return Checkpoint(
         config=config, epoch=epoch, weights=weights, m=moments_m, v=moments_v,
-        opt=opt, rng_state=rng_state, version=version,
+        opt=opt, rng_state=rng_state,
     )

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,17 @@ def test_truncated_second_semg_input_exits_4(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_recording_shape_numpy_cannot_hold_exits_4(tmp_path, capsys):
+    huge = tmp_path / "huge.semg"
+    huge.write_bytes(b"SEMG" + struct.pack("<IIdQ", 1, 0, 2000.0, 2**62))
+    code = run(["preprocess", huge, "--out", tmp_path / "x.sseg"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("file error: "), lines
+
+
 def test_semg_filtered_at_its_own_rate(tmp_path):
     raw, out = tmp_path / "khz.semg", tmp_path / "khz.sseg"
     (rec,) = dio.generate_synthetic(
@@ -323,6 +335,39 @@ def test_module_entry_point_error_is_one_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "span" in lines[0], lines
     assert list(tmp_path.iterdir()) == []
+
+
+def _run_module(args, cwd):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "emgtcn", *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_library_warnings_are_one_stderr_line(tmp_path):
+    assert _run_module([
+        "synth", "--out-dir", "raw", "--subjects", 1, "--num-classes", 2,
+        "--reps", 2, "--gesture-seconds", 0.3, "--rest-seconds", 0.1,
+    ], tmp_path).returncode == 0
+    assert _run_module(
+        ["preprocess", "raw/subject01.semg", "--out", "s.sseg"], tmp_path
+    ).returncode == 0
+    for args, text in (
+        (["train", "s.sseg", "--checkpoint", "m.ckpt", "--trace", "t.csv",
+          "--epochs", 0, "--num-classes", 2, "--model-dim", 4,
+          "--train-reps", 1, "--test-reps", 5], "outside both repetition sets"),
+        (["preprocess", "raw/subject01.semg", "--out", "w.sseg",
+          "--window-ms", 400], "exceeds every active gesture span"),
+    ):
+        proc = _run_module(args, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        warned = [ln for ln in proc.stderr.splitlines() if ln.startswith("warning: ")]
+        assert len(warned) == 1 and text in warned[0], proc.stderr
+        # no "<file>.py:<line>: UserWarning:" prefix, so no echoed source line
+        assert ".py:" not in proc.stderr and "UserWarning" not in proc.stderr
 
 
 def test_help_lists_exactly_the_read_settings(capsys):
@@ -632,6 +677,15 @@ def test_out_of_memory_exits_2(capsys):
     code = run(["params", "--window-ms", 10**15, "--num-patches", 1])
     line = assert_one_error_line(code, capsys.readouterr())
     assert "memory" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model-dim", 10**21],
+    ["--window-ms", 10**23, "--num-patches", 1],
+])
+def test_geometry_numpy_cannot_index_exits_2(argv, capsys):
+    line = assert_one_error_line(run(["params", *argv]), capsys.readouterr())
+    assert "largest weight" in line, line
 
 
 # magnitudes stay small, so no draw allocates more than a few MB;

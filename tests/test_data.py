@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -296,6 +298,36 @@ def test_segments_bad_magic_and_truncation(tmp_path):
     with pytest.raises(FormatError) as err:
         read_segments(cut)
     assert "offset" in str(err.value)
+
+
+def test_recording_shape_numpy_cannot_hold_raises_format_error(tmp_path):
+    # 0 channels make the sample block 0 bytes long, so only the shape
+    # (0, 2**62) of float32 is wrong: numpy refuses to create it
+    path = tmp_path / "huge.semg"
+    path.write_bytes(b"SEMG" + struct.pack("<IIdQ", 1, 0, 2000.0, 2**62))
+    with pytest.raises(FormatError, match="samples"):
+        read_recording(path)
+
+
+def _peak_bytes(fn, *args):
+    """Peak traced allocation while ``fn`` runs, over what existed before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_segment_file_passes_through_memory_once(tmp_path):
+    segs = sample_segments(m=2048, c=4, l=256)  # 16 MiB of windows
+    path = tmp_path / "big.sseg"
+    write_peak = _peak_bytes(write_segments, path, segs)
+    read_peak = _peak_bytes(read_segments, path)
+    data_bytes, file_bytes = segs.data.nbytes, path.stat().st_size
+    assert write_peak < 0.5 * data_bytes, (write_peak, data_bytes)
+    assert read_peak < 1.5 * file_bytes, (read_peak, file_bytes)
+    assert read_segments(path).data.tobytes() == segs.data.tobytes()
 
 
 def test_segments_reject_non_finite_window_value(tmp_path):

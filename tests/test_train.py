@@ -520,3 +520,35 @@ def test_restore_optimizer_rejects_mismatched_moments(tmp_path):
         with pytest.raises(FormatError) as err:
             restore_optimizer(loaded, restore_model(loaded))
         assert entry in str(err.value)
+
+
+def test_restore_model_names_the_mismatched_weight(tmp_path):
+    model = tiny_model(seed=4)
+    path = tmp_path / "good.tchg"
+    save_checkpoint(path, make_checkpoint(
+        model, Adam(model.named_parameters()), epoch=0, rng_state=None
+    ))
+    name = next(iter(model.named_parameters()))
+    extra, missing, wrong_shape = (load_checkpoint(path) for _ in range(3))
+    extra.weights["extra"] = np.ones(1)
+    del missing.weights[name]
+    wrong_shape.weights[name] = np.ones(1)
+    for ckpt, entry in ((extra, "w/extra"), (missing, f"w/{name}"),
+                        (wrong_shape, f"w/{name}")):
+        doctored = tmp_path / "doctored.tchg"
+        save_checkpoint(doctored, ckpt)
+        with pytest.raises(FormatError) as err:
+            restore_model(load_checkpoint(doctored))
+        assert entry in str(err.value)
+
+
+def test_checkpoint_geometry_numpy_cannot_index_is_format_error(tmp_path):
+    model = tiny_model()
+    ckpt = make_checkpoint(model, Adam(model.named_parameters()), epoch=0,
+                           rng_state=None)
+    # a config no ModelConfig accepts, as a corrupt or hostile file holds it
+    object.__setattr__(ckpt.config, "model_dim", 10**21)
+    path = tmp_path / "huge.tchg"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(FormatError, match="largest weight"):
+        load_checkpoint(path)
