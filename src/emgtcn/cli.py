@@ -181,12 +181,12 @@ def _cmd_preprocess(args) -> int:
             raise type(err)(f"{path}: {err}") from None
         _note(f"{path}: {len(segs)} segments from subject {index}")
         parts.append(segs)
-    combined = dio.concat_segments(parts)
-    classes, counts = np.unique(combined.labels, return_counts=True)
+    labels = np.concatenate([p.labels for p in parts])
+    classes, counts = np.unique(labels, return_counts=True)
     for cls, count in zip(classes, counts):
         _note(f"  class {cls}: {count} segments")
-    dio.write_segments(args.out, combined)
-    _emit(segments=args.out, count=len(combined), classes=len(classes))
+    dio.write_segments(args.out, *parts)
+    _emit(segments=args.out, count=len(labels), classes=len(classes))
     return 0
 
 
@@ -212,8 +212,7 @@ def _cmd_train(args) -> int:
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
         seed=seed, shuffle=cfg.shuffle,
     )
-    segs = dio.read_segments(args.segments)
-    train_set, _ = dio.split(segs, spec)
+    train_set = dio.split_train(dio.read_segments(args.segments), spec)
     if len(train_set) == 0:
         raise UsageError(
             f"no segments with repetitions {sorted(cfg.train_repetitions)} "
@@ -225,8 +224,8 @@ def _cmd_train(args) -> int:
             f"{cfg.num_classes} classes"
         )
     model_cfg = derive_config(
-        segs.window_ms, cfg.num_patches, cfg.model_dim,
-        channels=segs.channels, sample_rate_hz=segs.sample_rate_hz,
+        train_set.window_ms, cfg.num_patches, cfg.model_dim,
+        channels=train_set.channels, sample_rate_hz=train_set.sample_rate_hz,
         kernel_size=cfg.kernel_size, num_classes=cfg.num_classes,
     )
     model = AttentionTcn(model_cfg, seed=seed)
@@ -256,8 +255,7 @@ def _cmd_eval(args) -> int:
     spec = dio.SplitSpec(cfg.train_repetitions, cfg.test_repetitions)
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = tr.restore_model(ckpt)
-    segs = dio.read_segments(args.segments)
-    _, test_set = dio.split(segs, spec)
+    test_set = dio.split_test(dio.read_segments(args.segments), spec)
     if len(test_set) == 0:
         raise UsageError(
             f"no segments with repetitions {sorted(cfg.test_repetitions)} "

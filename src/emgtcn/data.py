@@ -39,6 +39,8 @@ __all__ = [
     "write_segments",
     "concat_segments",
     "split",
+    "split_train",
+    "split_test",
     "generate_synthetic",
 ]
 
@@ -66,10 +68,12 @@ class Recording:
             self.data = self.data.astype(np.float32)
         if self.data.ndim != 2:
             raise DataError(f"samples must be channels x T, got {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            c, i = np.argwhere(~np.isfinite(self.data))[0]
+        # min/max scan without a full-size mask; NaN and +-inf show in them
+        d = self.data
+        if d.size and not (np.isfinite(d.min()) and np.isfinite(d.max())):
+            c, i = np.argwhere(~np.isfinite(d))[0]
             raise DataError(
-                f"sample {i} of channel ch{c + 1} is not finite ({float(self.data[c, i])})"
+                f"sample {i} of channel ch{c + 1} is not finite ({float(d[c, i])})"
             )
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise DataError(
@@ -278,21 +282,30 @@ def read_annotated_csv(path, sample_rate_hz: float, subject: int = 0) -> Recordi
     )
 
 
-def write_segments(path, segments: SegmentSet):
-    """Persist a SegmentSet as SSEG v1 (float64 windows, u16 metadata)."""
-    m = len(segments)
-    for name in ("labels", "subjects", "repetitions"):
-        arr = getattr(segments, name)
+def write_segments(path, *parts: SegmentSet):
+    """Persist one or more SegmentSets as one SSEG v1 file (float64
+    windows, u16 metadata).
+
+    Several parts give the bytes of ``concat_segments(parts)``: their
+    windows are written in turn and never joined in memory.
+    """
+    first = _common_geometry(parts)
+    columns = {
+        name: np.concatenate([getattr(p, name) for p in parts])
+        for name in ("labels", "subjects", "repetitions")
+    }
+    for name, arr in columns.items():
         if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
             raise DataError(f"{name} exceed the u16 range of the segment format")
     with open(path, "wb") as fh:
         fh.write(_SEG_MAGIC)
-        fh.write(struct.pack("<IIIQdI", _SEG_VERSION, segments.channels,
-                             segments.seg_len, m, segments.sample_rate_hz,
-                             segments.window_ms))
-        for arr in (segments.labels, segments.subjects, segments.repetitions):
+        fh.write(struct.pack("<IIIQdI", _SEG_VERSION, first.channels,
+                             first.seg_len, len(columns["labels"]),
+                             first.sample_rate_hz, first.window_ms))
+        for arr in columns.values():
             fh.write(np.ascontiguousarray(arr, dtype="<u2"))
-        fh.write(np.ascontiguousarray(segments.data, dtype="<f8"))
+        for p in parts:
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
 
 
 def read_segments(path) -> SegmentSet:
@@ -319,12 +332,9 @@ def read_segments(path) -> SegmentSet:
     )
 
 
-def concat_segments(parts) -> SegmentSet:
-    """Stack segment sets from several recordings into one.
-
-    All parts must agree on channel count, window length, and rate.
-    """
-    parts = list(parts)
+def _common_geometry(parts) -> SegmentSet:
+    """The first part, once every part agrees with it on channel count,
+    window length, and rate."""
     if not parts:
         raise DataError("cannot concatenate zero segment sets")
     first = parts[0]
@@ -340,6 +350,16 @@ def concat_segments(parts) -> SegmentSet:
                 f"{p.sample_rate_hz} Hz vs {first.data.shape[1:]} at "
                 f"{first.sample_rate_hz} Hz"
             )
+    return first
+
+
+def concat_segments(parts) -> SegmentSet:
+    """Stack segment sets from several recordings into one.
+
+    All parts must agree on channel count, window length, and rate.
+    """
+    parts = list(parts)
+    first = _common_geometry(parts)
     return SegmentSet(
         data=np.concatenate([p.data for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),
@@ -361,12 +381,9 @@ def _select(segments: SegmentSet, mask: np.ndarray) -> SegmentSet:
     )
 
 
-def split(segments: SegmentSet, spec: SplitSpec = SplitSpec()):
-    """Partition segments by repetition id into (train, test).
-
-    Segments whose repetition is in neither set are dropped with a
-    warning that counts them.
-    """
+def _split_masks(segments: SegmentSet, spec: SplitSpec):
+    """Row masks of the train and test sides. Rows in neither are
+    counted in a warning attributed to the caller of the public split."""
     reps = segments.repetitions
     train_mask = np.isin(reps, sorted(spec.train_repetitions))
     test_mask = np.isin(reps, sorted(spec.test_repetitions))
@@ -374,9 +391,29 @@ def split(segments: SegmentSet, spec: SplitSpec = SplitSpec()):
     if dropped:
         warnings.warn(
             f"{dropped} segments fall outside both repetition sets and were dropped",
-            stacklevel=2,
+            stacklevel=3,
         )
+    return train_mask, test_mask
+
+
+def split(segments: SegmentSet, spec: SplitSpec = SplitSpec()):
+    """Partition segments by repetition id into (train, test).
+
+    Segments whose repetition is in neither set are dropped with a
+    warning that counts them.
+    """
+    train_mask, test_mask = _split_masks(segments, spec)
     return _select(segments, train_mask), _select(segments, test_mask)
+
+
+def split_train(segments: SegmentSet, spec: SplitSpec = SplitSpec()) -> SegmentSet:
+    """``split(segments, spec)[0]`` without copying the test side."""
+    return _select(segments, _split_masks(segments, spec)[0])
+
+
+def split_test(segments: SegmentSet, spec: SplitSpec = SplitSpec()) -> SegmentSet:
+    """``split(segments, spec)[1]`` without copying the train side."""
+    return _select(segments, _split_masks(segments, spec)[1])
 
 
 # class signatures are derived from the class id alone (not the user

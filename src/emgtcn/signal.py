@@ -126,26 +126,42 @@ def normalize_max_abs(x: np.ndarray) -> np.ndarray:
     ratios. An all-zero input is returned unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
-    peak = np.abs(x).max() if x.size else 0.0
+    # max |x| without an |x| temporary; NaN propagates through both
+    peak = max(x.max(), -x.min()) if x.size else 0.0
     return x if peak == 0.0 else x / peak
 
 
 def mu_law(x, p: MuLawParams = MuLawParams()):
     """Logarithmic companding sign(x) * ln(1 + mu|x|) / ln(1 + mu).
 
-    Odd, strictly increasing, and fixes -1, 0, 1 exactly. Inputs must
-    already be normalized into [-1, 1].
+    Odd, strictly increasing, and fixes -1, 0, 1 exactly; both zeros map
+    to +0.0 and NaN stays NaN. Inputs must already be normalized into
+    [-1, 1]. The result is computed in one fresh buffer: since
+    (+-y) / c == +-(y / c) exactly, companding |x| and copying the sign
+    of each nonzero x back gives the formula's value bit for bit.
     """
     arr = np.asarray(x, dtype=np.float64)
-    bad = np.abs(arr) > 1.0
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        pos = idx[0] if len(idx) == 1 else idx
-        raise RangeError(
-            f"mu_law input must satisfy |x| <= 1; index {pos} holds {arr[idx]!r}"
-        )
-    out = np.sign(arr) * np.log1p(p.mu * np.abs(arr)) / np.log1p(p.mu)
-    return float(out) if np.isscalar(x) else out
+    out = np.abs(arr, out=np.empty_like(arr))
+    # a max above 1 or a NaN max sends us to the mask; NaN alone passes
+    if not out.max(initial=0.0) <= 1.0:
+        bad = out > 1.0
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            pos = idx[0] if len(idx) == 1 else idx
+            raise RangeError(
+                f"mu_law input must satisfy |x| <= 1; index {pos} holds {arr[idx]!r}"
+            )
+    # sign(+-0) is 0, so a zero x must give +0.0 while a negative x whose
+    # value underflows gives -0.0; only an input holding a zero (or NaN)
+    # needs the mask that tells the two apart
+    nonzero = True if out.min(initial=np.inf) > 0.0 else arr != 0
+    out *= p.mu
+    np.log1p(out, out=out)
+    out /= np.log1p(p.mu)
+    np.copysign(out, arr, out=out, where=nonzero)
+    if np.isscalar(x):
+        return float(out)
+    return out if out.ndim else out[()]  # a 0-d input gives a numpy scalar
 
 
 def segment(recording, window_ms: int, stride_ms: int | None = None) -> SegmentSet:
@@ -207,9 +223,14 @@ def preprocess(
     filter_params: FilterParams = FilterParams(),
     mu_params: MuLawParams = MuLawParams(),
 ) -> np.ndarray:
-    """Filter, normalize, and compand one recording's channel matrix."""
-    filtered = butterworth_lowpass(data, filter_params)
-    return mu_law(normalize_max_abs(filtered), mu_params)
+    """Filter, normalize, and compand one recording's channel matrix.
+
+    Each stage's input is dropped as soon as the next stage returns, so
+    at most two full-size float64 buffers are alive at once.
+    """
+    x = butterworth_lowpass(data, filter_params)
+    x = normalize_max_abs(x)
+    return mu_law(x, mu_params)
 
 
 def ms_to_samples(ms: int, rate_hz: float, name: str) -> int:

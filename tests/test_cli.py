@@ -14,6 +14,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,54 @@ def test_semg_filtered_at_its_own_rate(tmp_path):
     assert len(got) > 0
     np.testing.assert_array_equal(got.data, want.data)
     np.testing.assert_array_equal(got.labels, want.labels)
+
+
+def _peak_bytes(argv):
+    """Exit code and peak traced allocation of one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_preprocess_and_train_hold_the_windows_about_once(tmp_path):
+    # 3 subjects, half-overlapping 200 ms windows: a 25 MB segment file
+    assert run([
+        "synth", "--out-dir", tmp_path / "raw", "--subjects", 3,
+        "--num-classes", 4, "--reps", 6, "--seed", 3,
+        "--gesture-seconds", 1, "--rest-seconds", 0.25,
+    ]) == 0
+    inputs = sorted((tmp_path / "raw").iterdir())
+    segs = tmp_path / "s.sseg"
+    code, peak = _peak_bytes(["preprocess", *inputs, "--out", segs, "--stride-ms", 100])
+    assert code == 0
+    size = segs.stat().st_size
+    # the windows once, plus one recording being conditioned and cut
+    assert peak <= 1.5 * size, peak / size
+    code, peak = _peak_bytes([
+        "train", segs, "--checkpoint", tmp_path / "m.ckpt",
+        "--trace", tmp_path / "t.csv", "--epochs", 0,
+        "--num-classes", 4, "--model-dim", 4,
+    ])
+    assert code == 0
+    # the file read once, plus the training side; the test side is never built
+    assert peak <= 1.85 * size, peak / size
+
+
+def test_peak_rss_tool_reports_one_line(tmp_path):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "peak_rss.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), "params", "--bogus"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr  # the command's own exit code
+    first, last = proc.stderr.splitlines()
+    assert "--bogus" in first
+    assert re.fullmatch(
+        r"exit=2 peak_rss_mb=\d+\.\d cpu_s=\d+\.\d\d wall_s=\d+\.\d\d", last
+    ), last
 
 
 def test_preprocess_takes_a_window_no_model_could_patch(pipeline, tmp_path):

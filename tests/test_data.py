@@ -15,6 +15,8 @@ from emgtcn.data import (
     read_recording,
     read_segments,
     split,
+    split_test,
+    split_train,
     write_annotated_csv,
     write_recording,
     write_segments,
@@ -156,6 +158,26 @@ def test_recording_rejects_non_finite_sample(tmp_path):
         read_recording(path)
     msg = str(err.value)
     assert "ch2" in msg and "5" in msg and "inf" in msg
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+def test_recording_names_first_non_finite_sample(value):
+    data = np.zeros((3, 40), dtype=np.float32)
+    data[2, 9] = value
+    data[2, 30] = np.nan
+    with pytest.raises(DataError) as err:
+        replace(sample_recording(t=40), data=data)
+    assert str(err.value) == f"sample 9 of channel ch3 is not finite ({float(value)})"
+
+
+def test_recording_checks_samples_without_a_full_size_mask():
+    # 12 channels x 100000 float32 samples: 4.8 MB; annotations 0.4 MB
+    t = 100_000
+    gesture = np.ones(t, dtype=np.uint16)
+    repetition = np.ones(t, dtype=np.uint16)
+    data = np.random.default_rng(2).normal(size=(12, t)).astype(np.float32)
+    peak = _peak_bytes(Recording, data, 2000.0, gesture, repetition)
+    assert peak < 0.1 * data.nbytes, peak  # the active mask and reps, not C x T
 
 
 def test_trailing_bytes_rejected_in_every_format(tmp_path):
@@ -391,6 +413,36 @@ def test_concat_segments():
         concat_segments([a, sample_segments(m=3, l=16)])
 
 
+def test_write_segments_parts_give_the_concatenated_file(tmp_path):
+    parts = [sample_segments(m=4, seed=2), sample_segments(m=0, seed=3),
+             sample_segments(m=7, seed=4)]
+    joined, several = tmp_path / "joined.sseg", tmp_path / "parts.sseg"
+    write_segments(joined, concat_segments(parts))
+    write_segments(several, *parts)
+    assert several.read_bytes() == joined.read_bytes()
+    read = read_segments(several)
+    assert read.data.tobytes() == concat_segments(parts).data.tobytes()
+
+
+def test_write_segments_refuses_what_concat_refuses(tmp_path):
+    a = sample_segments(m=4, seed=2)
+    for parts in ([], [a, sample_segments(m=3, l=16)], [a, replace(a, window_ms=8)]):
+        with pytest.raises(DataError) as joined:
+            concat_segments(parts)
+        path = tmp_path / "x.sseg"
+        with pytest.raises(DataError) as written:
+            write_segments(path, *parts)
+        assert str(written.value) == str(joined.value)
+        assert not path.exists()
+
+
+def test_segment_parts_written_without_joining(tmp_path):
+    parts = [sample_segments(m=512, c=4, l=256, seed=s) for s in range(4)]  # 16 MiB
+    path = tmp_path / "parts.sseg"
+    peak = _peak_bytes(write_segments, path, *parts)
+    assert peak < 0.1 * path.stat().st_size, peak  # only the u16 columns are joined
+
+
 def test_split_spec_validation():
     with pytest.raises(ConfigError):
         SplitSpec(train_repetitions={1, 2}, test_repetitions={2, 5})
@@ -434,6 +486,20 @@ def test_split_is_partition_and_warns_on_drops():
     assert len(train) + len(test) + dropped == len(segs)
     assert dropped > 0
     assert not set(map(tuple, train.data[:, 0])) & set(map(tuple, test.data[:, 0]))
+
+
+def test_split_sides_alone_equal_split():
+    segs = sample_segments(m=40, seed=5)
+    spec = SplitSpec(train_repetitions={1, 3}, test_repetitions={2})
+    with pytest.warns(UserWarning) as both:
+        train, test = split(segs, spec)
+    for side, want in ((split_train, train), (split_test, test)):
+        with pytest.warns(UserWarning) as alone:
+            got = side(segs, spec)
+        assert str(alone[0].message) == str(both[0].message)
+        assert alone[0].filename == __file__  # attributed to the caller
+        for name in ("data", "labels", "subjects", "repetitions"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_split_every_gesture_in_both_halves():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,115 @@ def test_preprocess_pipeline_range():
     assert y.shape == x.shape
     assert np.abs(y).max() <= 1.0
     assert np.isclose(np.abs(y).max(), 1.0)
+
+
+# the conditioning formulas as first written, each stage a fresh temporary
+def _mu_law_formula(x, mu=255.0):
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.sign(arr) * np.log1p(mu * np.abs(arr)) / np.log1p(mu)
+    return float(out) if np.isscalar(x) else out
+
+
+def _normalize_formula(x):
+    x = np.asarray(x, dtype=np.float64)
+    peak = np.abs(x).max() if x.size else 0.0
+    return x if peak == 0.0 else x / peak
+
+
+def _same_bits(a, b):
+    """Equal bytes, NaN payloads aside: NaN where the other has NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+def _special_matrix(seed, shape=(4, 3000)):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
+    x[0, :6] = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]
+    return x
+
+
+@pytest.mark.parametrize("mu", [1e-6, 1.0, 255.0, 1e6])
+def test_mu_law_equals_formula_bit_for_bit(mu):
+    p = MuLawParams(mu=mu)
+    x = _special_matrix(seed=int(mu) % 97)
+    before = x.copy()
+    y = mu_law(x, p)
+    assert _same_bits(y, _mu_law_formula(x, mu))
+    assert x.tobytes() == before.tobytes()
+    for v in (0.0, -0.0, 1.0, -1.0, 0.3, -0.7, np.float64(-0.25), np.float32(0.5)):
+        got = mu_law(v, p)
+        assert type(got) is float and _same_bits(got, _mu_law_formula(v, mu))
+    zero_d = np.asarray(-0.25)
+    assert type(mu_law(zero_d, p)) is np.float64
+    assert _same_bits(mu_law(zero_d, p), _mu_law_formula(zero_d, mu))
+    nan = np.array([0.5, np.nan, -np.nan, -0.5])
+    assert _same_bits(mu_law(nan, p), _mu_law_formula(nan, mu))
+    assert mu_law(np.empty((2, 0)), p).shape == (2, 0)
+
+
+def test_mu_law_zero_signs():
+    # sign(+-0) is 0: both zeros give +0.0; a tiny negative x whose value
+    # underflows to zero keeps the formula's -0.0
+    y = mu_law(np.array([-0.0, 0.0, -5e-324, 5e-324]), MuLawParams(mu=1e-6))
+    assert np.signbit(y).tolist() == [False, False, True, False]
+    assert not np.signbit(mu_law(-0.0))
+
+
+def test_mu_law_range_check_sees_past_a_nan():
+    with pytest.raises(RangeError) as err:
+        mu_law(np.array([0.1, np.nan, -1.5, 0.2]))
+    assert "index 2" in str(err.value) and "-1.5" in str(err.value)
+
+
+def test_normalize_equals_formula_bit_for_bit():
+    for x in (
+        _special_matrix(seed=3) * 40.0,
+        np.array([[-3.0, 2.0], [1.0, 0.5]]),  # peak from the negative side
+        np.zeros((3, 5)),
+        np.array([[-0.0, 0.0]]),
+        np.array([[0.5, np.nan, -2.0]]),
+        np.asarray(-2.5),
+    ):
+        before = x.copy()
+        assert _same_bits(normalize_max_abs(x), _normalize_formula(x))
+        assert x.tobytes() == before.tobytes()
+
+
+def test_preprocess_equals_formula_bit_for_bit():
+    rng = np.random.default_rng(8)
+    fp = FilterParams()
+    for x in (
+        rng.normal(size=(3, 4000)) * 80.0,
+        rng.normal(size=(2, 500)).astype(np.float32),
+        np.zeros((2, 300)),
+        np.array([[0.0, -0.0, 1.0, -1.0, np.nan, 0.5]]),
+    ):
+        before = x.copy()
+        want = _mu_law_formula(_normalize_formula(butterworth_lowpass(x, fp)))
+        assert _same_bits(preprocess(x), want)
+        assert x.tobytes() == before.tobytes()
+
+
+def _peak_ratio(fn, x):
+    """Peak traced allocation while ``fn(x)`` runs, per byte of ``x``."""
+    tracemalloc.start()
+    try:
+        fn(x)
+        return tracemalloc.get_traced_memory()[1] / x.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_conditioning_allocates_at_most_two_recordings():
+    # 12 channels x 50000 samples of float64: 4.8 MB
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(12, 50_000))
+    assert _peak_ratio(mu_law, x) <= 1.1  # the output buffer alone
+    x[3, 7] = -0.0  # a zero costs the 1-byte-per-value sign mask
+    assert _peak_ratio(mu_law, x) <= 1.2
+    assert _peak_ratio(normalize_max_abs, x) <= 1.1
+    assert _peak_ratio(preprocess, x * 30.0) <= 2.2  # one stage's input and output
+
