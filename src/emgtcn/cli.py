@@ -69,9 +69,9 @@ _KINDS = {
 }
 
 # Every setting once: config key (also the flag's dest), flag, JSON kind,
-# default, the subcommands that take the flag, and help text. A default
-# that a library type owns is read from it; a setting without a flag
-# comes from the config file only.
+# default, the subcommands that take the flag (and so --config), and help
+# text. A default that a library type owns is read from it; a setting
+# without a flag comes from the config file only.
 _SETTINGS = (
     ("window_ms", "--window-ms", "int", 200, ("preprocess", "params"), None),
     ("stride_ms", "--stride-ms", "int|null", None, ("preprocess",), None),
@@ -98,7 +98,6 @@ _SETTINGS = (
     ("test_repetitions", "--test-reps", "reps", dio.SplitSpec.test_repetitions,
      ("train", "eval"), "comma-separated repetition ids"),
 )
-_CONFIG_COMMANDS = ("preprocess", "train", "eval", "params", "synth")
 
 
 def _load_run_config(args) -> argparse.Namespace:
@@ -253,6 +252,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     spec = dio.SplitSpec(cfg.train_repetitions, cfg.test_repetitions)
+    model_id = _csv_cell(args.model_id or _stem(args.checkpoint), "model id")
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = tr.restore_model(ckpt)
     test_set = dio.split_test(dio.read_segments(args.segments), spec)
@@ -267,7 +267,6 @@ def _cmd_eval(args) -> int:
         raise DimensionError(
             f"checkpoint expects segments of {want}, file holds {have}"
         )
-    model_id = args.model_id or _stem(args.checkpoint)
     per_subject = {}
     for subject in np.unique(test_set.subjects):
         mask = test_set.subjects == subject
@@ -327,7 +326,9 @@ def _cmd_params(args) -> int:
 def _cmd_compare(args) -> int:
     if len(args.reports) < 2:
         raise UsageError("need at least two per-subject reports to compare")
-    names = [_stem(p, strip="_per_subject") for p in args.reports]
+    names = [
+        _csv_cell(_stem(p, strip="_per_subject"), "report name") for p in args.reports
+    ]
     reports = [stats.read_per_subject(p) for p in args.reports]
     base_name, base = names[0], reports[0]
     base_subjects = set(base)
@@ -387,6 +388,14 @@ def _stem(path, strip: str = "") -> str:
     name = os.path.splitext(os.path.basename(str(path)))[0]
     if strip and name.endswith(strip):
         name = name[: -len(strip)]
+    return name
+
+
+def _csv_cell(name: str, what: str) -> str:
+    """``name``, which the report CSVs write unquoted; one holding a
+    comma, a quote or a line break is refused."""
+    if any(ch in name for ch in ',"\r\n'):
+        raise UsageError(f"{what} {name!r} holds a comma, quote or line break")
     return name
 
 
@@ -452,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rest-seconds", type=float, default=0.25, dest="rest_seconds")
     p.set_defaults(func=_cmd_synth)
 
-    for command in _CONFIG_COMMANDS:
+    for command in dict.fromkeys(c for row in _SETTINGS for c in row[4]):
         sub.choices[command].add_argument(
             "--config", help="JSON config file", metavar="CONFIG"
         )

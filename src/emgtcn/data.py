@@ -80,8 +80,8 @@ class Recording:
                 f"sample rate must be finite and positive, got {self.sample_rate_hz}"
             )
         t = self.data.shape[1]
-        self.gesture = np.ascontiguousarray(self.gesture, dtype=np.uint16)
-        self.repetition = np.ascontiguousarray(self.repetition, dtype=np.uint16)
+        self.gesture = _u16_ids(self.gesture, "gesture")
+        self.repetition = _u16_ids(self.repetition, "repetition")
         if self.gesture.shape != (t,) or self.repetition.shape != (t,):
             raise DataError(
                 f"annotations must have one entry per sample ({t}), got "
@@ -106,6 +106,23 @@ class Recording:
     def with_data(self, data: np.ndarray) -> "Recording":
         """Same annotations, new sample matrix (e.g. after filtering)."""
         return replace(self, data=data)
+
+
+def _u16_ids(ids, name: str) -> np.ndarray:
+    """Annotation ids as contiguous uint16. Input of any other dtype
+    must hold integers in [0, 65535]; the first id that is not is named."""
+    arr = np.asarray(ids)
+    if arr.dtype != np.uint16:
+        if arr.dtype.kind not in "biuf":
+            raise DataError(f"{name} ids must be integers, got dtype {arr.dtype}")
+        with np.errstate(invalid="ignore"):
+            bad = ~((arr >= 0) & (arr <= 65535) & (arr % 1 == 0))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise DataError(
+                f"{name} id {arr.flat[i]} of sample {i} is not an integer in [0, 65535]"
+            )
+    return np.ascontiguousarray(arr, dtype=np.uint16)
 
 
 @dataclass(frozen=True)

@@ -241,9 +241,16 @@ def read_per_subject(path) -> dict:
                 continue
             try:
                 subject, value = line.split(",")
-                out[int(subject)] = float(value)
+                subject, value = int(subject), float(value)
             except ValueError:
                 raise DataError(f"{path}:{line_no}: malformed row {line!r}") from None
+            if subject in out:
+                raise DataError(f"{path}:{line_no}: subject {subject} appears twice")
+            if not 0.0 <= value <= 1.0:
+                raise DataError(
+                    f"{path}:{line_no}: accuracy {value} is not a number in [0, 1]"
+                )
+            out[subject] = value
     if not out:
         raise DataError(f"{path}: no subject rows")
     return out

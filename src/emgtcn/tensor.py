@@ -79,32 +79,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self):
         return sum_all(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
     def backward(self) -> "ComputationTape":
         """Run reverse-mode accumulation from this scalar loss.

@@ -388,6 +388,8 @@ def load_checkpoint(path) -> Checkpoint:
             for _ in range(count):
                 (name_len,) = r.unpack("<I", "entry name length")
                 name = r.take(name_len, "entry name").decode("utf-8")
+                if name in fields:
+                    raise FormatError(f"checkpoint entry {name!r} appears twice")
                 (kind,) = r.unpack("<B", f"kind of {name!r}")
                 if kind == 0:
                     (blob_len,) = r.unpack("<Q", f"length of {name!r}")

@@ -161,6 +161,17 @@ def test_non_finite_csv_sample_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_csv_id_outside_u16_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "ids.csv"
+    csv_path.write_text("ch1,gesture,repetition\n0.1,0,0\n0.2,65537,1\n")
+    out = tmp_path / "x.sseg"
+    line = assert_one_error_line(
+        run(["preprocess", csv_path, "--out", out]), capsys.readouterr()
+    )
+    assert "ids.csv" in line and "gesture id 65537 of sample 1" in line
+    assert not out.exists()
+
+
 def test_truncated_second_semg_input_exits_4(pipeline, tmp_path, capsys):
     trunc = tmp_path / "trunc.semg"
     with open(pipeline["inputs"][1], "rb") as fh:
@@ -488,6 +499,43 @@ def test_compare_happy_path(pipeline, tmp_path, capsys):
     for ln in lines[1:]:
         band, p_val = ln.split(",")[4], float(ln.split(",")[3])
         assert band == stats.significance_band(p_val)
+
+
+def test_eval_model_id_that_breaks_the_csv_exits_2(pipeline, tmp_path, capsys):
+    for model_id in ("x,y", 'x"y', "x\ny", "x\ry"):
+        out_dir = tmp_path / "rep"
+        code = run([
+            "eval", pipeline["ckpt"], pipeline["segs"], "--out-dir", out_dir,
+            "--model-id", model_id,
+        ])
+        line = assert_one_error_line(code, capsys.readouterr())
+        assert "model id" in line, model_id
+        assert not out_dir.exists()
+
+
+def test_compare_report_name_that_breaks_the_csv_exits_2(tmp_path, capsys):
+    rows = "subject,accuracy\n1,0.5\n2,0.6\n"
+    a = tmp_path / "a_per_subject.csv"
+    b = tmp_path / "b,c_per_subject.csv"
+    a.write_text(rows)
+    b.write_text(rows)
+    out = tmp_path / "cmp.csv"
+    line = assert_one_error_line(
+        run(["compare", a, b, "--out", out]), capsys.readouterr()
+    )
+    assert "'b,c'" in line
+    assert not out.exists()
+
+
+def test_compare_bad_report_row_names_file_and_line(tmp_path, capsys):
+    a = tmp_path / "a_per_subject.csv"
+    b = tmp_path / "b_per_subject.csv"
+    a.write_text("subject,accuracy\n1,0.5\n2,0.6\n")
+    b.write_text("subject,accuracy\n1,0.5\n2,nan\n")
+    line = assert_one_error_line(
+        run(["compare", a, b, "--out", tmp_path / "c.csv"]), capsys.readouterr()
+    )
+    assert "b_per_subject.csv:3:" in line
 
 
 def test_compare_subject_mismatch_exits_2(tmp_path, capsys):

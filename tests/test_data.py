@@ -271,6 +271,17 @@ def test_bit_flipped_file_raises_only_format_or_data_error(pristine, name, bits)
         pass
 
 
+def test_repeated_checkpoint_entry_raises_format_error(pristine):
+    # a second "epoch" entry, with the entry count raised to match
+    path, blob, read = pristine.cases["m.ckpt"]
+    (count,) = struct.unpack_from("<I", blob, 8)
+    name = b"epoch"
+    extra = struct.pack(f"<I{len(name)}sBq", len(name), name, 2, 99)
+    path.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:] + extra)
+    with pytest.raises(FormatError, match="'epoch' appears twice"):
+        read(path)
+
+
 def test_annotated_csv_round_trip(tmp_path):
     rec = sample_recording(channels=2, t=20)
     path = tmp_path / "rec.csv"
@@ -281,6 +292,31 @@ def test_annotated_csv_round_trip(tmp_path):
     assert back.data.tobytes() == rec.data.tobytes()
     assert np.array_equal(back.gesture, rec.gesture)
     assert np.array_equal(back.repetition, rec.repetition)
+
+
+@pytest.mark.parametrize(
+    "gesture, rep, words",
+    [
+        ("65537", "1", "gesture id 65537 of sample 2"),
+        ("-1", "1", "gesture id -1 of sample 2"),
+        ("1", "65536", "repetition id 65536 of sample 2"),
+    ],
+    ids=["gesture-above", "gesture-negative", "repetition-above"],
+)
+def test_annotated_csv_refuses_ids_outside_u16(tmp_path, gesture, rep, words):
+    path = tmp_path / "ids.csv"
+    path.write_text(f"ch1,gesture,repetition\n0.1,0,0\n0.2,1,1\n0.3,{gesture},{rep}\n")
+    with pytest.raises(DataError, match=words):
+        read_annotated_csv(path, sample_rate_hz=2000.0)
+
+
+def test_recording_refuses_ids_that_are_not_integers():
+    for bad in (np.array([0.0, 1.5]), np.array([0.0, np.nan]), np.array(["0", "1"])):
+        with pytest.raises(DataError, match="gesture"):
+            Recording(np.zeros((1, 2)), 2000.0, bad, np.array([0, 1]))
+    # integer-valued floats are ids; uint16 input is taken as it is
+    rec = Recording(np.zeros((1, 2)), 2000.0, np.array([0.0, 2.0]), np.array([0, 1]))
+    assert rec.gesture.dtype == np.uint16 and list(rec.gesture) == [0, 2]
 
 
 def test_annotated_csv_rejects_bad_shape(tmp_path):

@@ -382,3 +382,21 @@ def test_read_per_subject_rejects_malformed(tmp_path):
     empty.write_text("subject,accuracy\n")
     with pytest.raises(DataError):
         read_per_subject(empty)
+
+
+@pytest.mark.parametrize(
+    "rows, line, words",
+    [
+        ("1,0.5\n1,0.9\n2,0.7\n", 3, "subject 1 appears twice"),
+        ("1,0.5\n2,1.5\n", 3, "accuracy 1.5"),
+        ("1,0.5\n2,-0.1\n", 3, "accuracy -0.1"),
+        ("1,nan\n2,0.5\n", 2, "accuracy nan"),
+        ("1,0.5\n2,inf\n", 3, "accuracy inf"),
+    ],
+    ids=["duplicate", "above-one", "negative", "nan", "inf"],
+)
+def test_read_per_subject_rejects_bad_rows(tmp_path, rows, line, words):
+    path = tmp_path / "r_per_subject.csv"
+    path.write_text("subject,accuracy\n" + rows)
+    with pytest.raises(DataError, match=f"r_per_subject.csv:{line}: {words}"):
+        read_per_subject(path)
