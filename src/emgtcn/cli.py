@@ -329,6 +329,12 @@ def _cmd_compare(args) -> int:
     names = [
         _csv_cell(_stem(p, strip="_per_subject"), "report name") for p in args.reports
     ]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            first = args.reports[names.index(name)]
+            raise UsageError(
+                f"report name {name!r} is repeated: {first} and {args.reports[i]}"
+            )
     reports = [stats.read_per_subject(p) for p in args.reports]
     base_name, base = names[0], reports[0]
     base_subjects = set(base)
@@ -392,10 +398,13 @@ def _stem(path, strip: str = "") -> str:
 
 
 def _csv_cell(name: str, what: str) -> str:
-    """``name``, which the report CSVs write unquoted; one holding a
-    comma, a quote or a line break is refused."""
-    if any(ch in name for ch in ',"\r\n'):
-        raise UsageError(f"{what} {name!r} holds a comma, quote or line break")
+    """``name``, which the report CSVs write unquoted and the report file
+    names begin with; one holding a comma, a quote, a line break or a
+    path separator is refused."""
+    if any(ch in name for ch in ',"\r\n/' + os.sep + (os.altsep or "")):
+        raise UsageError(
+            f"{what} {name!r} holds a comma, quote, line break or path separator"
+        )
     return name
 
 

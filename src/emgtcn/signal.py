@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, lfilter
 
 from .errors import ConfigError, DataError, RangeError
@@ -184,35 +185,29 @@ def segment(recording, window_ms: int, stride_ms: int | None = None) -> SegmentS
     repetition = np.asarray(recording.repetition)
     subject = int(getattr(recording, "subject", 0))
 
-    windows, labels, reps = [], [], []
-    saw_active = False
-    for start, stop in _constant_runs(gesture, repetition):
-        g = int(gesture[start])
-        if g == 0:
-            continue
-        saw_active = True
-        for off in range(start, stop - seg_len + 1, stride):
-            windows.append(data[:, off : off + seg_len])
-            labels.append(g - 1)
-            reps.append(int(repetition[start]))
-
-    if not windows:
-        if saw_active:
+    # bounds of the maximal runs of constant (gesture, repetition)
+    change = (gesture[1:] != gesture[:-1]) | (repetition[1:] != repetition[:-1])
+    bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [len(gesture)]))
+    starts = np.concatenate([np.zeros(0, int)] + [
+        np.arange(a, b - seg_len + 1, stride)
+        for a, b in zip(bounds[:-1], bounds[1:]) if a < b and gesture[a]
+    ])
+    m = len(starts)
+    if m:  # one gather from the (T - L + 1) x C x L view of every window
+        out = sliding_window_view(data, seg_len, axis=1).transpose(1, 0, 2)[starts]
+    else:
+        if gesture.any():
             warnings.warn(
                 f"window of {seg_len} samples exceeds every active gesture span; "
                 "no segments emitted",
                 stacklevel=2,
             )
-        m = 0
         out = np.empty((0, data.shape[0], seg_len))
-    else:
-        m = len(windows)
-        out = np.stack(windows)
     return SegmentSet(
         data=out,
-        labels=np.asarray(labels, dtype=np.int64).reshape(m),
+        labels=gesture[starts].astype(np.int64) - 1,
         subjects=np.full(m, subject, dtype=np.int64),
-        repetitions=np.asarray(reps, dtype=np.int64).reshape(m),
+        repetitions=repetition[starts].astype(np.int64),
         sample_rate_hz=sample_rate_hz,
         window_ms=window_ms,
     )
@@ -244,14 +239,3 @@ def ms_to_samples(ms: int, rate_hz: float, name: str) -> int:
         )
     return int(n)
 
-
-def _constant_runs(gesture: np.ndarray, repetition: np.ndarray):
-    """Yield (start, stop) of maximal runs with constant (gesture, rep)."""
-    n = gesture.shape[0]
-    if n == 0:
-        return
-    change = (gesture[1:] != gesture[:-1]) | (repetition[1:] != repetition[:-1])
-    edges = np.flatnonzero(change) + 1
-    bounds = np.concatenate(([0], edges, [n]))
-    for i in range(len(bounds) - 1):
-        yield int(bounds[i]), int(bounds[i + 1])

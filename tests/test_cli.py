@@ -527,6 +527,31 @@ def test_compare_report_name_that_breaks_the_csv_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_model_id_with_a_path_separator_exits_2(pipeline, tmp_path, capsys):
+    for model_id in ("../escape", "a/b", f"a{os.sep}b", f"a{os.altsep or '/'}b"):
+        code = run([
+            "eval", pipeline["ckpt"], pipeline["segs"],
+            "--out-dir", tmp_path / "rep", "--model-id", model_id,
+        ])
+        line = assert_one_error_line(code, capsys.readouterr())
+        assert "model id" in line and "path separator" in line, model_id
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_repeated_report_name_exits_2(tmp_path, capsys):
+    a = tmp_path / "r1" / "m_per_subject.csv"
+    b = tmp_path / "r2" / "m_per_subject.csv"
+    for p in (a, b):
+        p.parent.mkdir()
+        p.write_text("subject,accuracy\n1,0.5\n2,0.6\n")
+    out = tmp_path / "cmp.csv"
+    line = assert_one_error_line(
+        run(["compare", a, b, "--out", out]), capsys.readouterr()
+    )
+    assert "'m'" in line and str(a) in line and str(b) in line
+    assert not out.exists()
+
+
 def test_compare_bad_report_row_names_file_and_line(tmp_path, capsys):
     a = tmp_path / "a_per_subject.csv"
     b = tmp_path / "b_per_subject.csv"

@@ -1,7 +1,9 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from emgtcn.errors import ConfigError, RangeError
 from emgtcn.signal import (
@@ -215,6 +217,76 @@ def test_segment_rejects_bad_window():
         segment(rec, window_ms=0)
     with pytest.raises(ConfigError):
         segment(rec, window_ms=200, stride_ms=0)
+
+
+def _segment_oracle(rec, seg_len, stride):
+    """The windowing rule as a plain loop over samples: every window
+    that fits inside one run of constant (gesture, repetition) with
+    gesture != 0, taken every ``stride`` samples from the run's start."""
+    g, r, n = rec.gesture, rec.repetition, len(rec.gesture)
+    windows, labels, reps, saw_active = [], [], [], False
+    start = 0
+    for i in range(1, n + 1):
+        if i < n and (g[i], r[i]) == (g[start], r[start]):
+            continue
+        if g[start] != 0:
+            saw_active = True
+            for off in range(start, i - seg_len + 1, stride):
+                windows.append(rec.data[:, off : off + seg_len].astype(np.float64))
+                labels.append(int(g[start]) - 1)
+                reps.append(int(r[start]))
+        start = i
+    return windows, labels, reps, saw_active
+
+
+# (gesture, repetition, length) runs; neighbours with equal ids merge
+_runs = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(1, 20)), max_size=12
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs=_runs, window=st.integers(1, 8), stride=st.integers(1, 8),
+    channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+)
+@example(runs=[], window=3, stride=2, channels=2, seed=0)  # 0 samples
+@example(runs=[(0, 0, 10), (0, 1, 5)], window=3, stride=2, channels=2, seed=0)
+def test_segment_matches_the_loop_oracle(runs, window, stride, channels, seed):
+    gesture = np.concatenate([np.full(k, g) for g, _, k in runs] + [[]])
+    repetition = np.concatenate([np.full(k, r) for _, r, k in runs] + [[]])
+    data = np.random.default_rng(seed).normal(size=(channels, len(gesture)))
+    rec = FakeRecording(data, gesture, repetition, subject=4, rate=1000.0)
+    windows, labels, reps, saw_active = _segment_oracle(rec, window, stride)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = segment(rec, window_ms=window, stride_ms=stride)
+    assert len(caught) == int(saw_active and not windows)
+    want = np.stack(windows) if windows else np.empty((0, channels, window))
+    assert out.data.shape == want.shape
+    assert out.data.tobytes() == want.tobytes()
+    assert out.data.dtype == np.float64 and out.data.flags.c_contiguous
+    for col, expect in ((out.labels, labels), (out.repetitions, reps)):
+        assert col.dtype == np.int64 and col.tolist() == expect
+    assert out.subjects.dtype == np.int64 and out.subjects.tolist() == [4] * len(out)
+
+
+def test_segment_allocates_only_its_windows():
+    # 12 channels, 40 alternating 2000-sample gesture and 500-sample rest
+    # runs; 400-sample windows at half overlap: 360 windows, 13.8 MB
+    spans = [(1 + i % 5, 1 + i // 5, 2000) for i in range(40)]
+    gesture = np.concatenate([np.r_[np.full(k, g), np.zeros(500)] for g, _, k in spans])
+    repetition = np.concatenate([np.full(k + 500, r) for _, r, k in spans])
+    data = np.random.default_rng(6).normal(size=(12, len(gesture)))
+    rec = FakeRecording(data, gesture, repetition)
+    tracemalloc.start()
+    try:
+        out = segment(rec, window_ms=200, stride_ms=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 360
+    assert peak <= 1.1 * out.data.nbytes
 
 
 def test_preprocess_pipeline_range():
