@@ -28,7 +28,6 @@ from . import stats, train as tr
 from .errors import (
     ConfigError,
     DataError,
-    DimensionError,
     EmgTcnError,
     FormatError,
     NumericalError,
@@ -63,15 +62,13 @@ _KINDS = {
     "int": (int, "an integer", _is_int),
     "int|null": (int, "an integer", lambda v: v is None or _is_int(v)),
     "number": (float, "a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "bool": (None, "true or false", lambda v: isinstance(v, bool)),
     "reps": (_parse_rep_list, "a list of integers",
              lambda v: isinstance(v, list) and all(map(_is_int, v))),
 }
 
 # Every setting once: config key (also the flag's dest), flag, JSON kind,
 # default, the subcommands that take the flag (and so --config), and help
-# text. A default that a library type owns is read from it; a setting
-# without a flag comes from the config file only.
+# text. A default that a library type owns is read from it.
 _SETTINGS = (
     ("window_ms", "--window-ms", "int", 200, ("preprocess", "params"), None),
     ("stride_ms", "--stride-ms", "int|null", None, ("preprocess",), None),
@@ -92,7 +89,6 @@ _SETTINGS = (
     ("batch_size", "--batch-size", "int", tr.TrainConfig.batch_size, ("train",), None),
     ("lr", "--lr", "number", tr.TrainConfig.lr, ("train",), None),
     ("seed", "--seed", "int|null", None, ("train", "synth"), None),
-    ("shuffle", None, "bool", tr.TrainConfig.shuffle, (), None),
     ("train_repetitions", "--train-reps", "reps", dio.SplitSpec.train_repetitions,
      ("train", "eval"), "comma-separated repetition ids"),
     ("test_repetitions", "--test-reps", "reps", dio.SplitSpec.test_repetitions,
@@ -110,7 +106,7 @@ def _load_run_config(args) -> argparse.Namespace:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # also bytes that are not UTF-8
             raise ConfigError(f"{args.config}: not valid JSON ({err})") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
@@ -203,20 +199,25 @@ def _segment_input(path, subject: int, cfg, mu: sig.MuLawParams):
     return sig.segment(processed, window_ms=cfg.window_ms, stride_ms=cfg.stride_ms)
 
 
+def _read_side(path, cfg, side: str):
+    """The ``side`` ("train" or "test") of the segment file at ``path``
+    under the configured repetition split; an empty side is refused."""
+    spec = dio.SplitSpec(cfg.train_repetitions, cfg.test_repetitions)
+    pick = dio.split_train if side == "train" else dio.split_test
+    segs = pick(dio.read_segments(path), spec)
+    if len(segs) == 0:
+        reps = getattr(cfg, f"{side}_repetitions")
+        raise UsageError(f"no segments with repetitions {sorted(reps)} in {path}")
+    return segs
+
+
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
     seed = _resolved_seed(args, cfg)
-    spec = dio.SplitSpec(cfg.train_repetitions, cfg.test_repetitions)
     train_cfg = tr.TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        seed=seed, shuffle=cfg.shuffle,
+        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=seed,
     )
-    train_set = dio.split_train(dio.read_segments(args.segments), spec)
-    if len(train_set) == 0:
-        raise UsageError(
-            f"no segments with repetitions {sorted(cfg.train_repetitions)} "
-            f"in {args.segments}"
-        )
+    train_set = _read_side(args.segments, cfg, "train")
     if int(train_set.labels.max()) >= cfg.num_classes:
         raise DataError(
             f"label {int(train_set.labels.max())} does not fit "
@@ -251,22 +252,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    spec = dio.SplitSpec(cfg.train_repetitions, cfg.test_repetitions)
     model_id = _csv_cell(args.model_id or _stem(args.checkpoint), "model id")
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = tr.restore_model(ckpt)
-    test_set = dio.split_test(dio.read_segments(args.segments), spec)
-    if len(test_set) == 0:
-        raise UsageError(
-            f"no segments with repetitions {sorted(cfg.test_repetitions)} "
-            f"in {args.segments}"
-        )
-    want = (model.cfg.channels, model.cfg.seq_len)
-    have = tuple(test_set.data.shape[1:])
-    if have != want:
-        raise DimensionError(
-            f"checkpoint expects segments of {want}, file holds {have}"
-        )
+    test_set = _read_side(args.segments, cfg, "test")
     per_subject = {}
     for subject in np.unique(test_set.subjects):
         mask = test_set.subjects == subject

@@ -259,37 +259,46 @@ def write_annotated_csv(path, rec: Recording):
             )
 
 
+def _text_lines(path):
+    """The lines of a UTF-8 text file, as ``open(newline="")`` yields
+    them; a file that is not UTF-8 raises DataError naming it."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
 def read_annotated_csv(path, sample_rate_hz: float, subject: int = 0) -> Recording:
     """Parse the ch1..chC,gesture,repetition bridge format.
 
     The CSV carries no rate, so the caller supplies it.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if header[-2:] != ["gesture", "repetition"]:
+    reader = csv.reader(_text_lines(path))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if header[-2:] != ["gesture", "repetition"]:
+        raise DataError(
+            f"{path}: last two columns must be gesture,repetition, got {header[-2:]}"
+        )
+    channels = len(header) - 2
+    if channels < 1 or header[:channels] != [f"ch{c + 1}" for c in range(channels)]:
+        raise DataError(f"{path}: channel columns must be ch1..ch{channels}")
+    cols, gestures, reps = [], [], []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != channels + 2:
             raise DataError(
-                f"{path}: last two columns must be gesture,repetition, got {header[-2:]}"
+                f"{path}:{row_no}: expected {channels + 2} cells, got {len(row)}"
             )
-        channels = len(header) - 2
-        if channels < 1 or header[:channels] != [f"ch{c + 1}" for c in range(channels)]:
-            raise DataError(f"{path}: channel columns must be ch1..ch{channels}")
-        cols, gestures, reps = [], [], []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != channels + 2:
-                raise DataError(
-                    f"{path}:{row_no}: expected {channels + 2} cells, got {len(row)}"
-                )
-            try:
-                cols.append([float(v) for v in row[:channels]])
-                gestures.append(int(row[channels]))
-                reps.append(int(row[channels + 1]))
-            except ValueError:
-                raise DataError(f"{path}:{row_no}: malformed row") from None
+        try:
+            cols.append([float(v) for v in row[:channels]])
+            gestures.append(int(row[channels]))
+            reps.append(int(row[channels + 1]))
+        except ValueError:
+            raise DataError(f"{path}:{row_no}: malformed row") from None
     if not cols:
         raise DataError(f"{path}: no sample rows")
     data = np.asarray(cols, dtype=np.float32).T
@@ -467,8 +476,10 @@ def generate_synthetic(
     generator. Layout mirrors an acquisition protocol: for each gesture,
     ``reps`` repetitions of rest followed by the active span.
     """
-    if classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {classes}")
+    if not 2 <= classes <= 65535:
+        raise ConfigError(f"classes must lie in 2..65535 (u16 gesture ids), got {classes}")
+    if channels < 1:
+        raise ConfigError(f"need at least 1 channel, got {channels}")
     if subjects < 1:
         raise ConfigError(f"need at least 1 subject, got {subjects}")
     if not 1 <= reps <= 6:
@@ -480,6 +491,9 @@ def generate_synthetic(
             raise ConfigError(
                 f"{name} span must be non-negative and finite seconds, got {seconds}"
             )
+    size = channels * classes * reps * (gesture_seconds + rest_seconds) * sample_rate_hz
+    if size > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"{size:.4g} float64 samples are beyond what numpy can index")
     active_n = int(round(gesture_seconds * sample_rate_hz))
     rest_n = int(round(rest_seconds * sample_rate_hz))
     if active_n < 1:

@@ -154,8 +154,8 @@ def embed_patches(x: Tensor, cfg: ModelConfig, weight: Tensor, bias: Tensor) -> 
     """Project each patch to the model dimension: (..., C, L) -> (..., N, D)."""
     if x.shape[-2:] != (cfg.channels, cfg.seq_len):
         raise DimensionError(
-            f"input shape {x.shape} does not match (channels, seq_len) = "
-            f"({cfg.channels}, {cfg.seq_len})"
+            f"windows are {x.shape[-2:]}; the model expects "
+            f"{(cfg.channels, cfg.seq_len)}"
         )
     return T.linear(_split_patches(x, cfg), weight, bias)
 

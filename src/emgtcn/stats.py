@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
+from .data import _text_lines
 from .errors import ConfigError, DataError, DimensionError, RangeError, UsageError
 
 __all__ = [
@@ -229,28 +230,28 @@ def emit_report(report: EvalReport, out_dir) -> dict:
 def read_per_subject(path) -> dict:
     """Parse a per-subject CSV back into a subject -> accuracy map."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "subject,accuracy":
+    lines = _text_lines(path)
+    header = next(lines, "").strip()
+    if header != "subject,accuracy":
+        raise DataError(
+            f"{path}: expected header 'subject,accuracy', got {header!r}"
+        )
+    for line_no, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            subject, value = line.split(",")
+            subject, value = int(subject), float(value)
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: malformed row {line!r}") from None
+        if subject in out:
+            raise DataError(f"{path}:{line_no}: subject {subject} appears twice")
+        if not 0.0 <= value <= 1.0:
             raise DataError(
-                f"{path}: expected header 'subject,accuracy', got {header!r}"
+                f"{path}:{line_no}: accuracy {value} is not a number in [0, 1]"
             )
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                subject, value = line.split(",")
-                subject, value = int(subject), float(value)
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: malformed row {line!r}") from None
-            if subject in out:
-                raise DataError(f"{path}:{line_no}: subject {subject} appears twice")
-            if not 0.0 <= value <= 1.0:
-                raise DataError(
-                    f"{path}:{line_no}: accuracy {value} is not a number in [0, 1]"
-                )
-            out[subject] = value
+        out[subject] = value
     if not out:
         raise DataError(f"{path}: no subject rows")
     return out

@@ -51,7 +51,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-4
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -205,11 +204,6 @@ def train(
     m = len(train_set)
     if m == 0:
         raise UsageError("cannot train on an empty segment set")
-    want = (model.cfg.channels, model.cfg.seq_len)
-    if tuple(train_set.data.shape[1:]) != want:
-        raise DimensionError(
-            f"segments are {train_set.data.shape[1:]}, model expects {want}"
-        )
     opt = optimizer if optimizer is not None else Adam(
         model.named_parameters(), lr=cfg.lr
     )
@@ -222,7 +216,7 @@ def train(
 
     result = TrainResult()
     for epoch in range(start_epoch, cfg.epochs):
-        order = rng.permutation(m) if cfg.shuffle else np.arange(m)
+        order = rng.permutation(m)
         loss_sum = 0.0
         correct = 0
         for lo in range(0, m, cfg.batch_size):

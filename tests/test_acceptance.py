@@ -275,8 +275,7 @@ def test_criterion_7_desk_scale_learning(acceptance_gate):
         for upto in range(50, 501, 50):
             run = tr.train(
                 overfit_model, batch,
-                tr.TrainConfig(epochs=upto, batch_size=32, lr=1e-2, seed=0,
-                               shuffle=False),
+                tr.TrainConfig(epochs=upto, batch_size=32, lr=1e-2, seed=0),
                 optimizer=overfit_opt, start_epoch=upto - 50,
             )
             final = run.losses[-1]

@@ -379,6 +379,43 @@ def test_synth_bad_span_seconds_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+# each stays a few samples long, so no mis-ordered check can allocate much
+@pytest.mark.parametrize("argv, words", [
+    (["--channels", -1], "channel"),
+    (["--channels", 0], "channel"),
+    (["--num-classes", 70000], "65535"),
+    (["--sample-rate-hz", 1e300], "numpy can index"),
+    (["--sample-rate-hz", 1e308, "--gesture-seconds", 10], "numpy can index"),
+])
+def test_synth_output_it_cannot_write_exits_2(tmp_path, capsys, argv, words):
+    out = tmp_path / "s"
+    code = run([
+        "synth", "--out-dir", out, "--subjects", 1, "--reps", 1,
+        "--gesture-seconds", 0.001, "--rest-seconds", 0, *argv,
+    ])
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert words in line, line
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte order mark
+    line = assert_one_error_line(run(["params", "--config", cfg]), capsys.readouterr())
+    assert f"{cfg}: not valid JSON" in line, line
+
+
+def test_preprocess_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "rec.csv"
+    csv_path.write_bytes(b"ch1,gesture,repetition\n0.1,0,0\n\xe90.2,1,1\n")
+    out = tmp_path / "x.sseg"
+    line = assert_one_error_line(
+        run(["preprocess", csv_path, "--out", out]), capsys.readouterr()
+    )
+    assert f"{csv_path}: not UTF-8" in line, line
+    assert not out.exists()
+
+
 def test_module_entry_point_error_is_one_line(tmp_path):
     # `python -m emgtcn` runs the CLI without the installed script and
     # without runpy's "found in sys.modules" warning ahead of the message
@@ -478,6 +515,21 @@ def test_eval_window_mismatch_exits_2(pipeline, tmp_path, capsys):
     assert "200" in capsys.readouterr().err  # 100 ms at 2 kHz
 
 
+def test_eval_of_misfit_windows_is_one_line_and_writes_nothing(
+    pipeline, tmp_path, capsys
+):
+    narrow = tmp_path / "narrow.sseg"
+    assert run([
+        "preprocess", *pipeline["inputs"], "--out", narrow, "--window-ms", 100,
+    ]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "reports"
+    code = run(["eval", pipeline["ckpt"], narrow, "--out-dir", out_dir])
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert "(12, 200)" in line and "(12, 400)" in line, line  # 100 vs 200 ms
+    assert not out_dir.exists()
+
+
 def test_compare_happy_path(pipeline, tmp_path, capsys):
     paths = []
     for name, bump in (("alpha", 0.0), ("beta", 0.05), ("gamma", -0.1)):
@@ -561,6 +613,19 @@ def test_compare_bad_report_row_names_file_and_line(tmp_path, capsys):
         run(["compare", a, b, "--out", tmp_path / "c.csv"]), capsys.readouterr()
     )
     assert "b_per_subject.csv:3:" in line
+
+
+def test_compare_report_that_is_not_utf8_exits_2(tmp_path, capsys):
+    good = tmp_path / "a_per_subject.csv"
+    good.write_text("subject,accuracy\n1,0.5\n2,0.6\n")
+    bad = tmp_path / "b_per_subject.csv"
+    bad.write_bytes(b"subject,accuracy\n1,0.5\n2,\xff0.6\n")
+    out = tmp_path / "cmp.csv"
+    line = assert_one_error_line(
+        run(["compare", good, bad, "--out", out]), capsys.readouterr()
+    )
+    assert f"{bad}: not UTF-8" in line, line
+    assert not out.exists()
 
 
 def test_compare_subject_mismatch_exits_2(tmp_path, capsys):
@@ -673,6 +738,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"learning_rate": 0.1}))
     assert run(["params", "--config", cfg]) == 2
     assert "learning_rate" in capsys.readouterr().err
+
+
+def test_config_shuffle_is_an_unknown_key(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"shuffle": False}))
+    code = run([
+        "train", pipeline["segs"], "--config", cfg,
+        "--checkpoint", tmp_path / "m.ckpt", "--trace", tmp_path / "t.csv",
+    ])
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert "unknown config keys ['shuffle']" in line, line
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize(
@@ -828,7 +905,6 @@ _SETTING_VALUES = {
          "num_classes", "batch_size", "epochs", "seed"], _JSON_INT,
     ),
     **dict.fromkeys(["mu", "cutoff_hz", "sample_rate_hz", "lr"], _JSON_NUMBER),
-    "shuffle": st.booleans(),
     "train_repetitions": _JSON_REPS,
     "test_repetitions": _JSON_REPS,
 }

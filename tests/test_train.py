@@ -7,6 +7,7 @@ import pytest
 from emgtcn.errors import (
     ConfigError,
     DataError,
+    DimensionError,
     FormatError,
     NumericalError,
     UsageError,
@@ -311,6 +312,22 @@ def test_train_shuffle_changes_batching():
     assert ra.losses != rb.losses
 
 
+@pytest.mark.parametrize("misfit", [
+    {"channels": 3},
+    {"seq_len": 16, "patch_len": 4},
+])
+def test_train_on_misfit_windows_raises_and_changes_no_parameter(misfit):
+    model = tiny_model(seed=3)
+    before = {name: p.data.copy() for name, p in model.named_parameters().items()}
+    other = ModelConfig(**{**vars(model.cfg), **misfit})
+    with pytest.raises(DimensionError) as err:
+        train(model, random_segments(8, other), TrainConfig(epochs=1, lr=1e-3))
+    have, want = (other.channels, other.seq_len), (model.cfg.channels, model.cfg.seq_len)
+    assert str(have) in str(err.value) and str(want) in str(err.value)
+    for name, p in model.named_parameters().items():
+        assert np.array_equal(p.data, before[name]), name
+
+
 def test_train_records_one_row_per_epoch():
     model = tiny_model(seed=4)
     res = train(
@@ -330,14 +347,13 @@ def test_overfit_single_batch_smallest_variant():
     cfg = derive_config(200, num_patches=10, model_dim=12)
     model = AttentionTcn(cfg, seed=0)
     segs = random_segments(32, cfg, seed=7, classes=17)
-    cfg_t = TrainConfig(epochs=500, batch_size=32, lr=0.01, seed=0, shuffle=False)
+    cfg_t = TrainConfig(epochs=500, batch_size=32, lr=0.01, seed=0)
     opt = Adam(model.named_parameters(), lr=cfg_t.lr)
     final = None
     for start in range(0, 500, 25):
         res = train(
             model, segs,
-            TrainConfig(epochs=start + 25, batch_size=32, lr=0.01, seed=0,
-                        shuffle=False),
+            TrainConfig(epochs=start + 25, batch_size=32, lr=0.01, seed=0),
             optimizer=opt, start_epoch=start,
         )
         final = res.losses[-1]
