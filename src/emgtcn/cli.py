@@ -106,7 +106,8 @@ def _load_run_config(args) -> argparse.Namespace:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except ValueError as err:  # also bytes that are not UTF-8
+        # also bytes that are not UTF-8, and nesting beyond the recursion limit
+        except (ValueError, RecursionError) as err:
             raise ConfigError(f"{args.config}: not valid JSON ({err})") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
@@ -199,15 +200,19 @@ def _segment_input(path, subject: int, cfg, mu: sig.MuLawParams):
     return sig.segment(processed, window_ms=cfg.window_ms, stride_ms=cfg.stride_ms)
 
 
-def _read_side(path, cfg, side: str):
+def _read_side(path, cfg, side: str, num_classes: int):
     """The ``side`` ("train" or "test") of the segment file at ``path``
-    under the configured repetition split; an empty side is refused."""
+    under the configured repetition split; an empty side, or a label a
+    ``num_classes`` model cannot predict, is refused."""
     spec = dio.SplitSpec(cfg.train_repetitions, cfg.test_repetitions)
     pick = dio.split_train if side == "train" else dio.split_test
     segs = pick(dio.read_segments(path), spec)
     if len(segs) == 0:
         reps = getattr(cfg, f"{side}_repetitions")
         raise UsageError(f"no segments with repetitions {sorted(reps)} in {path}")
+    top = int(segs.labels.max())
+    if top >= num_classes:
+        raise DataError(f"label {top} does not fit {num_classes} classes")
     return segs
 
 
@@ -217,12 +222,7 @@ def _cmd_train(args) -> int:
     train_cfg = tr.TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=seed,
     )
-    train_set = _read_side(args.segments, cfg, "train")
-    if int(train_set.labels.max()) >= cfg.num_classes:
-        raise DataError(
-            f"label {int(train_set.labels.max())} does not fit "
-            f"{cfg.num_classes} classes"
-        )
+    train_set = _read_side(args.segments, cfg, "train", cfg.num_classes)
     model_cfg = derive_config(
         train_set.window_ms, cfg.num_patches, cfg.model_dim,
         channels=train_set.channels, sample_rate_hz=train_set.sample_rate_hz,
@@ -255,7 +255,7 @@ def _cmd_eval(args) -> int:
     model_id = _csv_cell(args.model_id or _stem(args.checkpoint), "model id")
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = tr.restore_model(ckpt)
-    test_set = _read_side(args.segments, cfg, "test")
+    test_set = _read_side(args.segments, cfg, "test", model.cfg.num_classes)
     per_subject = {}
     for subject in np.unique(test_set.subjects):
         mask = test_set.subjects == subject

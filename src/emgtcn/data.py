@@ -7,7 +7,7 @@ so a round trip is bit-exact and any language can parse it:
     magic "SEMG" | u32 version=1 | u32 channels | f64 sample_rate |
     u64 T | C*T float32 samples row-major | T * (u16 gesture, u16 rep)
 
-Real acquisitions can be bridged in as annotated CSV with columns
+Real acquisitions can be read in (not written) as annotated CSV with columns
 ch1..chC,gesture,repetition (one row per sample); parsing vendor
 archive containers is out of scope. Segment sets persist in an
 analogous "SSEG" container so the preprocess and train commands can
@@ -34,7 +34,6 @@ __all__ = [
     "read_recording",
     "write_recording",
     "read_annotated_csv",
-    "write_annotated_csv",
     "read_segments",
     "write_segments",
     "concat_segments",
@@ -245,20 +244,6 @@ def read_recording(path, subject: int = 0) -> Recording:
     )
 
 
-def write_annotated_csv(path, rec: Recording):
-    """One row per sample: ch1..chC,gesture,repetition."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"ch{c + 1}" for c in range(rec.channels)] + ["gesture", "repetition"]
-        )
-        for i in range(rec.num_samples):
-            writer.writerow(
-                [repr(float(v)) for v in rec.data[:, i]]
-                + [int(rec.gesture[i]), int(rec.repetition[i])]
-            )
-
-
 def _text_lines(path):
     """The lines of a UTF-8 text file, as ``open(newline="")`` yields
     them; a file that is not UTF-8 raises DataError naming it."""
@@ -269,13 +254,24 @@ def _text_lines(path):
             raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
+def _csv_rows(path):
+    """(line number, cells) of each record of a UTF-8 CSV file; a record
+    the csv module refuses raises DataError naming the file and line."""
+    reader = csv.reader(_text_lines(path))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as err:
+        raise DataError(f"{path}:{reader.line_num}: {err}") from None
+
+
 def read_annotated_csv(path, sample_rate_hz: float, subject: int = 0) -> Recording:
     """Parse the ch1..chC,gesture,repetition bridge format.
 
     The CSV carries no rate, so the caller supplies it.
     """
-    reader = csv.reader(_text_lines(path))
-    header = next(reader, None)
+    rows = _csv_rows(path)
+    _, header = next(rows, (0, None))
     if header is None:
         raise DataError(f"{path}: empty file")
     if header[-2:] != ["gesture", "repetition"]:
@@ -286,19 +282,19 @@ def read_annotated_csv(path, sample_rate_hz: float, subject: int = 0) -> Recordi
     if channels < 1 or header[:channels] != [f"ch{c + 1}" for c in range(channels)]:
         raise DataError(f"{path}: channel columns must be ch1..ch{channels}")
     cols, gestures, reps = [], [], []
-    for row_no, row in enumerate(reader, start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != channels + 2:
             raise DataError(
-                f"{path}:{row_no}: expected {channels + 2} cells, got {len(row)}"
+                f"{path}:{line_no}: expected {channels + 2} cells, got {len(row)}"
             )
         try:
             cols.append([float(v) for v in row[:channels]])
             gestures.append(int(row[channels]))
             reps.append(int(row[channels + 1]))
         except ValueError:
-            raise DataError(f"{path}:{row_no}: malformed row") from None
+            raise DataError(f"{path}:{line_no}: malformed row") from None
     if not cols:
         raise DataError(f"{path}: no sample rows")
     data = np.asarray(cols, dtype=np.float32).T
@@ -491,7 +487,11 @@ def generate_synthetic(
             raise ConfigError(
                 f"{name} span must be non-negative and finite seconds, got {seconds}"
             )
-    size = channels * classes * reps * (gesture_seconds + rest_seconds) * sample_rate_hz
+    try:
+        size = channels * classes * reps * (gesture_seconds + rest_seconds)
+        size *= sample_rate_hz
+    except OverflowError:  # an int setting beyond any float
+        size = math.inf
     if size > np.iinfo(np.intp).max // 8:
         raise ConfigError(f"{size:.4g} float64 samples are beyond what numpy can index")
     active_n = int(round(gesture_seconds * sample_rate_hz))

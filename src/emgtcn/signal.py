@@ -231,7 +231,10 @@ def preprocess(
 def ms_to_samples(ms: int, rate_hz: float, name: str) -> int:
     """Convert a duration to a sample count, refusing any duration that
     is not a whole positive number of samples at ``rate_hz``."""
-    exact = ms * rate_hz / 1000.0
+    try:
+        exact = ms * rate_hz / 1000.0
+    except OverflowError:  # an int beyond any float
+        exact = np.inf
     n = round(exact) if np.isfinite(exact) else 0
     if abs(exact - n) > 1e-9 or n < 1:
         raise ConfigError(

@@ -37,21 +37,14 @@ EXACT_ENUMERATION_LIMIT = 20
 
 
 def accuracy(predictions, labels) -> float:
-    """Fraction of correct predictions.
-
-    ``predictions`` is either a vector of class ids or a B x K logit
-    matrix; in the latter case argmax decides, with ties broken toward
-    the lowest class index.
-    """
+    """Fraction of ``predictions``, a vector of class ids, equal to ``labels``."""
     preds = np.asarray(predictions)
     labels = np.asarray(labels)
     if preds.size == 0 or labels.size == 0:
         raise UsageError("accuracy of an empty prediction set is undefined")
-    if preds.ndim == 2:
-        preds = np.argmax(preds, axis=1)
-    if preds.shape != labels.shape:
+    if preds.ndim != 1 or preds.shape != labels.shape:
         raise DimensionError(
-            f"{preds.shape[0]} predictions vs {labels.shape[0]} labels"
+            f"predictions {preds.shape} must be one class id per label {labels.shape}"
         )
     return float((preds == labels).mean())
 

@@ -246,9 +246,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     return make_op(x.data.reshape(shape), (x,), backward)
 
 
-def transpose(x: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
+def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
 

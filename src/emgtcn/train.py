@@ -150,16 +150,12 @@ class Adam:
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of the true classes.
 
-    ``logits`` is B x K (or a single K-vector), ``labels`` holds class
-    indices in [0, K). Stable via log-sum-exp; the gradient is the fused
+    ``logits`` is B x K, ``labels`` holds class indices in [0, K).
+    Stable via log-sum-exp; the gradient is the fused
     (softmax - one_hot) / B, so no giant softmax graph is recorded.
     """
-    squeeze = logits.ndim == 1
-    if squeeze:
-        labels = np.asarray([labels], dtype=np.int64)
-    else:
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    z = logits.data.reshape(1, -1) if squeeze else logits.data
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    z = logits.data
     if z.ndim != 2:
         raise DimensionError(f"logits must be B x K, got shape {logits.shape}")
     b, k = z.shape
@@ -182,7 +178,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         grad = soft.copy()
         grad[np.arange(b), labels] -= 1.0
         grad *= g / b
-        return (grad.reshape(logits.shape) if squeeze else grad,)
+        return (grad,)
 
     return make_op(np.asarray(losses.mean()), (logits,), backward)
 

@@ -48,8 +48,8 @@ def test_criterion_1_gradient_suite(acceptance_gate):
         cfg = derive_config(window_ms=200, num_patches=10, model_dim=12)
         model = AttentionTcn(cfg, seed=4)
         rng = np.random.default_rng(11)
-        x = rng.normal(size=(cfg.channels, cfg.seq_len))
-        label = 5
+        x = rng.normal(size=(1, cfg.channels, cfg.seq_len))
+        label = [5]
 
         def loss_value() -> float:
             return float(tr.cross_entropy(model.forward(x), label).data)

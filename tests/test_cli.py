@@ -6,6 +6,8 @@ stderr only, and byte-identical artifacts for identical invocations.
 """
 
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 import math
@@ -138,18 +140,10 @@ def test_train_takes_window_from_segment_file(pipeline, tmp_path, capsys):
 
 
 def test_non_finite_csv_sample_exits_2(tmp_path, capsys):
-    t = 500
-    gesture = np.zeros(t)
-    gesture[100:] = 1
-    rec = dio.Recording(
-        data=np.ones((2, t), dtype=np.float32), sample_rate_hz=2000.0,
-        gesture=gesture, repetition=(gesture > 0).astype(int),
-    )
+    rows = ["1.0,1.0,0,0"] * 100 + ["1.0,1.0,1,1"] * 400
+    rows[300] = "1.0,nan,1,1"  # sample 300 of channel ch2
     csv_path = tmp_path / "rec.csv"
-    dio.write_annotated_csv(csv_path, rec)
-    lines = csv_path.read_text().splitlines()
-    lines[301] = "1.0,nan,1,1"  # sample 300 of channel ch2
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path.write_text("ch1,ch2,gesture,repetition\n" + "\n".join(rows) + "\n")
     out = tmp_path / "x.sseg"
     code = run(["preprocess", csv_path, "--out", out])
     captured = capsys.readouterr()
@@ -416,6 +410,52 @@ def test_preprocess_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where, line_no", [("header", 1), ("row", 3)])
+def test_preprocess_csv_field_beyond_the_csv_limit_exits_2(
+    tmp_path, capsys, where, line_no
+):
+    long_cell = "1" * (csv.field_size_limit() + 1)
+    rows = ["ch1,gesture,repetition", "0.1,0,0", "0.2,1,1"]
+    rows[line_no - 1] = (
+        f"ch{long_cell},gesture,repetition" if where == "header" else f"{long_cell},1,1"
+    )
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "x.sseg"
+    line = assert_one_error_line(
+        run(["preprocess", csv_path, "--out", out]), capsys.readouterr()
+    )
+    assert f"{csv_path}:{line_no}: field larger than field limit" in line, line
+    assert not out.exists()
+
+
+def test_config_nested_beyond_the_recursion_limit_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000)
+    line = assert_one_error_line(run(["params", "--config", cfg]), capsys.readouterr())
+    assert f"{cfg}: not valid JSON" in line and "recursion" in line, line
+
+
+@pytest.mark.parametrize("command, flag, words", [
+    ("params", "--window-ms", "window_ms=1000"),
+    ("preprocess", "--stride-ms", "stride_ms=1000"),
+    ("synth", "--channels", "numpy can index"),
+], ids=["params-window-ms", "preprocess-stride-ms", "synth-channels"])
+def test_integer_setting_beyond_any_float_exits_2(
+    pipeline, tmp_path, capsys, command, flag, words
+):
+    out = tmp_path / "out"
+    argv = {
+        "params": ["params"],
+        "preprocess": ["preprocess", pipeline["inputs"][0], "--out", out],
+        "synth": ["synth", "--out-dir", out],
+    }[command]
+    code = run([*argv, flag, 10**400])  # float(10**400) overflows
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert words in line, line
+    assert not out.exists()
+
+
 def test_module_entry_point_error_is_one_line(tmp_path):
     # `python -m emgtcn` runs the CLI without the installed script and
     # without runpy's "found in sys.modules" warning ahead of the message
@@ -527,6 +567,40 @@ def test_eval_of_misfit_windows_is_one_line_and_writes_nothing(
     code = run(["eval", pipeline["ckpt"], narrow, "--out-dir", out_dir])
     line = assert_one_error_line(code, capsys.readouterr())
     assert "(12, 200)" in line and "(12, 400)" in line, line  # 100 vs 200 ms
+    assert not out_dir.exists()
+
+
+def _segments_with_label_4(pipeline, tmp_path):
+    """The pipeline's segment file with every label raised by 2, so
+    its labels run to 4 and no 3-class model can predict them."""
+    segs = dio.read_segments(pipeline["segs"])
+    path = tmp_path / "five.sseg"
+    dio.write_segments(path, dataclasses.replace(segs, labels=segs.labels + 2))
+    return path
+
+
+def test_train_on_labels_beyond_num_classes_exits_2(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    code = run([
+        "train", _segments_with_label_4(pipeline, tmp_path), "--checkpoint", ckpt,
+        "--trace", tmp_path / "t.csv", "--epochs", 1, "--model-dim", 4,
+        "--num-classes", 3,
+    ])
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert "label 4 does not fit 3 classes" in line, line
+    assert not ckpt.exists()
+
+
+def test_eval_of_labels_the_checkpoint_cannot_predict_exits_2(
+    pipeline, tmp_path, capsys
+):
+    out_dir = tmp_path / "reports"
+    code = run([
+        "eval", pipeline["ckpt"], _segments_with_label_4(pipeline, tmp_path),
+        "--out-dir", out_dir,
+    ])
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert "label 4 does not fit 3 classes" in line, line
     assert not out_dir.exists()
 
 

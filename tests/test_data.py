@@ -17,7 +17,6 @@ from emgtcn.data import (
     split,
     split_test,
     split_train,
-    write_annotated_csv,
     write_recording,
     write_segments,
 )
@@ -285,9 +284,12 @@ def test_repeated_checkpoint_entry_raises_format_error(pristine):
 def test_annotated_csv_round_trip(tmp_path):
     rec = sample_recording(channels=2, t=20)
     path = tmp_path / "rec.csv"
-    write_annotated_csv(path, rec)
-    header = path.read_text().splitlines()[0]
-    assert header == "ch1,ch2,gesture,repetition"
+    rows = ["ch1,ch2,gesture,repetition"] + [
+        ",".join([*map(repr, map(float, rec.data[:, i])),
+                  str(rec.gesture[i]), str(rec.repetition[i])])
+        for i in range(rec.num_samples)
+    ]
+    path.write_text("\n".join(rows) + "\n")
     back = read_annotated_csv(path, sample_rate_hz=2000.0, subject=7)
     assert back.data.tobytes() == rec.data.tobytes()
     assert np.array_equal(back.gesture, rec.gesture)

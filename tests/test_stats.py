@@ -62,10 +62,10 @@ def test_accuracy_basic_fractions():
     assert accuracy([1, 2, 3, 4], [1, 2, 3, 0]) == 0.75
 
 
-def test_accuracy_from_logits_ties_to_lowest_class():
+def test_accuracy_refuses_a_logit_matrix():
     logits = np.array([[0.5, 0.5, 0.1], [0.0, 1.0, 1.0]])
-    assert accuracy(logits, np.array([0, 1])) == 1.0
-    assert accuracy(logits, np.array([1, 2])) == 0.0
+    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2,\)"):
+        accuracy(logits, np.array([0, 1]))
 
 
 def test_accuracy_empty_rejected():

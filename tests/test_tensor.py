@@ -416,7 +416,7 @@ def test_composite_graph_matches_fd():
             ).data
             h = np.maximum(conv, 0.0)
             return float((h @ w.data + b.data).sum())
-        scores = T.matmul(q, T.transpose(kx)) * T.Tensor(1.0 / np.sqrt(d))
+        scores = T.matmul(q, T.transpose(kx, (1, 0))) * T.Tensor(1.0 / np.sqrt(d))
         att = T.matmul(T.softmax_lastdim(scores), v)
         conv = T.dilated_causal_conv1d(att, kern, cb, dilation=2)
         return T.linear(T.relu(conv), w, b).sum()

@@ -70,8 +70,11 @@ def test_cross_entropy_saturated_correct_class():
 def test_cross_entropy_reference_value():
     loss = cross_entropy(Tensor([[1.0, 2.0, 3.0]]), np.array([2]))
     assert float(loss.data) == pytest.approx(CE_123_LABEL2, abs=1e-12)
-    single = cross_entropy(Tensor([1.0, 2.0, 3.0]), 2)
-    assert float(single.data) == pytest.approx(CE_123_LABEL2, abs=1e-12)
+
+
+def test_cross_entropy_refuses_a_single_vector():
+    with pytest.raises(DimensionError, match=r"B x K, got shape \(3,\)"):
+        cross_entropy(Tensor([1.0, 2.0, 3.0]), 2)
 
 
 def test_cross_entropy_label_out_of_range_names_index():
