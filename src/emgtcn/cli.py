@@ -195,6 +195,9 @@ def _segment_input(path, subject: int, cfg, mu: sig.MuLawParams):
         )
     else:
         rec = dio.read_recording(path, subject=subject)
+    for name in ("window_ms", "stride_ms"):  # refuse a bad duration before conditioning
+        if getattr(cfg, name) is not None:
+            sig.ms_to_samples(getattr(cfg, name), float(rec.sample_rate_hz), name)
     filt = sig.FilterParams(cutoff_hz=cfg.cutoff_hz, sample_rate_hz=rec.sample_rate_hz)
     processed = rec.with_data(sig.preprocess(rec.data, filt, mu))
     return sig.segment(processed, window_ms=cfg.window_ms, stride_ms=cfg.stride_ms)

@@ -182,14 +182,10 @@ def self_attention(e: Tensor, w: AttentionWeights) -> Tensor:
 
 
 def tc_block(h: Tensor, w: TcBlockWeights) -> Tensor:
-    """h + ReLU(conv2(ReLU(conv1(h)))) along the patch axis.
-
-    h is (..., N, D); both convolutions run causally over N with this
-    block's dilation, treating D as channels.
-    """
-    seq = T.relu(T.dilated_causal_conv1d(h, w.kernel1, w.bias1, w.dilation))
-    seq = T.relu(T.dilated_causal_conv1d(seq, w.kernel2, w.bias2, w.dilation))
-    return h + seq
+    """h + ReLU(conv2(ReLU(conv1(h)))) as one recorded op: h is (..., N, D),
+    and both convolutions run causally over N at this block's dilation,
+    with D as channels."""
+    return T.causal_conv_block(h, w.kernel1, w.bias1, w.kernel2, w.bias2, w.dilation)
 
 
 class AttentionTcn:

@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is sized for the gesture classifier: elementwise arithmetic,
-matrix multiplication, reshape/transpose, ReLU, last-dimension softmax
-and dilated causal 1-D convolution. Every op records its inputs and a
+matrix multiplication, reshape/transpose, ReLU, last-dimension softmax,
+dilated causal 1-D convolution, and ``causal_conv_block``, a TC block
+(conv, ReLU, conv, ReLU, residual add) as one op, which the model calls
+instead of ``relu`` and the conv. Every op records its inputs and a
 backward closure on the output node; ``Tensor.backward()`` replays the
 resulting tape in reverse topological order and accumulates gradients
 into every ``requires_grad`` ancestor.
@@ -34,6 +36,7 @@ __all__ = [
     "relu",
     "softmax_lastdim",
     "dilated_causal_conv1d",
+    "causal_conv_block",
     "linear",
     "sum_all",
     "make_op",
@@ -258,12 +261,8 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at 0 is taken as 0."""
-    mask = x.data > 0
-
-    def backward(g):
-        return (g * mask,)
-
-    return make_op(np.maximum(x.data, 0.0), (x,), backward)
+    out = np.maximum(x.data, 0.0)
+    return make_op(out, (x,), lambda g: (g * (out > 0),))
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -320,24 +319,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return make_op(data, (x, weight, bias), backward)
 
 
-def dilated_causal_conv1d(
-    x: Tensor, kernel: Tensor, bias: Tensor, dilation: int
-) -> Tensor:
-    """Causal 1-D convolution with dilated taps and per-channel bias.
-
-    ``x`` is channels-last, (T, channels_in) or (batch, T, channels_in);
-    ``kernel`` is (channels_out, channels_in, k). Tap i reads the input
-    (k-1-i)*dilation steps back, and positions before the start read
-    zero, so the output keeps length T and output t only reads inputs at
-    positions <= t.
-
-    The k shifted taps are written side by side into one zero-initialised
-    (..., T, k*channels_in) array and contracted with the kernel in a
-    single matrix product (im2col); no padded copy of ``x`` is made. In
-    backward the input gradient is built at length T by adding each
-    tap's shifted gradient slice in tap order. A tap that reaches T or
-    more steps back reads only zeros and is skipped.
-    """
+def _conv_forward(x, kernel, bias, dilation):
+    """The checks and forward half of ``dilated_causal_conv1d``, on arrays:
+    the k shifted taps go side by side into one zero-initialised
+    (..., T, k*channels_in) array for one matrix product (im2col). Returns
+    the output and ``backward(g, want_x, want_kernel, want_bias)``, which
+    adds each tap's shifted gradient slice in tap order. A tap reaching T
+    or more steps back reads only zeros and is skipped both ways."""
     if not isinstance(dilation, (int, np.integer)) or dilation < 1:
         raise ConfigError(f"dilation must be a positive integer, got {dilation!r}")
     if kernel.ndim != 3 or kernel.size == 0:
@@ -354,30 +342,62 @@ def dilated_causal_conv1d(
             f"conv1d: bias shape {bias.shape} does not match {c_out} output channels"
         )
     t_len = x.shape[-2]
-    dilation = int(dilation)
     # (tap index, shift back in time) for every tap that reads any input
     live = [(i, (k - 1 - i) * dilation) for i in range(k)]
     live = [(i, shift) for i, shift in live if shift < t_len]
     # row i*c_in + c of the (k*c_in, c_out) kernel matrix holds kernel[:, c, i]
     taps = np.zeros(x.shape[:-1] + (k * c_in,))
     for i, shift in live:
-        taps[..., shift:, i * c_in : (i + 1) * c_in] = x.data[..., : t_len - shift, :]
+        taps[..., shift:, i * c_in : (i + 1) * c_in] = x[..., : t_len - shift, :]
     taps = taps.reshape(-1, k * c_in)
-    w_mat = kernel.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out = (taps @ w_mat + bias.data).reshape(x.shape[:-1] + (c_out,))
+    w_mat = kernel.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    out = (taps @ w_mat + bias).reshape(x.shape[:-1] + (c_out,))
 
-    def backward(g):
+    def backward(g, want_x, want_kernel, want_bias):
         gx = gk = gb = None
         g2 = g.reshape(-1, c_out)
-        if x.requires_grad:
+        if want_x:
             gtaps = (g2 @ w_mat.T).reshape(x.shape[:-1] + (k * c_in,))
             gx = np.zeros(x.shape)
             for i, shift in live:
                 gx[..., : t_len - shift, :] += gtaps[..., shift:, i * c_in : (i + 1) * c_in]
-        if kernel.requires_grad:
+        if want_kernel:
             gk = (taps.T @ g2).reshape(k, c_in, c_out).transpose(2, 1, 0)
-        if bias.requires_grad:
+        if want_bias:
             gb = g2.sum(axis=0)
         return gx, gk, gb
 
-    return make_op(out, (x, kernel, bias), backward)
+    return out, backward
+
+
+def dilated_causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int) -> Tensor:
+    """Causal 1-D convolution with dilated taps and per-channel bias.
+
+    ``x`` is channels-last, (T, channels_in) or (batch, T, channels_in);
+    ``kernel`` is (channels_out, channels_in, k). Tap i reads the input
+    (k-1-i)*dilation steps back, and positions before the start read
+    zero, so the output keeps length T and output t only reads inputs at
+    positions <= t.
+    """
+    parents = (x, kernel, bias)
+    out, backward = _conv_forward(x.data, kernel.data, bias.data, dilation)
+    return make_op(out, parents, lambda g: backward(g, *(p.requires_grad for p in parents)))
+
+
+def causal_conv_block(h, kernel1, bias1, kernel2, bias2, dilation: int) -> Tensor:
+    """h + relu(conv2(relu(conv1(h)))) as one op, bit for bit equal to the
+    composed ops; backward reads each ReLU mask as r > 0 from its output r."""
+    c1, backward1 = _conv_forward(h.data, kernel1.data, bias1.data, dilation)
+    r1 = np.maximum(c1, 0.0)
+    c2, backward2 = _conv_forward(r1, kernel2.data, bias2.data, dilation)
+    r2 = np.maximum(c2, 0.0)
+    if r2.shape != h.shape:
+        raise DimensionError(f"conv block: output {r2.shape} is not input shape {h.shape}")
+
+    def backward(g):
+        want = [p.requires_grad for p in (h, kernel1, bias1, kernel2, bias2)]
+        gr1, gk2, gb2 = backward2(g * (r2 > 0), any(want[:3]), *want[3:])
+        gh, gk1, gb1 = backward1(gr1 * (r1 > 0), *want[:3]) if any(want[:3]) else [None] * 3
+        return (g + gh if want[0] else None), gk1, gb1, gk2, gb2
+
+    return make_op(h.data + r2, (h, kernel1, bias1, kernel2, bias2), backward)

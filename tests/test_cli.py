@@ -456,6 +456,25 @@ def test_integer_setting_beyond_any_float_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--window-ms", "--stride-ms"])
+def test_bad_duration_refused_before_conditioning(
+    pipeline, tmp_path, capsys, monkeypatch, flag
+):
+    def conditioned(*args, **kwargs):
+        raise AssertionError("a recording was conditioned before its durations were checked")
+
+    monkeypatch.setattr(signal, "preprocess", conditioned)
+    path, out = pipeline["inputs"][0], tmp_path / "x.sseg"
+    line = assert_one_error_line(
+        run(["preprocess", path, "--out", out, flag, 0]), capsys.readouterr()
+    )
+    name = flag[2:].replace("-", "_")
+    assert line == (
+        f"error: {path}: {name}=0 is not a whole positive number of samples at 2000.0 Hz"
+    ), line
+    assert not out.exists()
+
+
 def test_module_entry_point_error_is_one_line(tmp_path):
     # `python -m emgtcn` runs the CLI without the installed script and
     # without runpy's "found in sys.modules" warning ahead of the message

@@ -281,6 +281,98 @@ def test_conv_reach_beyond_window_matches_loop_oracle(batched):
     assert not k.grad[:, :, :2].any()
 
 
+def _composed_block(h, k1, b1, k2, b2, dilation):
+    """The TC block built from the public primitives, op by op."""
+    seq = T.relu(T.dilated_causal_conv1d(h, k1, b1, dilation))
+    return T.add(h, T.relu(T.dilated_causal_conv1d(seq, k2, b2, dilation)))
+
+
+def _block_inputs(seed, shape, trainable, k=3):
+    rng = np.random.default_rng(seed)
+    d = shape[-1]
+    arrays = (
+        rng.normal(size=shape),
+        rng.normal(size=(d, d, k)), rng.normal(size=d),
+        rng.normal(size=(d, d, k)), rng.normal(size=d),
+    )
+    return [T.Tensor(a, requires_grad=t) for a, t in zip(arrays, trainable)]
+
+
+@pytest.mark.parametrize("trainable", [
+    (True,) * 5,
+    (False, True, True, True, True),
+    (False, False, False, True, True),
+    (True, False, False, False, False),
+], ids=["all", "params", "conv2-only", "h-only"])
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8])
+def test_conv_block_equals_composition_bit_for_bit(dilation, batched, trainable):
+    # N=10, k=3: at dilation 8 the oldest tap reaches 16 >= N steps back
+    shape = (4, 10, 6) if batched else (10, 6)
+    g = np.random.default_rng(61).normal(size=shape)
+    results = []
+    for block in (T.causal_conv_block, _composed_block):
+        inputs = _block_inputs(59 + dilation, shape, trainable)
+        out = block(*inputs, dilation)
+        (out * T.Tensor(g)).sum().backward()
+        results.append((out.data, [p.grad for p in inputs]))
+    (fused, fused_grads), (composed, composed_grads) = results
+    assert fused.tobytes() == composed.tobytes()
+    for want, got, trains in zip(composed_grads, fused_grads, trainable):
+        assert (got is None) == (not trains)
+        if trains:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_conv_block_gradients_match_fd():
+    inputs = _block_inputs(67, (2, 10, 3), (True,) * 5, k=2)
+    w = np.random.default_rng(71).normal(size=(2, 10, 3))
+    (T.causal_conv_block(*inputs, 2) * T.Tensor(w)).sum().backward()
+
+    def loss():
+        out = T.causal_conv_block(*(T.Tensor(p.data) for p in inputs), 2)
+        return float((out.data * w).sum())
+
+    for p in inputs:
+        assert max_rel_err(p.grad, fd_grad(loss, p.data)) <= 1e-6
+
+
+@pytest.mark.parametrize("change, error", [
+    (dict(dilation=0), ConfigError),
+    (dict(k1=np.zeros((4, 4, 0))), ConfigError),
+    (dict(k1=np.zeros((3, 4, 3)), b1=np.zeros(3)), DimensionError),
+    (dict(b1=np.zeros(5)), DimensionError),
+    (dict(b2=np.zeros((4, 1))), DimensionError),
+], ids=["dilation", "empty-kernel", "kernel2-in-channels", "bias1", "bias2"])
+def test_conv_block_refuses_what_the_composition_refuses(change, error):
+    args = dict(
+        h=np.ones((10, 4)), k1=np.ones((4, 4, 3)), b1=np.zeros(4),
+        k2=np.ones((4, 4, 3)), b2=np.zeros(4), dilation=1,
+    ) | change
+    dilation = args.pop("dilation")
+    messages = []
+    for block in (T.causal_conv_block, _composed_block):
+        with pytest.raises(error) as caught:
+            block(*(T.Tensor(a) for a in args.values()), dilation)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_conv_block_refuses_output_channels_unlike_its_input():
+    h, k1, b1, k2, b2 = (
+        T.Tensor(a) for a in (
+            np.ones((10, 4)), np.ones((4, 4, 3)), np.zeros(4), np.ones((1, 4, 3)), np.zeros(1)
+        )
+    )
+    with pytest.raises(DimensionError, match=r"output \(10, 1\) is not input shape \(10, 4\)"):
+        T.causal_conv_block(h, k1, b1, k2, b2, 1)
+
+
+def test_frozen_conv_block_records_no_backward():
+    out = T.causal_conv_block(*_block_inputs(73, (10, 4), (False,) * 5), 2)
+    assert out._backward is None and out._parents == ()
+
+
 def test_linear_identity():
     x = T.Tensor([[1.5, -2.0]])
     out = T.linear(x, T.Tensor(np.eye(2)), T.Tensor(np.zeros(2)))

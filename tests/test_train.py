@@ -14,7 +14,7 @@ from emgtcn.errors import (
 )
 from emgtcn.model import AttentionTcn, ModelConfig, derive_config
 from emgtcn.signal import SegmentSet
-from emgtcn.tensor import Tensor
+from emgtcn.tensor import ComputationTape, Tensor
 from emgtcn.train import (
     Adam,
     TrainConfig,
@@ -103,6 +103,17 @@ def test_cross_entropy_gradient_matches_fd():
         return float((lse - z[np.arange(4), labels]).mean())
 
     assert max_rel_err(logits.grad, fd_grad(loss, logits.data)) <= 1e-6
+
+
+def test_desk_training_step_records_18_nodes():
+    # 200 ms, N=10, D=12: embed linear 1, attention 10, one node per TC
+    # block 4, head reshape and linear 2, loss 1; the patch split of the
+    # untracked input records nothing
+    model = AttentionTcn(derive_config(200, 10, 12))
+    x = np.random.default_rng(5).normal(size=(8, 12, 400))
+    loss = cross_entropy(model(x), np.arange(8))
+    nodes = ComputationTape(loss).nodes
+    assert sum(node._backward is not None for node in nodes) == 18
 
 
 def test_adam_zero_gradient_keeps_params():
