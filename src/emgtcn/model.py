@@ -140,16 +140,6 @@ class TcBlockWeights:
     dilation: int
 
 
-def _split_patches(x: Tensor, cfg: ModelConfig) -> Tensor:
-    """(..., C, L) -> (..., N, C*P), each patch flattened channel-major."""
-    lead = x.shape[:-2]
-    c, n, p = cfg.channels, cfg.num_patches, cfg.patch_len
-    parts = T.reshape(x, lead + (c, n, p))
-    nd = parts.ndim
-    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
-    return T.reshape(T.transpose(parts, axes), lead + (n, c * p))
-
-
 def embed_patches(x: Tensor, cfg: ModelConfig, weight: Tensor, bias: Tensor) -> Tensor:
     """Project each patch to the model dimension: (..., C, L) -> (..., N, D)."""
     if x.shape[-2:] != (cfg.channels, cfg.seq_len):
@@ -157,28 +147,17 @@ def embed_patches(x: Tensor, cfg: ModelConfig, weight: Tensor, bias: Tensor) -> 
             f"windows are {x.shape[-2:]}; the model expects "
             f"{(cfg.channels, cfg.seq_len)}"
         )
-    return T.linear(_split_patches(x, cfg), weight, bias)
-
-
-def _transpose_last2(x: Tensor) -> Tensor:
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return T.transpose(x, axes)
+    return T.patch_embed(x, weight, bias, cfg.num_patches)
 
 
 def self_attention(e: Tensor, w: AttentionWeights) -> Tensor:
-    """Single-head scaled dot-product attention with residual.
+    """Single-head scaled dot-product attention with residual, as one op.
 
     out = e + softmax(Q K^T / sqrt(D)) V projected through the output
     map, where Q, K, V are affine images of the patch embeddings e
     (shape (..., N, D)).
     """
-    d = e.shape[-1]
-    q = T.linear(e, w.wq, w.bq)
-    k = T.linear(e, w.wk, w.bk)
-    v = T.linear(e, w.wv, w.bv)
-    scores = T.matmul(q, _transpose_last2(k)) * Tensor(1.0 / math.sqrt(d))
-    mixed = T.matmul(T.softmax_lastdim(scores), v)
-    return e + T.linear(mixed, w.wo, w.bo)
+    return T.attention_block(e, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo)
 
 
 def tc_block(h: Tensor, w: TcBlockWeights) -> Tensor:

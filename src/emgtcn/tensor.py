@@ -2,9 +2,11 @@
 
 The op set is sized for the gesture classifier: elementwise arithmetic,
 matrix multiplication, reshape/transpose, ReLU, last-dimension softmax,
-dilated causal 1-D convolution, and ``causal_conv_block``, a TC block
-(conv, ReLU, conv, ReLU, residual add) as one op, which the model calls
-instead of ``relu`` and the conv. Every op records its inputs and a
+dilated causal 1-D convolution, and three model stages as one op each,
+which the model calls instead of composing the primitives:
+``patch_embed`` (patch split and affine map), ``attention_block``
+(self-attention with its residual add) and ``causal_conv_block`` (conv,
+ReLU, conv, ReLU, residual add). Every op records its inputs and a
 backward closure on the output node; ``Tensor.backward()`` replays the
 resulting tape in reverse topological order and accumulates gradients
 into every ``requires_grad`` ancestor.
@@ -20,6 +22,8 @@ mutated after construction).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,6 +42,8 @@ __all__ = [
     "dilated_causal_conv1d",
     "causal_conv_block",
     "linear",
+    "patch_embed",
+    "attention_block",
     "sum_all",
     "make_op",
 ]
@@ -265,21 +271,21 @@ def relu(x: Tensor) -> Tensor:
     return make_op(out, (x,), lambda g: (g * (out > 0),))
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Softmax over the last dimension, stabilised by max subtraction."""
-    if x.data.size == 0 or x.ndim == 0 or x.shape[-1] < 1:
+def _softmax(x):
+    """``softmax_lastdim`` on an array, and its backward half ``backward(g)``."""
+    if x.size == 0 or x.ndim == 0 or x.shape[-1] < 1:
         raise DimensionError(
             f"softmax_lastdim needs a nonempty last dimension; got shape {x.shape}"
         )
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
+    return y, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))
 
-    def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
 
-    return make_op(y, (x,), backward)
+def softmax_lastdim(x: Tensor) -> Tensor:
+    """Softmax over the last dimension, stabilised by max subtraction."""
+    y, backward = _softmax(x.data)
+    return make_op(y, (x,), lambda g: (backward(g),))
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -289,12 +295,10 @@ def sum_all(x: Tensor) -> Tensor:
     return make_op(np.asarray(x.data.sum()), (x,), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map along the last dimension: x @ weight + bias.
-
-    ``x`` may have any number of leading dimensions (including none);
-    ``weight`` is in*out, ``bias`` is (out,).
-    """
+def _affine(x, weight, bias):
+    """The checks and math of ``linear`` on arrays. Returns x @ weight +
+    bias and ``backward(g, want_x, want_weight, want_bias)``, which gives
+    (gx, gw, gb)."""
     if weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(
             f"linear: input shape {x.shape} does not match weight shape {weight.shape}"
@@ -303,20 +307,80 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(
             f"linear: bias shape {bias.shape} does not match weight shape {weight.shape}"
         )
-    data = x.data @ weight.data + bias.data
     n_in, n_out = weight.shape
 
-    def backward(g):
-        gx = gw = gb = None
-        if x.requires_grad:
-            gx = g @ weight.data.T
-        if weight.requires_grad:
-            gw = x.data.reshape(-1, n_in).T @ g.reshape(-1, n_out)
-        if bias.requires_grad:
-            gb = g.reshape(-1, n_out).sum(axis=0)
+    def backward(g, want_x, want_weight, want_bias):
+        gx = g @ weight.T if want_x else None
+        gw = x.reshape(-1, n_in).T @ g.reshape(-1, n_out) if want_weight else None
+        gb = g.reshape(-1, n_out).sum(axis=0) if want_bias else None
         return gx, gw, gb
 
-    return make_op(data, (x, weight, bias), backward)
+    return x @ weight + bias, backward
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map along the last dimension: x @ weight + bias.
+
+    ``x`` may have any number of leading dimensions (including none);
+    ``weight`` is in*out, ``bias`` is (out,).
+    """
+    parents = (x, weight, bias)
+    out, backward = _affine(x.data, weight.data, bias.data)
+    return make_op(out, parents, lambda g: backward(g, *(p.requires_grad for p in parents)))
+
+
+def patch_embed(x: Tensor, weight: Tensor, bias: Tensor, num_patches: int) -> Tensor:
+    """(..., C, L) -> (..., N, D) as one op: the last axis is cut into N
+    patches of P = L/N samples, each flattened channel-major into a C*P
+    row (the C-order copy of a transpose), then mapped by ``linear``."""
+    parents = (x, weight, bias)
+    lead, (c, length) = x.shape[:-2], x.shape[-2:]
+    cut = lead + (c, num_patches, length // num_patches)
+    split = np.ascontiguousarray(x.data.reshape(cut).swapaxes(-3, -2))
+    rows = split.reshape(lead + (num_patches, c * cut[-1]))
+    out, backward = _affine(rows, weight.data, bias.data)
+
+    def unsplit(g):
+        gx, gw, gb = backward(g, *(p.requires_grad for p in parents))
+        if gx is not None:
+            gx = gx.reshape(split.shape).swapaxes(-3, -2).reshape(x.shape)
+        return gx, gw, gb
+
+    return make_op(out, parents, unsplit)
+
+
+def attention_block(e, wq, bq, wk, bk, wv, bv, wo, bo) -> Tensor:
+    """e + linear(softmax(q k^T / sqrt(D)) v, wo, bo) as one op, q, k and v
+    being affine images of e (..., N, D). To equal the composed ops bit for
+    bit it copies k^T and the k gradient to C order, and sums e's gradient
+    in the tape's order: residual, then the q, k and v terms."""
+    parents = (e, wq, bq, wk, bk, wv, bv, wo, bo)
+    (q, back_q), (k, back_k), (v, back_v) = (
+        _affine(e.data, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv))
+    )
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    if q.shape[-1] != kt.shape[-2]:
+        raise DimensionError(f"matmul: cannot contract shapes {q.shape} and {kt.shape}")
+    scale = np.asarray(1.0 / math.sqrt(e.shape[-1]))
+    a, back_a = _softmax((q @ kt) * scale)
+    o, back_o = _affine(a @ v, wo.data, bo.data)
+    if o.shape != e.shape:
+        raise DimensionError(f"attention: output {o.shape} is not input shape {e.shape}")
+
+    def backward(g):
+        want = [p.requires_grad for p in parents]
+        gm, gwo, gbo = back_o(g, any(want[:7]), *want[7:])
+        if gm is None:
+            return (None,) * 7 + (gwo, gbo)
+        gs = back_a(gm @ v.swapaxes(-1, -2)) * scale
+        ge_q, gwq, gbq = back_q(gs @ kt.swapaxes(-1, -2), *want[:3])
+        gk = (q.swapaxes(-1, -2) @ gs).swapaxes(-1, -2).copy()
+        ge_k, gwk, gbk = back_k(gk, want[0], *want[3:5])
+        ge_v, gwv, gbv = back_v(a.swapaxes(-1, -2) @ gm, want[0], *want[5:7])
+        ge = ((g + ge_q) + ge_k) + ge_v if want[0] else None
+        return ge, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo
+
+    return make_op(e.data + o, parents, backward)
 
 
 def _conv_forward(x, kernel, bias, dilation):

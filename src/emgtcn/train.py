@@ -251,7 +251,14 @@ def write_trace(path, result: TrainResult):
 
 _MAGIC = b"TCHG"
 _VERSION = 1
-_OPT_KEYS = {"lr", "beta1", "beta2", "eps", "step"}
+# each optimizer setting: the type and range Adam can resume from
+_OPT_KEYS = {
+    "lr": (float, "a positive finite float", lambda x: 0 < x < math.inf),
+    "beta1": (float, "a float in [0, 1)", lambda x: 0 <= x < 1),
+    "beta2": (float, "a float in [0, 1)", lambda x: 0 <= x < 1),
+    "eps": (float, "a positive finite float", lambda x: 0 < x < math.inf),
+    "step": (int, "an integer in [0, 2**63)", lambda x: 0 <= x < 2**63),
+}
 
 
 @dataclass
@@ -401,7 +408,7 @@ def load_checkpoint(path) -> Checkpoint:
         r.done()
     try:
         config = json.loads(fields.pop("config"))
-        epoch = int(fields.pop("epoch"))
+        epoch = fields.pop("epoch")
         opt = json.loads(fields.pop("opt"))
         rng_state = json.loads(fields.pop("rng")) if "rng" in fields else None
     except KeyError as missing:
@@ -414,11 +421,15 @@ def load_checkpoint(path) -> Checkpoint:
         config = ModelConfig(**config)
     except (TypeError, ConfigError) as err:
         raise FormatError(f"checkpoint config is invalid: {err}") from None
-    if not (isinstance(opt, dict) and set(opt) == _OPT_KEYS
-            and all(isinstance(v, (int, float)) for v in opt.values())):
+    if not (type(epoch) is int and epoch >= 0):
+        raise FormatError(f"checkpoint entry 'epoch' must be an integer >= 0, got {epoch!r}")
+    if not (isinstance(opt, dict) and opt.keys() == _OPT_KEYS.keys()):
         raise FormatError(
             f"checkpoint entry 'opt' must hold the numbers {sorted(_OPT_KEYS)}, got {opt!r}"
         )
+    for key, (kind, what, fits) in _OPT_KEYS.items():
+        if not (type(opt[key]) is kind and fits(opt[key])):
+            raise FormatError(f"checkpoint entry 'opt' holds {key}={opt[key]!r}, not {what}")
     if rng_state is not None:
         try:
             np.random.PCG64().state = rng_state
@@ -432,6 +443,10 @@ def load_checkpoint(path) -> Checkpoint:
         target = {"w": weights, "m": moments_m, "v": moments_v}.get(group)
         if target is None or not param:
             raise FormatError(f"unrecognized checkpoint entry {name!r}")
+        if not (isinstance(value, np.ndarray) and np.isfinite(value).all()):
+            raise FormatError(f"checkpoint entry {name!r} is not an array of finite numbers")
+        if group == "v" and (value < 0).any():
+            raise FormatError(f"checkpoint entry {name!r} holds a negative second moment")
         target[param] = value
     return Checkpoint(
         config=config, epoch=epoch, weights=weights, m=moments_m, v=moments_v,

@@ -623,6 +623,20 @@ def test_eval_of_labels_the_checkpoint_cannot_predict_exits_2(
     assert not out_dir.exists()
 
 
+def test_eval_of_a_checkpoint_with_a_nan_weight_exits_4(pipeline, tmp_path, capsys):
+    ckpt = tr.load_checkpoint(pipeline["ckpt"])
+    ckpt.weights["head.w"][0, 0] = math.nan
+    bad = tmp_path / "nan.ckpt"
+    tr.save_checkpoint(bad, ckpt)
+    out_dir = tmp_path / "reports"
+    assert run(["eval", bad, pipeline["segs"], "--out-dir", out_dir]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert "'w/head.w' is not an array of finite numbers" in lines[0]
+    assert not out_dir.exists()
+
+
 def test_compare_happy_path(pipeline, tmp_path, capsys):
     paths = []
     for name, bump in (("alpha", 0.0), ("beta", 0.05), ("gamma", -0.1)):

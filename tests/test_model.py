@@ -133,6 +133,16 @@ def test_embed_patches_full_scale_shape():
     assert out.shape == (10, 12)
 
 
+@pytest.mark.parametrize("shape", [(12, 399), (11, 400), (2, 12, 401)])
+def test_embed_patches_refuses_a_window_that_does_not_fit(shape):
+    cfg = derive_config(200, num_patches=10, model_dim=12)
+    model = AttentionTcn(cfg, seed=0)
+    want = f"windows are {shape[-2:]}; the model expects (12, 400)"
+    with pytest.raises(DimensionError) as err:
+        embed_patches(Tensor(np.zeros(shape)), cfg, model.patch_weight, model.patch_bias)
+    assert str(err.value) == want
+
+
 def _scalar_attention_weights(wq, bq, wk, bk, wv, bv, wo, bo):
     return AttentionWeights(
         wq=Tensor([[wq]]), bq=Tensor([bq]),

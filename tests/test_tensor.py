@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -371,6 +372,158 @@ def test_conv_block_refuses_output_channels_unlike_its_input():
 def test_frozen_conv_block_records_no_backward():
     out = T.causal_conv_block(*_block_inputs(73, (10, 4), (False,) * 5), 2)
     assert out._backward is None and out._parents == ()
+
+
+def _composed_embed(x, w, b, n):
+    """The patch embedding built from the public primitives, op by op."""
+    lead, (c, length) = x.shape[:-2], x.shape[-2:]
+    parts = T.reshape(x, lead + (c, n, length // n))
+    nd = parts.ndim
+    axes = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)
+    return T.linear(T.reshape(T.transpose(parts, axes), lead + (n, c * (length // n))), w, b)
+
+
+def _composed_attention(e, wq, bq, wk, bk, wv, bv, wo, bo):
+    """The attention stage built from the public primitives, op by op."""
+    q, k, v = T.linear(e, wq, bq), T.linear(e, wk, bk), T.linear(e, wv, bv)
+    axes = tuple(range(e.ndim - 2)) + (e.ndim - 1, e.ndim - 2)
+    scale = T.Tensor(1.0 / math.sqrt(e.shape[-1]))
+    scores = T.mul(T.matmul(q, T.transpose(k, axes)), scale)
+    return T.add(e, T.linear(T.matmul(T.softmax_lastdim(scores), v), wo, bo))
+
+
+def _embed_inputs(seed, lead, trainable, c=12, length=400, d=12, n=10):
+    rng = np.random.default_rng(seed)
+    arrays = (
+        rng.normal(size=lead + (c, length)), rng.normal(size=(c * (length // n), d)),
+        rng.normal(size=d),
+    )
+    return [T.Tensor(a, requires_grad=t) for a, t in zip(arrays, trainable)]
+
+
+def _attention_inputs(seed, lead, trainable, n=10, d=12):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=lead + (n, d))]
+    for _ in "qkvo":
+        arrays += [rng.normal(size=(d, d)) / math.sqrt(d), rng.normal(size=d)]
+    return [T.Tensor(a, requires_grad=t) for a, t in zip(arrays, trainable)]
+
+
+def _assert_equals_composition(fused, composed, make_inputs, trainable, g, *extra):
+    """The fused op's output and gradients equal its composition's byte for
+    byte, each run on fresh copies of the same inputs against upstream g."""
+    results = []
+    for op in (fused, composed):
+        inputs = make_inputs()
+        out = op(*inputs, *extra)
+        (out * T.Tensor(g)).sum().backward()
+        results.append((out.data, [p.grad for p in inputs]))
+    (fused_out, fused_grads), (composed_out, composed_grads) = results
+    assert fused_out.tobytes() == composed_out.tobytes()
+    for want, got, trains in zip(composed_grads, fused_grads, trainable):
+        assert (got is None) == (not trains)
+        if trains:
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trainable", [
+    (True,) * 3, (False, True, True), (True, False, False), (False, True, False),
+], ids=["all", "params", "x-only", "weight-only"])
+@pytest.mark.parametrize("lead", [(), (1,), (4,)], ids=["unbatched", "B1", "B4"])
+def test_patch_embed_equals_composition_bit_for_bit(lead, trainable):
+    g = np.random.default_rng(83).normal(size=lead + (10, 12))
+    _assert_equals_composition(
+        T.patch_embed, _composed_embed, lambda: _embed_inputs(79, lead, trainable),
+        trainable, g, 10,
+    )
+
+
+@pytest.mark.parametrize("trainable", [
+    (True,) * 9,
+    (False,) + (True,) * 8,
+    (True,) + (False,) * 8,
+    (False, False, False, True, True, False, False, False, False),
+    (False,) * 7 + (True, True),
+], ids=["all", "params", "e-only", "k-only", "out-only"])
+@pytest.mark.parametrize("lead", [(), (1,), (4,)], ids=["unbatched", "B1", "B4"])
+def test_attention_block_equals_composition_bit_for_bit(lead, trainable):
+    g = np.random.default_rng(89).normal(size=lead + (10, 12))
+    _assert_equals_composition(
+        T.attention_block, _composed_attention,
+        lambda: _attention_inputs(97, lead, trainable), trainable, g,
+    )
+
+
+def test_patch_embed_gradients_match_fd():
+    inputs = _embed_inputs(101, (2,), (True,) * 3, c=2, length=12, d=3, n=4)
+    w = np.random.default_rng(103).normal(size=(2, 4, 3))
+    (T.patch_embed(*inputs, 4) * T.Tensor(w)).sum().backward()
+
+    def loss():
+        out = T.patch_embed(*(T.Tensor(p.data) for p in inputs), 4)
+        return float((out.data * w).sum())
+
+    for p in inputs:
+        assert max_rel_err(p.grad, fd_grad(loss, p.data)) <= 1e-6
+
+
+def test_attention_block_gradients_match_fd():
+    inputs = _attention_inputs(107, (2,), (True,) * 9, n=4, d=3)
+    w = np.random.default_rng(109).normal(size=(2, 4, 3))
+    (T.attention_block(*inputs) * T.Tensor(w)).sum().backward()
+
+    def loss():
+        out = T.attention_block(*(T.Tensor(p.data) for p in inputs))
+        return float((out.data * w).sum())
+
+    for p in inputs:
+        assert max_rel_err(p.grad, fd_grad(loss, p.data)) <= 1e-6
+
+
+def test_frozen_patch_embed_and_attention_record_no_backward():
+    for out in (
+        T.patch_embed(*_embed_inputs(113, (2,), (False,) * 3), 10),
+        T.attention_block(*_attention_inputs(127, (2,), (False,) * 9)),
+    ):
+        assert out._backward is None and out._parents == ()
+
+
+@pytest.mark.parametrize("change", [
+    dict(w=np.zeros((479, 12))), dict(w=np.zeros(480)), dict(b=np.zeros(11)),
+], ids=["weight-rows", "weight-rank", "bias"])
+def test_patch_embed_refuses_what_the_composition_refuses(change):
+    args = dict(x=np.ones((2, 12, 400)), w=np.ones((480, 12)), b=np.zeros(12)) | change
+    messages = []
+    for op in (T.patch_embed, _composed_embed):
+        with pytest.raises(DimensionError) as caught:
+            op(*(T.Tensor(a) for a in args.values()), 10)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("wq", (11, 12)), ("bq", (11,)), ("wk", (12, 11)), ("bk", (12, 1)),
+    ("wv", (11, 12)), ("bv", (13,)), ("wo", (11, 12)), ("bo", (11,)),
+])
+def test_attention_block_refuses_what_the_composition_refuses(name, shape):
+    args = dict(e=np.ones((2, 10, 12))) | {
+        f"{kind}{role}": np.ones((12, 12)) if kind == "w" else np.zeros(12)
+        for role in "qkvo" for kind in "wb"
+    }
+    args[name] = np.ones(shape)
+    messages = []
+    for op in (T.attention_block, _composed_attention):
+        with pytest.raises(DimensionError) as caught:
+            op(*(T.Tensor(a) for a in args.values()))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_attention_block_refuses_output_width_unlike_its_input():
+    e, wq, bq, wk, bk, wv, bv = _attention_inputs(131, (), (False,) * 7)
+    wo, bo = T.Tensor(np.ones((12, 1))), T.Tensor(np.zeros(1))
+    with pytest.raises(DimensionError, match=r"output \(10, 1\) is not input shape \(10, 12\)"):
+        T.attention_block(e, wq, bq, wk, bk, wv, bv, wo, bo)
 
 
 def test_linear_identity():

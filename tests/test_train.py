@@ -1,5 +1,6 @@
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -105,15 +106,15 @@ def test_cross_entropy_gradient_matches_fd():
     assert max_rel_err(logits.grad, fd_grad(loss, logits.data)) <= 1e-6
 
 
-def test_desk_training_step_records_18_nodes():
-    # 200 ms, N=10, D=12: embed linear 1, attention 10, one node per TC
-    # block 4, head reshape and linear 2, loss 1; the patch split of the
-    # untracked input records nothing
-    model = AttentionTcn(derive_config(200, 10, 12))
-    x = np.random.default_rng(5).normal(size=(8, 12, 400))
+@pytest.mark.parametrize("window_ms,patches,dim", [(200, 10, 12), (300, 15, 16)])
+def test_desk_training_step_records_9_nodes(window_ms, patches, dim):
+    # patch embedding 1, attention 1, one node per TC block 4 (both
+    # configs have 4 blocks), head reshape and linear 2, loss 1
+    model = AttentionTcn(derive_config(window_ms, patches, dim))
+    x = np.random.default_rng(5).normal(size=(8, 12, model.cfg.seq_len))
     loss = cross_entropy(model(x), np.arange(8))
     nodes = ComputationTape(loss).nodes
-    assert sum(node._backward is not None for node in nodes) == 18
+    assert sum(node._backward is not None for node in nodes) == 9
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -570,6 +571,42 @@ def test_restore_model_names_the_mismatched_weight(tmp_path):
         with pytest.raises(FormatError) as err:
             restore_model(load_checkpoint(doctored))
         assert entry in str(err.value)
+
+
+@pytest.mark.parametrize("group, key, value, named", [
+    ("weights", "head.w", math.nan, "'w/head.w'"),
+    ("m", "attn.wq", math.inf, "'m/attn.wq'"),
+    ("v", "patch.b", -math.inf, "'v/patch.b'"),
+    ("v", "patch.b", -1.0, "'v/patch.b'"),
+    ("opt", "lr", math.inf, "'opt' holds lr=inf"),
+    ("opt", "lr", math.nan, "'opt' holds lr=nan"),
+    ("opt", "beta2", 1.0, "'opt' holds beta2=1.0"),
+    ("opt", "eps", 0.0, "'opt' holds eps=0.0"),
+    ("opt", "step", 2.5, "'opt' holds step=2.5"),
+    ("opt", "step", -1, "'opt' holds step=-1"),
+    ("opt", "step", True, "'opt' holds step=True"),
+    ("opt", "lr", 1, "'opt' holds lr=1"),
+    ("epoch", None, -3, "'epoch'"),
+], ids=[
+    "nan-weight", "inf-m", "inf-v", "negative-v", "inf-lr", "nan-lr", "beta2-1",
+    "eps-0", "fractional-step", "negative-step", "bool-step", "int-lr", "negative-epoch",
+])
+def test_load_checkpoint_refuses_non_finite_and_malformed_numbers(
+    tmp_path, group, key, value, named
+):
+    model = tiny_model(seed=4)
+    ckpt = make_checkpoint(model, Adam(model.named_parameters()), epoch=2, rng_state=None)
+    if group == "epoch":
+        ckpt.epoch = value
+    elif group == "opt":
+        ckpt.opt[key] = value
+    else:
+        getattr(ckpt, group)[key].flat[0] = value
+    path = tmp_path / "bad.tchg"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert named in str(err.value)
 
 
 def test_checkpoint_geometry_numpy_cannot_index_is_format_error(tmp_path):
