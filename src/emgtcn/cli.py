@@ -195,9 +195,17 @@ def _segment_input(path, subject: int, cfg, mu: sig.MuLawParams):
         )
     else:
         rec = dio.read_recording(path, subject=subject)
+    rate = float(rec.sample_rate_hz)
     for name in ("window_ms", "stride_ms"):  # refuse a bad duration before conditioning
-        if getattr(cfg, name) is not None:
-            sig.ms_to_samples(getattr(cfg, name), float(rec.sample_rate_hz), name)
+        ms = getattr(cfg, name)
+        if ms is None:
+            continue
+        n = sig.ms_to_samples(ms, rate, name)
+        if max(ms, n) >= 2**32:  # the segment format stores the window in u32 fields
+            raise ConfigError(
+                f"{name}={ms} is {n:.6g} samples at {rate} Hz; a duration and its "
+                "sample count must each be below 2**32"
+            )
     filt = sig.FilterParams(cutoff_hz=cfg.cutoff_hz, sample_rate_hz=rec.sample_rate_hz)
     processed = rec.with_data(sig.preprocess(rec.data, filt, mu))
     return sig.segment(processed, window_ms=cfg.window_ms, stride_ms=cfg.stride_ms)
@@ -259,13 +267,11 @@ def _cmd_eval(args) -> int:
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = tr.restore_model(ckpt)
     test_set = _read_side(args.segments, cfg, "test", model.cfg.num_classes)
+    preds = _predict(model, test_set.data)
     per_subject = {}
     for subject in np.unique(test_set.subjects):
         mask = test_set.subjects == subject
-        preds = _predict(model, test_set.data[mask])
-        per_subject[int(subject)] = stats.accuracy(
-            preds, test_set.labels[mask]
-        )
+        per_subject[int(subject)] = stats.accuracy(preds[mask], test_set.labels[mask])
     report = stats.aggregate(per_subject, model_id=model_id)
     paths = stats.emit_report(report, args.out_dir)
     for subject in sorted(per_subject):
@@ -344,19 +350,13 @@ def _cmd_compare(args) -> int:
         b = np.array([rep[s] for s in subjects])
         result = stats.wilcoxon_signed_rank(a, b)
         band = stats.significance_band(result.p_value)
-        rows.append((base_name, name, result, band))
+        rows.append((base_name, name, result.statistic, result.p_value, band))
         _note(
             f"{base_name} vs {name}: W={result.statistic} "
             f"p={result.p_value:.6g} ({band}, {result.method}, "
             f"n={result.n_effective})"
         )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("model_a,model_b,W,p,band\n")
-        for model_a, model_b, result, band in rows:
-            fh.write(
-                f"{model_a},{model_b},{result.statistic!r},"
-                f"{result.p_value!r},{band}\n"
-            )
+    dio._write_csv(args.out, ("model_a", "model_b", "W", "p", "band"), rows)
     _emit(comparisons=args.out, rows=len(rows))
     return 0
 

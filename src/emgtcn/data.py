@@ -244,25 +244,28 @@ def read_recording(path, subject: int = 0) -> Recording:
     )
 
 
-def _text_lines(path):
-    """The lines of a UTF-8 text file, as ``open(newline="")`` yields
-    them; a file that is not UTF-8 raises DataError naming it."""
+def _csv_rows(path):
+    """(line number, cells) of each record of a UTF-8 CSV file; bytes
+    that are not UTF-8, or a record the csv module refuses, raise
+    DataError naming the file (and the line)."""
     with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            yield from fh
+            for row in reader:
+                yield reader.line_num, row
         except UnicodeDecodeError as err:
             raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
+        except csv.Error as err:
+            raise DataError(f"{path}:{reader.line_num}: {err}") from None
 
 
-def _csv_rows(path):
-    """(line number, cells) of each record of a UTF-8 CSV file; a record
-    the csv module refuses raises DataError naming the file and line."""
-    reader = csv.reader(_text_lines(path))
-    try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as err:
-        raise DataError(f"{path}:{reader.line_num}: {err}") from None
+def _write_csv(path, header, rows):
+    """Write a CSV report: UTF-8 with ``\\n`` line ends, the header, then
+    each row's cells joined by commas with ``str``. A float's ``str`` is
+    its ``repr``, so every value reads back exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in (header, *rows):
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def read_annotated_csv(path, sample_rate_hz: float, subject: int = 0) -> Recording:
@@ -319,11 +322,18 @@ def write_segments(path, *parts: SegmentSet):
     for name, arr in columns.items():
         if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
             raise DataError(f"{name} exceed the u16 range of the segment format")
+    try:  # before the file is opened, so a refused header leaves none
+        header = struct.pack("<IIIQdI", _SEG_VERSION, first.channels, first.seg_len,
+                             len(columns["labels"]), first.sample_rate_hz,
+                             first.window_ms)
+    except struct.error:
+        raise DataError(
+            f"{first.channels} channels of {first.seg_len}-sample windows of "
+            f"{first.window_ms} ms do not fit the u32 fields of the segment format"
+        ) from None
     with open(path, "wb") as fh:
         fh.write(_SEG_MAGIC)
-        fh.write(struct.pack("<IIIQdI", _SEG_VERSION, first.channels,
-                             first.seg_len, len(columns["labels"]),
-                             first.sample_rate_hz, first.window_ms))
+        fh.write(header)
         for arr in columns.values():
             fh.write(np.ascontiguousarray(arr, dtype="<u2"))
         for p in parts:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import _text_lines
+from .data import _csv_rows, _write_csv
 from .errors import ConfigError, DataError, DimensionError, RangeError, UsageError
 
 __all__ = [
@@ -193,51 +193,35 @@ def significance_band(p: float) -> str:
 
 
 def emit_report(report: EvalReport, out_dir) -> dict:
-    """Write the per-subject and summary CSVs.
-
-    Floats are written with repr so parsing them back is lossless.
-    Returns the paths written, keyed by file role.
-    """
+    """Write the per-subject and summary CSVs, whose floats read back
+    exactly; return the paths written, keyed by file role."""
     os.makedirs(out_dir, exist_ok=True)
-    stem = report.model_id or "model"
-    paths = {}
-
-    per_subject = os.path.join(out_dir, f"{stem}_per_subject.csv")
-    with open(per_subject, "w", encoding="utf-8", newline="") as fh:
-        fh.write("subject,accuracy\n")
-        for subject in sorted(report.per_subject_accuracy):
-            fh.write(f"{subject},{report.per_subject_accuracy[subject]!r}\n")
-    paths["per_subject"] = per_subject
-
-    summary = os.path.join(out_dir, f"{stem}_summary.csv")
-    with open(summary, "w", encoding="utf-8", newline="") as fh:
-        fh.write("model_id,mean,std,median,q1,q3\n")
-        fh.write(
-            f"{stem},{report.mean!r},{report.std!r},"
-            f"{report.median!r},{report.q1!r},{report.q3!r}\n"
-        )
-    paths["summary"] = summary
+    name = report.model_id or "model"
+    stem = os.path.join(out_dir, name)
+    paths = {"per_subject": f"{stem}_per_subject.csv", "summary": f"{stem}_summary.csv"}
+    _write_csv(paths["per_subject"], ("subject", "accuracy"),
+               sorted(report.per_subject_accuracy.items()))
+    _write_csv(paths["summary"], ("model_id", "mean", "std", "median", "q1", "q3"),
+               [(name, report.mean, report.std, report.median, report.q1, report.q3)])
     return paths
 
 
 def read_per_subject(path) -> dict:
-    """Parse a per-subject CSV back into a subject -> accuracy map."""
+    """Parse a per-subject CSV back into a subject -> accuracy map. Cells
+    are read with surrounding spaces stripped, and blank lines skipped."""
     out = {}
-    lines = _text_lines(path)
-    header = next(lines, "").strip()
-    if header != "subject,accuracy":
-        raise DataError(
-            f"{path}: expected header 'subject,accuracy', got {header!r}"
-        )
-    for line_no, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
+    rows = ((n, [cell.strip() for cell in row]) for n, row in _csv_rows(path))
+    _, header = next(rows, (0, []))
+    if header != ["subject", "accuracy"]:
+        raise DataError(f"{path}: expected header 'subject,accuracy', got {header!r}")
+    for line_no, row in rows:
+        if row in ([], [""]):
             continue
         try:
-            subject, value = line.split(",")
+            subject, value = row
             subject, value = int(subject), float(value)
         except ValueError:
-            raise DataError(f"{path}:{line_no}: malformed row {line!r}") from None
+            raise DataError(f"{path}:{line_no}: malformed row {row!r}") from None
         if subject in out:
             raise DataError(f"{path}:{line_no}: subject {subject} appears twice")
         if not 0.0 <= value <= 1.0:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import _Reader
+from .data import _Reader, _write_csv
 from .errors import (
     ConfigError,
     DataError,
@@ -233,10 +233,8 @@ def train(
 
 def write_trace(path, result: TrainResult):
     """Emit the per-epoch trace as CSV with round-trippable floats."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,loss,train_acc\n")
-        for e, l, a in zip(result.epochs, result.losses, result.accuracies):
-            fh.write(f"{e},{l!r},{a!r}\n")
+    _write_csv(path, ("epoch", "loss", "train_acc"),
+               zip(result.epochs, result.losses, result.accuracies))
 
 
 # -- checkpoint format ---------------------------------------------------

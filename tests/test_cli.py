@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from emgtcn import data as dio, signal, stats, train as tr
 from emgtcn.cli import main
-from emgtcn.model import AttentionTcn
+from emgtcn.model import AttentionTcn, derive_config
 
 
 def run(argv):
@@ -475,6 +475,26 @@ def test_bad_duration_refused_before_conditioning(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate, argv, words", [
+    (2000.0, ["--window-ms", 5 * 10**9], "window_ms=5000000000 is 1e+10 samples"),
+    (2000.0, ["--stride-ms", 10**20], f"stride_ms={10**20} is 2e+20 samples"),
+    (1e300, [], "window_ms=200 is 2e+299 samples at 1e+300 Hz"),
+    (2000.0 * 2**33, ["--window-ms", 1], "window_ms=1 is 1.71799e+10 samples"),
+], ids=["window-ms", "stride-ms", "header-rate", "window-samples"])
+def test_duration_beyond_the_segment_format_exits_2(
+    pipeline, tmp_path, capsys, rate, argv, words
+):
+    # the segment file stores window_ms and the window length as u32
+    path, out = tmp_path / "rec.semg", tmp_path / "x.sseg"
+    rec = dio.read_recording(pipeline["inputs"][0])
+    dio.write_recording(path, dataclasses.replace(rec, sample_rate_hz=rate))
+    line = assert_one_error_line(
+        run(["preprocess", path, "--out", out, *argv]), capsys.readouterr()
+    )
+    assert f"error: {path}: {words}" in line and "below 2**32" in line, line
+    assert not out.exists()
+
+
 def test_module_entry_point_error_is_one_line(tmp_path):
     # `python -m emgtcn` runs the CLI without the installed script and
     # without runpy's "found in sys.modules" warning ahead of the message
@@ -635,6 +655,36 @@ def test_eval_of_a_checkpoint_with_a_nan_weight_exits_4(pipeline, tmp_path, caps
     assert captured.out == "" and len(lines) == 1, lines
     assert "'w/head.w' is not an array of finite numbers" in lines[0]
     assert not out_dir.exists()
+
+
+def test_eval_scores_subjects_across_a_chunk_boundary(tmp_path, capsys):
+    # three held-out subjects of 150 windows: subject 2 straddles the
+    # 256-window chunk boundary of eval's one scoring pass
+    cfg = derive_config(20, 4, 4, channels=2, sample_rate_hz=2000.0, num_classes=3)
+    model = AttentionTcn(cfg, seed=1)
+    ckpt = tmp_path / "m.ckpt"
+    tr.save_checkpoint(ckpt, tr.make_checkpoint(
+        model, tr.Adam(model.named_parameters()), epoch=0, rng_state=None
+    ))
+    rng = np.random.default_rng(4)
+    subjects = np.repeat([1, 2, 3], 150)
+    segs = signal.SegmentSet(
+        data=rng.normal(size=(450, 2, 40)), labels=rng.integers(0, 3, 450),
+        subjects=subjects, repetitions=np.tile([2, 5], 225),
+        sample_rate_hz=2000.0, window_ms=20,
+    )
+    path = tmp_path / "held_out.sseg"
+    dio.write_segments(path, segs)
+    assert run(["eval", ckpt, path, "--out-dir", tmp_path / "r"]) == 0
+    written = stats.read_per_subject(machine_line(capsys)["per_subject"])
+
+    alone = tr.restore_model(tr.load_checkpoint(ckpt))
+    expected = {}
+    for s in (1, 2, 3):
+        preds = np.argmax(alone.forward(segs.data[subjects == s]).data, axis=1)
+        expected[s] = stats.accuracy(preds, segs.labels[subjects == s])
+    assert written == expected
+    assert len(set(expected.values())) > 1  # the subjects are told apart
 
 
 def test_compare_happy_path(pipeline, tmp_path, capsys):

@@ -474,6 +474,13 @@ def test_write_segments_refuses_what_concat_refuses(tmp_path):
         assert not path.exists()
 
 
+def test_write_segments_refuses_a_header_beyond_u32_and_writes_nothing(tmp_path):
+    path = tmp_path / "x.sseg"
+    with pytest.raises(DataError, match="of 4294967296 ms do not fit the u32 fields"):
+        write_segments(path, replace(sample_segments(m=2, seed=1), window_ms=2**32))
+    assert not path.exists()
+
+
 def test_segment_parts_written_without_joining(tmp_path):
     parts = [sample_segments(m=512, c=4, l=256, seed=s) for s in range(4)]  # 16 MiB
     path = tmp_path / "parts.sseg"

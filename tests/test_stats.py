@@ -384,6 +384,32 @@ def test_read_per_subject_rejects_malformed(tmp_path):
         read_per_subject(empty)
 
 
+@pytest.mark.parametrize("text", [
+    "subject,accuracy\r\n1,0.5\r\n2,0.25\r\n",
+    "subject,accuracy\n\n1,0.5\n   \n2,0.25\n\n",
+    "subject,accuracy \n1 , 0.5\n2,0.25\n",
+    '"subject","accuracy"\n"1","0.5"\n2,"0.25"\n',
+], ids=["crlf", "blank-lines", "spaces", "quoted"])
+def test_read_per_subject_reads_csv_as_the_shared_reader_does(tmp_path, text):
+    path = tmp_path / "r_per_subject.csv"
+    path.write_bytes(text.encode())
+    assert read_per_subject(path) == {1: 0.5, 2: 0.25}
+
+
+def test_read_per_subject_bad_header_shows_its_cells(tmp_path):
+    path = tmp_path / "r_per_subject.csv"
+    path.write_text("subject;accuracy\n1;0.5\n")
+    with pytest.raises(DataError, match=r"got \['subject;accuracy'\]$"):
+        read_per_subject(path)
+
+
+def test_emit_report_writes_numpy_floats_as_numbers(tmp_path):
+    report = aggregate({1: np.float64(0.5), 2: np.float64(0.25)}, model_id="m")
+    paths = emit_report(report, tmp_path)
+    assert open(paths["per_subject"]).read() == "subject,accuracy\n1,0.5\n2,0.25\n"
+    assert read_per_subject(paths["per_subject"]) == {1: 0.5, 2: 0.25}
+
+
 @pytest.mark.parametrize(
     "rows, line, words",
     [
