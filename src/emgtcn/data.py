@@ -21,6 +21,7 @@ import math
 import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -481,6 +482,10 @@ def generate_synthetic(
     per-repetition phase, gain jitter and noise from the seeded
     generator. Layout mirrors an acquisition protocol: for each gesture,
     ``reps`` repetitions of rest followed by the active span.
+
+    Subjects are filled on a thread pool of up to the usable cores, each
+    with its own seeded generator, so the bytes do not depend on the
+    worker count; samples go straight into each subject's float32 array.
     """
     if not 2 <= classes <= 65535:
         raise ConfigError(f"classes must lie in 2..65535 (u16 gesture ids), got {classes}")
@@ -511,16 +516,19 @@ def generate_synthetic(
 
     signatures = [_class_signature(g, channels) for g in range(1, classes + 1)]
     t_active = np.arange(active_n) / sample_rate_hz
+    total = classes * reps * (rest_n + active_n)
+    # allocated here, not in the workers: glibc keeps what a thread's arena frees
+    arrays = [
+        (np.empty((channels, total), dtype=np.float32),
+         np.zeros(total, dtype=np.uint16), np.zeros(total, dtype=np.uint16))
+        for _ in range(subjects)
+    ]
 
-    recordings = []
-    for subj in range(subjects):
+    def fill(subj):  # numpy only, so a tracer sees one generate_synthetic span
+        data, gesture, repetition = arrays[subj]
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((seed, 5150, subj)))
         )
-        total = classes * reps * (rest_n + active_n)
-        data = np.empty((channels, total), dtype=np.float64)
-        gesture = np.zeros(total, dtype=np.uint16)
-        repetition = np.zeros(total, dtype=np.uint16)
         pos = 0
         for g in range(1, classes + 1):
             amplitude, base_hz, weights, phase = signatures[g - 1]
@@ -544,13 +552,15 @@ def generate_synthetic(
                 gesture[pos : pos + active_n] = g
                 repetition[pos : pos + active_n] = rep
                 pos += active_n
-        recordings.append(
-            Recording(
-                data=data.astype(np.float32),
-                sample_rate_hz=sample_rate_hz,
-                gesture=gesture,
-                repetition=repetition,
-                subject=subj + 1,
-            )
-        )
-    return recordings
+
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    with ThreadPoolExecutor(min(subjects, cores)) as pool:
+        list(pool.map(fill, range(subjects)))  # a worker's error cancels the rest
+    return [
+        Recording(data=d, sample_rate_hz=sample_rate_hz, gesture=g, repetition=r,
+                  subject=subj + 1)
+        for subj, (d, g, r) in enumerate(arrays)
+    ]

@@ -179,6 +179,12 @@ def segment(recording, window_ms: int, stride_ms: int | None = None) -> SegmentS
     sample_rate_hz = float(recording.sample_rate_hz)
     seg_len = ms_to_samples(window_ms, sample_rate_hz, "window_ms")
     stride = ms_to_samples(stride_ms, sample_rate_hz, "stride_ms")
+    for name, ms, n in (("window_ms", window_ms, seg_len), ("stride_ms", stride_ms, stride)):
+        if n > np.iinfo(np.intp).max:  # np.arange below takes no larger bound or step
+            raise ConfigError(
+                f"{name}={ms} is {n:.6g} samples at {sample_rate_hz} Hz, "
+                "more than numpy can index"
+            )
 
     data = np.asarray(recording.data, dtype=np.float64)
     gesture = np.asarray(recording.gesture)

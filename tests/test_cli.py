@@ -392,6 +392,21 @@ def test_synth_output_it_cannot_write_exits_2(tmp_path, capsys, argv, words):
     assert not out.exists()
 
 
+def test_synth_out_of_memory_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
+    def sin(*args, **kwargs):
+        raise MemoryError("cannot allocate the wave")
+
+    monkeypatch.setattr(np, "sin", sin)
+    out = tmp_path / "s"
+    code = run([
+        "synth", "--out-dir", out, "--subjects", 3, "--num-classes", 2, "--reps", 1,
+        "--gesture-seconds", 0.02, "--rest-seconds", 0,
+    ])
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert line == "error: out of memory: cannot allocate the wave", line
+    assert not out.exists()
+
+
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte order mark

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emgtcn import data as data_module
 from emgtcn.data import (
     Recording,
     SplitSpec,
@@ -567,6 +570,61 @@ def test_generate_synthetic_deterministic():
     c = generate_synthetic(subjects=2, classes=3, reps=2, seed=12, channels=4,
                            gesture_seconds=0.3, rest_seconds=0.1)
     assert a[0].data.tobytes() != c[0].data.tobytes()
+
+
+_SYNTH_ARGS = dict(classes=4, reps=2, seed=7, channels=3, gesture_seconds=0.3,
+                   rest_seconds=0.1)
+# sha256 over each subject's samples, gesture ids and repetition ids in
+# turn, for three subjects of _SYNTH_ARGS, as the serial float64 generator
+# wrote them
+_SYNTH_SHA256 = "70480cda34f38924318275321146d3414d5aeaa13cf5ff8207e46e6a1d2fac6c"
+
+
+def _synth_digest(recs):
+    h = hashlib.sha256()
+    for rec in recs:
+        for arr in (rec.data, rec.gesture, rec.repetition):
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_generate_synthetic_bytes_are_pinned():
+    recs = generate_synthetic(subjects=3, **_SYNTH_ARGS)
+    assert _synth_digest(recs) == _SYNTH_SHA256
+    for rec in recs:
+        assert rec.data.dtype == np.float32 and rec.data.flags.c_contiguous
+    # subject k is the same recording however many subjects are asked for
+    for n in (1, 2):
+        for short, full in zip(generate_synthetic(subjects=n, **_SYNTH_ARGS), recs):
+            assert _synth_digest([short]) == _synth_digest([full])
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_generate_synthetic_bytes_do_not_depend_on_the_worker_count(monkeypatch, cores):
+    sizes = []
+
+    class Pool(data_module.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(data_module, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    assert _synth_digest(generate_synthetic(subjects=3, **_SYNTH_ARGS)) == _SYNTH_SHA256
+    assert sizes == [cores]
+
+
+def test_generate_synthetic_worker_error_reaches_the_caller(monkeypatch):
+    err = MemoryError("cannot allocate the wave")
+
+    def sin(*args, **kwargs):
+        raise err
+
+    monkeypatch.setattr(np, "sin", sin)
+    with pytest.raises(MemoryError) as info:
+        generate_synthetic(subjects=3, **_SYNTH_ARGS)
+    assert info.value is err
 
 
 def test_generate_synthetic_layout():

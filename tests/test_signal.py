@@ -219,6 +219,20 @@ def test_segment_rejects_bad_window():
         segment(rec, window_ms=200, stride_ms=0)
 
 
+@pytest.mark.parametrize("window_ms, stride_ms, rate, setting", [
+    (200, 10**20, 2000.0, f"stride_ms={10**20} is 2e+20 samples at 2000.0 Hz"),
+    (10**20, None, 2000.0, f"window_ms={10**20} is 2e+20 samples at 2000.0 Hz"),
+    (200, None, 1e300, "window_ms=200 is 2e+299 samples at 1e+300 Hz"),
+], ids=["stride", "window", "rate"])
+def test_segment_refuses_a_duration_numpy_cannot_index(window_ms, stride_ms, rate, setting):
+    rec = _single_span_recording(span=2000)
+    rec.sample_rate_hz = rate
+    with pytest.raises(ConfigError) as info:
+        segment(rec, window_ms=window_ms, stride_ms=stride_ms)
+    message = str(info.value)
+    assert message.startswith(setting) and "\n" not in message, message
+
+
 def _segment_oracle(rec, seg_len, stride):
     """The windowing rule as a plain loop over samples: every window
     that fits inside one run of constant (gesture, repetition) with
