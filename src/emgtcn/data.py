@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import os
+import secrets
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -68,9 +70,8 @@ class Recording:
             self.data = self.data.astype(np.float32)
         if self.data.ndim != 2:
             raise DataError(f"samples must be channels x T, got {self.data.shape}")
-        # min/max scan without a full-size mask; NaN and +-inf show in them
         d = self.data
-        if d.size and not (np.isfinite(d.min()) and np.isfinite(d.max())):
+        if not _all_finite(d):
             c, i = np.argwhere(~np.isfinite(d))[0]
             raise DataError(
                 f"sample {i} of channel ch{c + 1} is not finite ({float(d[c, i])})"
@@ -106,6 +107,17 @@ class Recording:
     def with_data(self, data: np.ndarray) -> "Recording":
         """Same annotations, new sample matrix (e.g. after filtering)."""
         return replace(self, data=data)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether no element is NaN or +-inf, without a full-size mask. A
+    finite sum proves it in one pass; only a sum that is not finite
+    (a non-finite element, or finite values that overflow it) pays for
+    the min/max scan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(a.sum()):
+            return True
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
 def _u16_ids(ids, name: str) -> np.ndarray:
@@ -151,8 +163,8 @@ class _Reader:
     """Bounds-checked cursor over an open binary file (SEMG, SSEG, TCHG).
 
     Every part's byte count is checked against the bytes left in the
-    file before anything is allocated for it, and arrays are read
-    straight into place.
+    file before anything is allocated for it. Arrays are read straight
+    into place, or mapped (``view``).
     """
 
     def __init__(self, fh, what: str):
@@ -208,6 +220,21 @@ class _Reader:
             ) from None
         self._advance(self.fh.readinto(out), n, part)
         return out
+
+    def view(self, dtype: str, shape: tuple, part: str) -> np.ndarray:
+        """Like ``array``, but a view over a private copy-on-write map of
+        the file: nothing is copied in, and writes to the view never
+        reach the file."""
+        dtype = np.dtype(dtype)
+        n = dtype.itemsize * math.prod(shape)
+        if n == 0:  # mmap refuses an empty map; a 0-byte read gives np.empty
+            return self.array(dtype, shape, part)
+        self._need(n, part)
+        buf = mmap.mmap(self.fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        out = np.frombuffer(buf, dtype, n // dtype.itemsize, self.offset)
+        self.fh.seek(n, os.SEEK_CUR)
+        self.offset += n
+        return out.reshape(shape)
 
     def done(self):
         if self.offset != self.size:
@@ -314,6 +341,13 @@ def write_segments(path, *parts: SegmentSet):
 
     Several parts give the bytes of ``concat_segments(parts)``: their
     windows are written in turn and never joined in memory.
+
+    The file is written beside ``path`` under a temporary name and then
+    renamed over it (``os.replace``), so ``path`` is replaced atomically
+    and is never truncated in place: windows that ``read_segments`` has
+    mapped from the old file, even those being written out here, keep
+    their values. If the write fails, the temporary file is removed and
+    ``path`` is left as it was.
     """
     first = _common_geometry(parts)
     columns = {
@@ -332,16 +366,36 @@ def write_segments(path, *parts: SegmentSet):
             f"{first.channels} channels of {first.seg_len}-sample windows of "
             f"{first.window_ms} ms do not fit the u32 fields of the segment format"
         ) from None
-    with open(path, "wb") as fh:
-        fh.write(_SEG_MAGIC)
-        fh.write(header)
-        for arr in columns.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<u2"))
-        for p in parts:
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
+    tmp = f"{os.fsdecode(path)}.{secrets.token_hex(4)}.tmp"
+    try:  # exclusive, so a name already in use is never taken
+        fh = open(tmp, "xb")
+    except OSError as err:  # a missing or closed directory: name the target
+        raise OSError(err.errno, err.strerror, os.fsdecode(path)) from None
+    try:
+        with fh:
+            fh.write(_SEG_MAGIC)
+            fh.write(header)
+            for arr in columns.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<u2"))
+            for p in parts:
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def read_segments(path) -> SegmentSet:
+    """Read an SSEG v1 file. The labels, subjects and repetitions are
+    read into fresh int64 arrays; the windows are a view over a private
+    copy-on-write map of the file, so reading copies nothing in, and
+    writing into the windows changes the array but never the file.
+
+    On Linux a mapped file that is replaced (``write_segments`` renames
+    over it) stays readable through live views. A mapped file truncated
+    in place from outside the process makes the next read of a lost
+    page end in ``SIGBUS``, as it does for numpy's ``mmap_mode``.
+    """
     with open(path, "rb") as fh:
         r = _Reader(fh, "segment file")
         r.header(_SEG_MAGIC, _SEG_VERSION)
@@ -350,10 +404,9 @@ def read_segments(path) -> SegmentSet:
             r.array("<u2", (m,), part).astype(np.int64)
             for part in ("labels", "subjects", "repetitions")
         )
-        data = r.array("<f8", (m, channels, seg_len), "windows")
+        data = r.view("<f8", (m, channels, seg_len), "windows")
         r.done()
-    # min/max scan without a full-size mask; NaN and +-inf show in them
-    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+    if not _all_finite(data):
         i, c, t = np.argwhere(~np.isfinite(data))[0]
         raise DataError(
             f"window {i}: sample {t} of channel ch{c + 1} is not finite "
@@ -507,8 +560,10 @@ def generate_synthetic(
         size *= sample_rate_hz
     except OverflowError:  # an int setting beyond any float
         size = math.inf
-    if size > np.iinfo(np.intp).max // 8:
-        raise ConfigError(f"{size:.4g} float64 samples are beyond what numpy can index")
+    # a subject's float32 samples are the largest array; the float64
+    # wave of one span holds at most half of them (classes >= 2)
+    if size > np.iinfo(np.intp).max // 4:
+        raise ConfigError(f"{size:.4g} samples of a subject are beyond what numpy can index")
     active_n = int(round(gesture_seconds * sample_rate_hz))
     rest_n = int(round(rest_seconds * sample_rate_hz))
     if active_n < 1:

@@ -392,6 +392,17 @@ def test_synth_output_it_cannot_write_exits_2(tmp_path, capsys, argv, words):
     assert not out.exists()
 
 
+def test_synth_beyond_numpy_names_the_samples_of_a_subject(tmp_path, capsys):
+    out = tmp_path / "s"
+    code = run([
+        "synth", "--out-dir", out, "--subjects", 1, "--num-classes", 2, "--reps", 1,
+        "--channels", 1, "--gesture-seconds", 0.001, "--rest-seconds", 0,
+        "--sample-rate-hz", 1e300,
+    ])
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert line == "error: 2e+297 samples of a subject are beyond what numpy can index"
+
+
 def test_synth_out_of_memory_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
     def sin(*args, **kwargs):
         raise MemoryError("cannot allocate the wave")
@@ -595,6 +606,16 @@ def test_missing_input_exits_4(pipeline, tmp_path):
         "eval", tmp_path / "absent.ckpt", pipeline["segs"],
         "--out-dir", tmp_path,
     ]) == 4
+
+
+def test_preprocess_into_a_missing_directory_exits_4(pipeline, tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.sseg"
+    assert run(["preprocess", pipeline["inputs"][0], "--out", out]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error" in ln]
+    assert errors == [f"file error: [Errno 2] No such file or directory: '{out}'"]
+    assert not out.parent.exists()
 
 
 def test_eval_window_mismatch_exits_2(pipeline, tmp_path, capsys):

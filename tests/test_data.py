@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import os
 import struct
 import tracemalloc
@@ -393,6 +395,16 @@ def test_segment_file_passes_through_memory_once(tmp_path):
     assert read_segments(path).data.tobytes() == segs.data.tobytes()
 
 
+def test_segment_windows_are_mapped_not_copied(tmp_path):
+    segs = sample_segments(m=2048, c=4, l=256)  # 16 MiB of windows
+    path = tmp_path / "big.sseg"
+    write_segments(path, segs)
+    read_peak = _peak_bytes(read_segments, path)
+    assert read_peak < 0.05 * path.stat().st_size, read_peak  # the int64 columns
+    back = read_segments(path)
+    assert back.data.flags.writeable and not isinstance(back.data, np.memmap)
+
+
 def test_segments_reject_non_finite_window_value(tmp_path):
     path = tmp_path / "nan.sseg"
     write_segments(path, sample_segments(m=3))
@@ -403,6 +415,105 @@ def test_segments_reject_non_finite_window_value(tmp_path):
         read_segments(path)
     msg = str(err.value)
     assert "window 2" in msg and "sample 7" in msg and "ch2" in msg and "nan" in msg
+
+
+def test_segments_accept_finite_windows_whose_sum_overflows(tmp_path):
+    segs = sample_segments(m=3)
+    segs.data[:] = 1e308
+    segs.data[1] = -1e308
+    path = tmp_path / "big.sseg"
+    write_segments(path, segs)
+    assert read_segments(path).data.tobytes() == segs.data.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_segments_name_the_first_non_finite_window_value(tmp_path, value):
+    segs = sample_segments(m=3)
+    segs.data[:] = 1e308  # the sum overflows before the bad value is met
+    segs.data[1, 1, 3] = value
+    segs.data[2, 0, 0] = np.nan
+    path = tmp_path / "bad.sseg"
+    write_segments(path, segs)
+    with pytest.raises(DataError) as err:
+        read_segments(path)
+    assert str(err.value) == (
+        f"window 1: sample 3 of channel ch2 is not finite ({float(value)})"
+    )
+
+
+def test_recording_accepts_finite_samples_whose_sum_overflows():
+    data = np.full((2, 40), 3e38, dtype=np.float32)
+    data[1] = -3e38
+    rec = replace(sample_recording(t=40), data=data)
+    assert rec.data.tobytes() == data.tobytes()
+
+
+def test_segments_rewritten_from_their_own_map_keep_their_bytes(tmp_path):
+    # several pages of windows, all of them faulted in by the finite check
+    path = tmp_path / "set.sseg"
+    write_segments(path, sample_segments(m=600, c=4, l=64))
+    blob = path.read_bytes()
+    write_segments(path, read_segments(path))
+    assert path.read_bytes() == blob
+
+
+def test_segments_read_before_a_rewrite_keep_their_values(tmp_path):
+    old, new = sample_segments(m=50, seed=2), sample_segments(m=50, seed=3)
+    path = tmp_path / "set.sseg"
+    write_segments(path, old)
+    held = read_segments(path)
+    write_segments(path, new)
+    assert held.data.tobytes() == old.data.tobytes()
+    assert read_segments(path).data.tobytes() == new.data.tobytes()
+
+
+def test_writing_into_read_windows_leaves_the_file_alone(tmp_path):
+    segs = sample_segments(m=50)
+    path = tmp_path / "set.sseg"
+    write_segments(path, segs)
+    blob = path.read_bytes()
+    held = read_segments(path)
+    held.data[:] = 7.0
+    assert np.all(held.data == 7.0)
+    assert path.read_bytes() == blob
+    assert read_segments(path).data.tobytes() == segs.data.tobytes()
+
+
+def test_segment_file_of_zero_windows_round_trips(tmp_path):
+    path, again = tmp_path / "empty.sseg", tmp_path / "again.sseg"
+    write_segments(path, sample_segments(m=0))
+    back = read_segments(path)
+    assert back.data.shape == (0, 2, 8) and len(back.labels) == 0
+    write_segments(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_segments_shape_numpy_cannot_hold_raises_format_error(tmp_path):
+    # no windows, so the window block is 0 bytes long and only the shape
+    # (0, 2**31, 2**31) of float64 is wrong
+    path = tmp_path / "huge.sseg"
+    path.write_bytes(b"SSEG" + struct.pack("<IIIQdI", 1, 2**31, 2**31, 0, 2000.0, 200))
+    with pytest.raises(FormatError, match="windows has shape .* numpy cannot hold"):
+        read_segments(path)
+
+
+class _DiskFullAfterFirstWrite(io.FileIO):
+    def write(self, b):
+        if self.tell():
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(b)
+
+
+def test_failed_segment_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "set.sseg"
+    write_segments(path, sample_segments(m=5, seed=2))
+    blob = path.read_bytes()
+    monkeypatch.setattr(data_module, "open", _DiskFullAfterFirstWrite, raising=False)
+    with pytest.raises(OSError) as err:
+        write_segments(path, sample_segments(m=9, seed=3))
+    assert err.value.errno == errno.ENOSPC
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["set.sseg"]
 
 
 def test_segments_reject_non_finite_rate(tmp_path):
