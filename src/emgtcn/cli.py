@@ -160,10 +160,28 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _check_outputs(outputs, inputs):
+    """Refuse, before anything is read, an output that the writers would
+    refuse (``data._writable``: exit 4), or one that names an input or
+    an earlier output (exit 2): two paths name one file when
+    ``os.path.samefile`` says so or, while one does not exist yet, when
+    their real paths agree."""
+    for i, out in enumerate(outputs):
+        dio._writable(out)
+        for other in (*inputs, *outputs[:i]):
+            try:
+                same = os.path.samefile(out, other)
+            except OSError:  # one of them does not exist yet
+                same = os.path.realpath(out) == os.path.realpath(other)
+            if same:
+                raise UsageError(f"output {out} would overwrite {other}")
+
+
 # -- subcommands ---------------------------------------------------------
 
 
 def _cmd_preprocess(args) -> int:
+    _check_outputs([args.out], args.inputs)
     cfg = _load_run_config(args)
     mu = sig.MuLawParams(mu=cfg.mu)
     parts = []
@@ -228,6 +246,7 @@ def _read_side(path, cfg, side: str, num_classes: int):
 
 
 def _cmd_train(args) -> int:
+    _check_outputs([args.checkpoint, args.trace], [args.segments])
     cfg = _load_run_config(args)
     seed = _resolved_seed(args, cfg)
     train_cfg = tr.TrainConfig(
@@ -324,6 +343,7 @@ def _cmd_params(args) -> int:
 def _cmd_compare(args) -> int:
     if len(args.reports) < 2:
         raise UsageError("need at least two per-subject reports to compare")
+    _check_outputs([args.out], args.reports)
     names = [
         _csv_cell(_stem(p, strip="_per_subject"), "report name") for p in args.reports
     ]

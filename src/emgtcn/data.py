@@ -16,11 +16,14 @@ hand off through the filesystem.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import math
 import mmap
 import os
 import secrets
+import stat
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -160,18 +163,22 @@ class SplitSpec:
 
 
 class _Reader:
-    """Bounds-checked cursor over an open binary file (SEMG, SSEG, TCHG).
+    """Bounds-checked cursor over a binary file (SEMG, SSEG, TCHG), read
+    through one private copy-on-write map of the whole file.
 
     Every part's byte count is checked against the bytes left in the
-    file before anything is allocated for it. Arrays are read straight
-    into place, or mapped (``view``).
+    file before it is read. Every array is a view over the map: nothing
+    is copied in, and writes to an array never reach the file.
     """
 
-    def __init__(self, fh, what: str):
-        self.fh = fh
+    def __init__(self, path, what: str):
         self.what = what
         self.offset = 0
-        self.size = os.fstat(fh.fileno()).st_size
+        with open(path, "rb") as fh:
+            self.size = os.fstat(fh.fileno()).st_size
+            self.map = b""  # mmap refuses an empty file, which holds no part anyway
+            if self.size:
+                self.map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
 
     def _need(self, n: int, part: str):
         if n > self.size - self.offset:
@@ -180,16 +187,10 @@ class _Reader:
                 f"{self.offset}, only {self.size - self.offset} remain"
             )
 
-    def _advance(self, got: int, n: int, part: str):
-        self.offset += got
-        if got != n:
-            raise FormatError(f"truncated {self.what}: short read of {part}")
-
     def take(self, n: int, part: str) -> bytes:
         self._need(n, part)
-        out = self.fh.read(n)
-        self._advance(len(out), n, part)
-        return out
+        self.offset += n
+        return self.map[self.offset - n : self.offset]
 
     def unpack(self, fmt: str, part: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), part))
@@ -207,34 +208,20 @@ class _Reader:
             )
 
     def array(self, dtype: str, shape: tuple, part: str) -> np.ndarray:
-        """A fresh array of ``shape`` read from the next bytes; a shape
-        numpy cannot hold is a format error like a short file."""
+        """The next bytes as a (maybe unaligned) view of ``shape`` over
+        the map; a shape numpy cannot hold is a format error."""
         dtype = np.dtype(dtype)
         n = dtype.itemsize * math.prod(shape)
         self._need(n, part)
-        try:
-            out = np.empty(shape, dtype)
-        except ValueError as err:
+        try:  # only a shape of no elements can get here too big for numpy
+            out = np.frombuffer(self.map, dtype, n // dtype.itemsize, self.offset)
+            out = out.reshape(shape)
+        except ValueError:
             raise FormatError(
                 f"{self.what}: {part} has shape {shape}, which numpy cannot hold"
             ) from None
-        self._advance(self.fh.readinto(out), n, part)
-        return out
-
-    def view(self, dtype: str, shape: tuple, part: str) -> np.ndarray:
-        """Like ``array``, but a view over a private copy-on-write map of
-        the file: nothing is copied in, and writes to the view never
-        reach the file."""
-        dtype = np.dtype(dtype)
-        n = dtype.itemsize * math.prod(shape)
-        if n == 0:  # mmap refuses an empty map; a 0-byte read gives np.empty
-            return self.array(dtype, shape, part)
-        self._need(n, part)
-        buf = mmap.mmap(self.fh.fileno(), 0, access=mmap.ACCESS_COPY)
-        out = np.frombuffer(buf, dtype, n // dtype.itemsize, self.offset)
-        self.fh.seek(n, os.SEEK_CUR)
         self.offset += n
-        return out.reshape(shape)
+        return out
 
     def done(self):
         if self.offset != self.size:
@@ -244,13 +231,56 @@ class _Reader:
             )
 
 
+def _writable(path) -> str:
+    """The real path of ``path`` (symlinks resolved), once it is clear
+    that ``_replacing`` may write there: its folder exists, and a file
+    already there is a regular file with write permission, as an
+    in-place write would need (a device, FIFO or folder is never
+    replaced). A failure is an ``OSError`` naming ``path``."""
+    target, name = os.fsdecode(os.path.realpath(path)), os.fsdecode(path)
+    if not os.path.isdir(os.path.dirname(target)):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), name)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise FileExistsError(errno.EEXIST, "not a regular file", name)
+    if os.path.exists(target) and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+    return target
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file to write in place of ``path``; every output goes
+    through it. It is made exclusively beside the real path of ``path``
+    (a symlink keeps its link), takes the old file's permission bits,
+    and is renamed over it, so ``path`` is replaced whole or not at all
+    and arrays mapped from the old file keep their values. On any
+    failure, ``KeyboardInterrupt`` too, it is removed and ``path`` is
+    left as it was. ``_writable`` says which paths it refuses."""
+    target = _writable(path)
+    tmp = f"{target}.{secrets.token_hex(4)}.tmp"
+    try:  # exclusive, so a name already in use is never taken
+        fh = open(tmp, "xb")
+    except OSError as err:  # a folder that cannot take it: name the target
+        raise OSError(err.errno, err.strerror, os.fsdecode(path)) from None
+    try:
+        with fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_recording(path, rec: Recording):
-    """Serialize as SEMG-BIN v1 (samples stored as float32)."""
+    """Serialize as SEMG-BIN v1 (samples stored as float32), replacing
+    ``path`` atomically (``_replacing``)."""
     samples = np.ascontiguousarray(rec.data, dtype="<f4")
     ann = np.empty((rec.num_samples, 2), dtype="<u2")
     ann[:, 0] = rec.gesture
     ann[:, 1] = rec.repetition
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(_REC_MAGIC)
         fh.write(struct.pack("<IIdQ", _REC_VERSION, rec.channels,
                              rec.sample_rate_hz, rec.num_samples))
@@ -259,13 +289,15 @@ def write_recording(path, rec: Recording):
 
 
 def read_recording(path, subject: int = 0) -> Recording:
-    with open(path, "rb") as fh:
-        r = _Reader(fh, "recording file")
-        r.header(_REC_MAGIC, _REC_VERSION)
-        channels, rate, t = r.unpack("<IdQ", "header")
-        data = r.array("<f4", (channels, t), "samples")
-        ann = r.array("<u2", (t, 2), "annotations")
-        r.done()
+    """Read a SEMG-BIN v1 file. The samples are a view over a private
+    copy-on-write map of the file, as in ``read_segments``; the
+    annotations are copied out as contiguous uint16."""
+    r = _Reader(path, "recording file")
+    r.header(_REC_MAGIC, _REC_VERSION)
+    channels, rate, t = r.unpack("<IdQ", "header")
+    data = r.array("<f4", (channels, t), "samples")
+    ann = r.array("<u2", (t, 2), "annotations")
+    r.done()
     return Recording(
         data=data, sample_rate_hz=rate, gesture=ann[:, 0], repetition=ann[:, 1],
         subject=subject,
@@ -290,10 +322,11 @@ def _csv_rows(path):
 def _write_csv(path, header, rows):
     """Write a CSV report: UTF-8 with ``\\n`` line ends, the header, then
     each row's cells joined by commas with ``str``. A float's ``str`` is
-    its ``repr``, so every value reads back exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    its ``repr``, so every value reads back exactly. ``path`` is
+    replaced atomically (``_replacing``)."""
+    with _replacing(path) as fh:
         for row in (header, *rows):
-            fh.write(",".join(map(str, row)) + "\n")
+            fh.write((",".join(map(str, row)) + "\n").encode("utf-8"))
 
 
 def read_annotated_csv(path, sample_rate_hz: float, subject: int = 0) -> Recording:
@@ -342,12 +375,9 @@ def write_segments(path, *parts: SegmentSet):
     Several parts give the bytes of ``concat_segments(parts)``: their
     windows are written in turn and never joined in memory.
 
-    The file is written beside ``path`` under a temporary name and then
-    renamed over it (``os.replace``), so ``path`` is replaced atomically
-    and is never truncated in place: windows that ``read_segments`` has
-    mapped from the old file, even those being written out here, keep
-    their values. If the write fails, the temporary file is removed and
-    ``path`` is left as it was.
+    ``path`` is replaced atomically (``_replacing``), so windows that
+    ``read_segments`` has mapped from the old file, even those being
+    written out here, keep their values.
     """
     first = _common_geometry(parts)
     columns = {
@@ -366,46 +396,36 @@ def write_segments(path, *parts: SegmentSet):
             f"{first.channels} channels of {first.seg_len}-sample windows of "
             f"{first.window_ms} ms do not fit the u32 fields of the segment format"
         ) from None
-    tmp = f"{os.fsdecode(path)}.{secrets.token_hex(4)}.tmp"
-    try:  # exclusive, so a name already in use is never taken
-        fh = open(tmp, "xb")
-    except OSError as err:  # a missing or closed directory: name the target
-        raise OSError(err.errno, err.strerror, os.fsdecode(path)) from None
-    try:
-        with fh:
-            fh.write(_SEG_MAGIC)
-            fh.write(header)
-            for arr in columns.values():
-                fh.write(np.ascontiguousarray(arr, dtype="<u2"))
-            for p in parts:
-                fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    with _replacing(path) as fh:
+        fh.write(_SEG_MAGIC)
+        fh.write(header)
+        for arr in columns.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<u2"))
+        for p in parts:
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
 
 
 def read_segments(path) -> SegmentSet:
     """Read an SSEG v1 file. The labels, subjects and repetitions are
-    read into fresh int64 arrays; the windows are a view over a private
+    copied out into int64 arrays; the windows are a view over a private
     copy-on-write map of the file, so reading copies nothing in, and
     writing into the windows changes the array but never the file.
 
-    On Linux a mapped file that is replaced (``write_segments`` renames
-    over it) stays readable through live views. A mapped file truncated
-    in place from outside the process makes the next read of a lost
-    page end in ``SIGBUS``, as it does for numpy's ``mmap_mode``.
+    On Linux a mapped file that is replaced (every writer here renames
+    over its target) stays readable through live views. A mapped file
+    (``.semg``, ``.sseg`` or ``.ckpt``) truncated in place from outside
+    the process makes the next read of a lost page end in ``SIGBUS``,
+    as it does for numpy's ``mmap_mode``.
     """
-    with open(path, "rb") as fh:
-        r = _Reader(fh, "segment file")
-        r.header(_SEG_MAGIC, _SEG_VERSION)
-        channels, seg_len, m, rate, window_ms = r.unpack("<IIQdI", "header")
-        labels, subjects, reps = (
-            r.array("<u2", (m,), part).astype(np.int64)
-            for part in ("labels", "subjects", "repetitions")
-        )
-        data = r.view("<f8", (m, channels, seg_len), "windows")
-        r.done()
+    r = _Reader(path, "segment file")
+    r.header(_SEG_MAGIC, _SEG_VERSION)
+    channels, seg_len, m, rate, window_ms = r.unpack("<IIQdI", "header")
+    labels, subjects, reps = (
+        r.array("<u2", (m,), part).astype(np.int64)
+        for part in ("labels", "subjects", "repetitions")
+    )
+    data = r.array("<f8", (m, channels, seg_len), "windows")
+    r.done()
     if not _all_finite(data):
         i, c, t = np.argwhere(~np.isfinite(data))[0]
         raise DataError(

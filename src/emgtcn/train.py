@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import _Reader, _write_csv
+from .data import _Reader, _replacing, _write_csv
 from .errors import (
     ConfigError,
     DataError,
@@ -346,6 +346,8 @@ def _check_group(group: str, saved: dict, expected: dict):
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
+    """Write ``ckpt`` as TCHG v1, replacing ``path`` atomically, so a
+    checkpoint loaded from the old file keeps its values."""
     config = json.dumps(asdict(ckpt.config), sort_keys=True)
     entries = [("config", 0, config), ("epoch", 2, ckpt.epoch)]
     entries.append(("opt", 0, json.dumps(ckpt.opt, sort_keys=True)))
@@ -354,7 +356,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
     for group, arrays in (("w", ckpt.weights), ("m", ckpt.m), ("v", ckpt.v)):
         entries.extend((f"{group}/{name}", 1, arr) for name, arr in arrays.items())
 
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(entries)))
         for name, kind, payload in entries:
@@ -374,36 +376,37 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a TCHG v1 file. Its arrays are (maybe unaligned) views over
+    a private copy-on-write map of the file; the restorers copy them."""
     fields: dict = {}
-    with open(path, "rb") as fh:
-        r = _Reader(fh, "checkpoint file")
-        r.header(_MAGIC, _VERSION)
-        (count,) = r.unpack("<I", "entry count")
-        try:
-            for _ in range(count):
-                (name_len,) = r.unpack("<I", "entry name length")
-                name = r.take(name_len, "entry name").decode("utf-8")
-                if name in fields:
-                    raise FormatError(f"checkpoint entry {name!r} appears twice")
-                (kind,) = r.unpack("<B", f"kind of {name!r}")
-                if kind == 0:
-                    (blob_len,) = r.unpack("<Q", f"length of {name!r}")
-                    fields[name] = r.take(blob_len, f"payload of {name!r}").decode("utf-8")
-                elif kind == 1:
-                    (ndim,) = r.unpack("<I", f"rank of {name!r}")
-                    dims = r.unpack(f"<{max(ndim, 1)}Q", f"shape of {name!r}")
-                    fields[name] = r.array("<f8", dims[:ndim], f"data of {name!r}")
-                elif kind == 2:
-                    (fields[name],) = r.unpack("<q", f"value of {name!r}")
-                else:
-                    raise FormatError(
-                        f"unknown entry kind {kind} for {name!r} at offset {r.offset}"
-                    )
-        except UnicodeDecodeError as err:
-            raise FormatError(
-                f"malformed checkpoint entry before offset {r.offset}: {err}"
-            ) from None
-        r.done()
+    r = _Reader(path, "checkpoint file")
+    r.header(_MAGIC, _VERSION)
+    (count,) = r.unpack("<I", "entry count")
+    try:
+        for _ in range(count):
+            (name_len,) = r.unpack("<I", "entry name length")
+            name = r.take(name_len, "entry name").decode("utf-8")
+            if name in fields:
+                raise FormatError(f"checkpoint entry {name!r} appears twice")
+            (kind,) = r.unpack("<B", f"kind of {name!r}")
+            if kind == 0:
+                (blob_len,) = r.unpack("<Q", f"length of {name!r}")
+                fields[name] = r.take(blob_len, f"payload of {name!r}").decode("utf-8")
+            elif kind == 1:
+                (ndim,) = r.unpack("<I", f"rank of {name!r}")
+                dims = r.unpack(f"<{max(ndim, 1)}Q", f"shape of {name!r}")
+                fields[name] = r.array("<f8", dims[:ndim], f"data of {name!r}")
+            elif kind == 2:
+                (fields[name],) = r.unpack("<q", f"value of {name!r}")
+            else:
+                raise FormatError(
+                    f"unknown entry kind {kind} for {name!r} at offset {r.offset}"
+                )
+    except UnicodeDecodeError as err:
+        raise FormatError(
+            f"malformed checkpoint entry before offset {r.offset}: {err}"
+        ) from None
+    r.done()
     try:
         config = json.loads(fields.pop("config"))
         epoch = fields.pop("epoch")

@@ -1145,3 +1145,86 @@ def test_random_config_exits_0_or_2(pipeline, config):
             lines = err.getvalue().strip().splitlines()
             assert lines[-1].startswith("error: "), (argv[0], config, lines)
             assert sum(ln.startswith("error:") for ln in lines) == 1
+
+
+# -- outputs that name an input --------------------------------------------
+
+
+def _files(folder):
+    return {p.name: p.read_bytes() for p in Path(folder).iterdir()}
+
+
+def _refused(capsys, argv, folder, *named):
+    """Run ``argv``, which must exit 2 with one stderr line naming each of
+    ``named`` and leave every file in ``folder`` as it was."""
+    before = _files(folder)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and all(str(p) in lines[0] for p in named), lines
+    assert _files(folder) == before
+
+
+def test_preprocess_refuses_an_output_that_is_an_input(pipeline, tmp_path, capsys):
+    rec, link = tmp_path / "x.semg", tmp_path / "link.sseg"
+    rec.write_bytes(Path(pipeline["inputs"][0]).read_bytes())
+    _refused(capsys, ["preprocess", rec, "--out", rec], tmp_path, rec)
+    link.symlink_to(rec)
+    _refused(capsys, ["preprocess", rec, "--out", link], tmp_path, rec, link)
+
+
+def test_train_refuses_a_checkpoint_that_is_its_segment_file(pipeline, tmp_path, capsys):
+    segs = tmp_path / "a.sseg"
+    segs.write_bytes(pipeline["segs"].read_bytes())
+    _refused(capsys, [
+        "train", segs, "--checkpoint", segs, "--trace", tmp_path / "t.csv",
+    ], tmp_path, segs)
+
+
+def test_train_refuses_a_trace_that_is_its_checkpoint(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "o"
+    ckpt.write_bytes(pipeline["ckpt"].read_bytes())
+    _refused(capsys, [
+        "train", pipeline["segs"], "--checkpoint", ckpt, "--trace", ckpt,
+    ], tmp_path, ckpt)
+    # neither exists yet: the real paths decide
+    new = tmp_path / "new"
+    _refused(capsys, [
+        "train", pipeline["segs"], "--checkpoint", new,
+        "--trace", tmp_path / "." / "new",
+    ], tmp_path, new)
+
+
+def test_compare_refuses_an_output_that_is_a_report(pipeline, tmp_path, capsys):
+    a, b = tmp_path / "A.csv", tmp_path / "B.csv"
+    a.write_bytes((pipeline["reports"] / "model_per_subject.csv").read_bytes())
+    b.write_bytes(a.read_bytes())
+    _refused(capsys, ["compare", a, b, "--out", a], tmp_path, a)
+
+
+def test_train_checks_output_directories_before_it_trains(pipeline, tmp_path, capsys):
+    ckpt, trace = tmp_path / "m.ckpt", tmp_path / "missing" / "t.csv"
+    code = run([
+        "train", pipeline["segs"], "--checkpoint", ckpt, "--trace", trace,
+        "--epochs", 1, "--model-dim", 4, "--num-classes", 3,
+    ])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"file error: [Errno 2] No such file or directory: '{trace}'"
+    ]
+    assert os.listdir(tmp_path) == []
+
+
+def test_train_refuses_a_fifo_output_before_it_trains(pipeline, tmp_path, capsys):
+    ckpt, fifo = tmp_path / "m.ckpt", tmp_path / "fifo"
+    os.mkfifo(fifo)
+    code = run(["train", pipeline["segs"], "--checkpoint", ckpt, "--trace", fifo])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"file error: [Errno 17] not a regular file: '{fifo}'"
+    ]
+    assert os.listdir(tmp_path) == ["fifo"] and fifo.is_fifo()

@@ -777,3 +777,214 @@ def test_generate_synthetic_centroid_separability():
     preds = dists.argmin(axis=1)
     acc = float((preds == test.labels).mean())
     assert acc > 0.5, acc
+
+
+# -- one read path, one write path -----------------------------------------
+
+
+def _small_checkpoint(seed, lr=1e-4):
+    model = AttentionTcn(ModelConfig(
+        channels=2, seq_len=4, num_patches=2, patch_len=2, model_dim=2,
+    ), seed=seed)
+    return make_checkpoint(model, Adam(model.named_parameters(), lr=lr), seed, None)
+
+
+def _write_report(path, seed):
+    rows = [(s, 1.0 / (s + seed + 1)) for s in range(1, 4)]
+    data_module._write_csv(path, ("subject", "accuracy"), rows)
+
+
+# each writer, called with a path and a seed that picks what it writes
+_WRITERS = {
+    "recording": lambda p, seed: write_recording(p, sample_recording(seed=seed)),
+    "segments": lambda p, seed: write_segments(p, sample_segments(seed=seed)),
+    "checkpoint": lambda p, seed: save_checkpoint(p, _small_checkpoint(seed)),
+    "report": _write_report,
+}
+
+
+def _map_of(arr):
+    """The mmap an array views, found through its chain of bases."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj
+
+
+@pytest.mark.parametrize("writer", ["recording", "checkpoint", "report"])
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    _WRITERS[writer](path, 2)
+    blob = path.read_bytes()
+    monkeypatch.setattr(data_module, "open", _DiskFullAfterFirstWrite, raising=False)
+    with pytest.raises(OSError) as err:
+        _WRITERS[writer](path, 3)
+    assert err.value.errno == errno.ENOSPC
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    _WRITERS[writer](path, 2)
+    blob = path.read_bytes()
+
+    class Interrupted(io.FileIO):
+        def write(self, b):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(data_module, "open", Interrupted, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        _WRITERS[writer](path, 3)
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_write_through_a_symlink_replaces_its_target(tmp_path, writer):
+    (tmp_path / "real").mkdir()
+    target, link, plain = tmp_path / "real" / "out", tmp_path / "link", tmp_path / "plain"
+    _WRITERS[writer](target, 2)
+    link.symlink_to(os.path.join("real", "out"))
+    _WRITERS[writer](link, 3)
+    _WRITERS[writer](plain, 3)
+    assert link.is_symlink() and os.readlink(link) == os.path.join("real", "out")
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["link", "plain", "real"]
+    assert os.listdir(tmp_path / "real") == ["out"]
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_rewritten_file_keeps_its_permission_bits(tmp_path, writer):
+    path, fresh = tmp_path / "out", tmp_path / "fresh"
+    _WRITERS[writer](path, 2)
+    path.chmod(0o640)
+    _WRITERS[writer](path, 3)
+    assert path.stat().st_mode & 0o7777 == 0o640
+    umask = os.umask(0)
+    os.umask(umask)
+    _WRITERS[writer](fresh, 3)
+    assert fresh.stat().st_mode & 0o7777 == 0o666 & ~umask
+
+
+def test_recording_samples_are_mapped_not_copied(tmp_path):
+    t = 2**16
+    gesture = np.zeros(t, dtype=np.uint16)
+    repetition = np.zeros(t, dtype=np.uint16)
+    gesture[t // 4 : 3 * t // 4] = 5
+    repetition[t // 4 : 3 * t // 4] = 2
+    data = np.random.default_rng(0).normal(size=(63, t)).astype(np.float32)
+    path = tmp_path / "big.semg"
+    write_recording(path, Recording(data, 2000.0, gesture, repetition))
+    assert path.stat().st_size == 16 * 2**20 + 28  # 63 channels + annotations
+    peak = _peak_bytes(read_recording, path)
+    assert peak < 0.05 * path.stat().st_size, peak  # the annotation columns
+    blob = path.read_bytes()
+    back = read_recording(path)
+    assert back.data.flags.writeable and not isinstance(back.data, np.memmap)
+    assert back.data.tobytes() == data.tobytes()
+    back.data[:] = 7.0
+    assert path.read_bytes() == blob
+
+
+def test_each_file_is_mapped_once(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, _small_checkpoint(0))
+    ckpt = load_checkpoint(path)
+    maps = {id(_map_of(a)) for group in (ckpt.weights, ckpt.m, ckpt.v)
+            for a in group.values()}
+    assert len(maps) == 1
+
+
+def test_recording_and_checkpoint_rewritten_from_their_own_map(tmp_path):
+    rec, ckpt = tmp_path / "r.semg", tmp_path / "m.ckpt"
+    write_recording(rec, sample_recording(t=3000))
+    save_checkpoint(ckpt, _small_checkpoint(4))
+    blobs = rec.read_bytes(), ckpt.read_bytes()
+    write_recording(rec, read_recording(rec))
+    save_checkpoint(ckpt, load_checkpoint(ckpt))
+    assert (rec.read_bytes(), ckpt.read_bytes()) == blobs
+
+
+def test_loaded_files_keep_their_values_when_rewritten(tmp_path):
+    rec_path, ckpt_path = tmp_path / "r.semg", tmp_path / "m.ckpt"
+    old_rec, new_rec = sample_recording(t=3000, seed=1), sample_recording(t=3000, seed=2)
+    write_recording(rec_path, old_rec)
+    save_checkpoint(ckpt_path, _small_checkpoint(1))
+    held_rec, held_ckpt = read_recording(rec_path), load_checkpoint(ckpt_path)
+    write_recording(rec_path, new_rec)
+    save_checkpoint(ckpt_path, _small_checkpoint(2))
+    assert held_rec.data.tobytes() == old_rec.data.tobytes()
+    assert np.array_equal(held_rec.gesture, old_rec.gesture)
+    want = _small_checkpoint(1)
+    for name, arr in want.weights.items():
+        assert held_ckpt.weights[name].tobytes() == arr.tobytes()
+    assert read_recording(rec_path).data.tobytes() == new_rec.data.tobytes()
+
+
+def test_empty_recording_and_empty_checkpoint_array_round_trip(tmp_path):
+    rec_path, again = tmp_path / "r.semg", tmp_path / "again.semg"
+    empty = np.zeros(0, dtype=np.uint16)
+    write_recording(rec_path, Recording(np.zeros((3, 0), np.float32), 2000.0, empty, empty))
+    back = read_recording(rec_path)
+    assert back.data.shape == (3, 0) and back.gesture.shape == (0,)
+    write_recording(again, back)
+    assert again.read_bytes() == rec_path.read_bytes()
+
+    ckpt = _small_checkpoint(0)
+    ckpt.weights["empty"] = np.zeros((2, 0))
+    path, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(path, ckpt)
+    loaded = load_checkpoint(path)
+    assert loaded.weights["empty"].shape == (2, 0)
+    save_checkpoint(again, loaded)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_arrays_at_odd_offsets_load_the_same_values(tmp_path):
+    # each digit of lr lengthens the JSON blob before the arrays by one
+    # byte, so the eight files put the arrays at every offset mod 8
+    misaligned = 0
+    for digits in range(1, 9):
+        ckpt = _small_checkpoint(5, lr=float("0." + "123456789"[:digits]))
+        path = tmp_path / f"m{digits}.ckpt"
+        save_checkpoint(path, ckpt)
+        loaded = load_checkpoint(path)
+        for group in ("weights", "m", "v"):
+            for name, arr in getattr(ckpt, group).items():
+                got = getattr(loaded, group)[name]
+                assert got.tobytes() == arr.tobytes()
+                misaligned += got.ctypes.data % 2
+        model = restore_model(loaded)
+        restore_optimizer(loaded, model)
+        for name, p in model.named_parameters().items():
+            assert p.data.tobytes() == ckpt.weights[name].tobytes()
+            assert p.data.flags.aligned
+    assert misaligned
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_fifo_or_folder_is_never_replaced(tmp_path, writer):
+    fifo, folder = tmp_path / "fifo", tmp_path / "folder"
+    os.mkfifo(fifo)
+    folder.mkdir()
+    for path in (fifo, folder):
+        with pytest.raises(FileExistsError, match="not a regular file"):
+            _WRITERS[writer](path, 1)
+    assert fifo.is_fifo() and folder.is_dir() and not any(folder.iterdir())
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "folder"]
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_file_without_write_permission_is_not_replaced(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    _WRITERS[writer](path, 2)
+    blob = path.read_bytes()
+    path.chmod(0o444)
+    # root may write to any file, so the check is made to see what a user sees
+    monkeypatch.setattr(data_module.os, "access", lambda p, mode: False)
+    with pytest.raises(PermissionError) as err:
+        _WRITERS[writer](path, 3)
+    assert err.value.errno == errno.EACCES and err.value.filename == str(path)
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["out"]

@@ -53,3 +53,16 @@ def test_committed_record_holds_the_fourteen_artifacts():
     assert len(digests) == 14
     assert all(len(ln.split("  ")[0]) == 64 for ln in digests)
     assert fixed_run.compare(record, record.splitlines()) is None
+
+
+def test_anything_besides_the_artifacts_is_named_on_one_line(tmp_path):
+    names = ["raw/subject01.semg", "segs.sseg", "m0.ckpt"]
+    for name in names:
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(b"x")
+    assert fixed_run.leftovers(str(tmp_path), names) is None
+    (tmp_path / "m0.ckpt.1a2b3c4d.tmp").write_bytes(b"")
+    (tmp_path / "raw" / "stray").mkdir()
+    line = fixed_run.leftovers(str(tmp_path), names)
+    assert "\n" not in line
+    assert line.endswith(": m0.ckpt.1a2b3c4d.tmp, raw/stray")

@@ -20,9 +20,12 @@ they agree. Otherwise it exits 1 with one stderr line naming every
 artifact whose digest changed, is missing or is extra, and saying
 whether the host notes differ too: the digests depend on the host's
 float arithmetic (BLAS build, CPU), so a host change can move them
-without any change to the code. To re-baseline after a deliberate
-change, write stdout to a temporary file, move it over the record and
-give the reason in CHANGES.md:
+without any change to the code. It also exits 1, with one stderr line
+naming them, when the work directory holds anything besides the 14
+artifacts after the run, such as a temporary file that a writer failed
+to rename or remove. To re-baseline after a deliberate change, write
+stdout to a temporary file, move it over the record and give the reason
+in CHANGES.md:
 
     python tools/fixed_run.py > /tmp/digests; mv /tmp/digests tools/fixed_run.digests
 """
@@ -84,6 +87,20 @@ def fixed_run(root: str) -> list:
     ]
 
 
+def leftovers(root: str, names) -> str | None:
+    """The line naming every file or folder under ``root`` that is not
+    one of the artifacts ``names`` (paths relative to ``root``) or a
+    folder holding one, or None when there is none."""
+    expected = set(names) | {os.path.dirname(n) for n in names}
+    found = []
+    for folder, dirs, files in os.walk(root):
+        found += [os.path.relpath(os.path.join(folder, f), root) for f in dirs + files]
+    extra = sorted(set(found) - expected)
+    if not extra:
+        return None
+    return f"fixed run: the work directory holds more than the artifacts: {', '.join(extra)}"
+
+
 def notes() -> list:
     """The ``#`` lines: host versions, then the ``src/`` line count."""
     try:
@@ -138,10 +155,12 @@ def compare(record: str, printed: list):
 def check() -> int:
     with tempfile.TemporaryDirectory(prefix="emgtcn-fixed-") as root:
         printed = []
-        for name in fixed_run(root):
+        names = fixed_run(root)
+        for name in names:
             with open(os.path.join(root, name), "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             printed.append(f"{digest}  {os.path.basename(name)}")
+        extra = leftovers(root, names)
     printed += notes()
     print("\n".join(printed))
     try:
@@ -149,11 +168,10 @@ def check() -> int:
             record = fh.read()
     except FileNotFoundError:
         record = ""
-    mismatch = compare(record, printed)
-    if mismatch:
-        print(mismatch, file=sys.stderr)
-        return 1
-    return 0
+    failures = [line for line in (compare(record, printed), extra) if line]
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
