@@ -213,17 +213,8 @@ def _segment_input(path, subject: int, cfg, mu: sig.MuLawParams):
         )
     else:
         rec = dio.read_recording(path, subject=subject)
-    rate = float(rec.sample_rate_hz)
-    for name in ("window_ms", "stride_ms"):  # refuse a bad duration before conditioning
-        ms = getattr(cfg, name)
-        if ms is None:
-            continue
-        n = sig.ms_to_samples(ms, rate, name)
-        if max(ms, n) >= 2**32:  # the segment format stores the window in u32 fields
-            raise ConfigError(
-                f"{name}={ms} is {n:.6g} samples at {rate} Hz; a duration and its "
-                "sample count must each be below 2**32"
-            )
+    # refuse a bad duration before conditioning
+    sig.window_samples(cfg.window_ms, cfg.stride_ms, float(rec.sample_rate_hz))
     filt = sig.FilterParams(cutoff_hz=cfg.cutoff_hz, sample_rate_hz=rec.sample_rate_hz)
     processed = rec.with_data(sig.preprocess(rec.data, filt, mu))
     return sig.segment(processed, window_ms=cfg.window_ms, stride_ms=cfg.stride_ms)
@@ -234,8 +225,8 @@ def _read_side(path, cfg, side: str, num_classes: int):
     under the configured repetition split; an empty side, or a label a
     ``num_classes`` model cannot predict, is refused."""
     spec = dio.SplitSpec(cfg.train_repetitions, cfg.test_repetitions)
-    pick = dio.split_train if side == "train" else dio.split_test
-    segs = pick(dio.read_segments(path), spec)
+    segs = dio.read_segments(path)
+    segs = dio._select(segs, dio._split_masks(segs, spec)[0 if side == "train" else 1])
     if len(segs) == 0:
         reps = getattr(cfg, f"{side}_repetitions")
         raise UsageError(f"no segments with repetitions {sorted(reps)} in {path}")
@@ -243,6 +234,14 @@ def _read_side(path, cfg, side: str, num_classes: int):
     if top >= num_classes:
         raise DataError(f"label {top} does not fit {num_classes} classes")
     return segs
+
+
+def _model_config(cfg, window_ms, channels: int, sample_rate_hz) -> ModelConfig:
+    return derive_config(
+        window_ms, cfg.num_patches, cfg.model_dim, channels=channels,
+        sample_rate_hz=sample_rate_hz, kernel_size=cfg.kernel_size,
+        num_classes=cfg.num_classes,
+    )
 
 
 def _cmd_train(args) -> int:
@@ -253,10 +252,8 @@ def _cmd_train(args) -> int:
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=seed,
     )
     train_set = _read_side(args.segments, cfg, "train", cfg.num_classes)
-    model_cfg = derive_config(
-        train_set.window_ms, cfg.num_patches, cfg.model_dim,
-        channels=train_set.channels, sample_rate_hz=train_set.sample_rate_hz,
-        kernel_size=cfg.kernel_size, num_classes=cfg.num_classes,
+    model_cfg = _model_config(
+        cfg, train_set.window_ms, train_set.channels, train_set.sample_rate_hz
     )
     model = AttentionTcn(model_cfg, seed=seed)
     _note(
@@ -281,8 +278,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    model_id = args.model_id or os.path.splitext(os.path.basename(args.checkpoint))[0]
+    paths = stats.report_paths(args.out_dir, model_id)
+    if os.path.exists(args.out_dir):  # a missing one is made after scoring
+        _check_outputs(list(paths.values()), [args.checkpoint, args.segments])
     cfg = _load_run_config(args)
-    model_id = _csv_cell(args.model_id or _stem(args.checkpoint), "model id")
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = tr.restore_model(ckpt)
     test_set = _read_side(args.segments, cfg, "test", model.cfg.num_classes)
@@ -292,7 +292,7 @@ def _cmd_eval(args) -> int:
         mask = test_set.subjects == subject
         per_subject[int(subject)] = stats.accuracy(preds[mask], test_set.labels[mask])
     report = stats.aggregate(per_subject, model_id=model_id)
-    paths = stats.emit_report(report, args.out_dir)
+    stats.emit_report(report, args.out_dir)
     for subject in sorted(per_subject):
         _note(f"subject {subject}: accuracy {per_subject[subject]:.4f}")
     _emit(
@@ -312,11 +312,7 @@ def _predict(model: AttentionTcn, windows: np.ndarray, chunk: int = 256) -> np.n
 
 def _cmd_params(args) -> int:
     cfg = _load_run_config(args)
-    model_cfg = derive_config(
-        cfg.window_ms, cfg.num_patches, cfg.model_dim, channels=args.channels,
-        sample_rate_hz=cfg.sample_rate_hz, kernel_size=cfg.kernel_size,
-        num_classes=cfg.num_classes,
-    )
+    model_cfg = _model_config(cfg, cfg.window_ms, args.channels, cfg.sample_rate_hz)
     model = AttentionTcn(model_cfg, seed=0)
     total, breakdown = count_parameters(model)
     _note(
@@ -344,9 +340,7 @@ def _cmd_compare(args) -> int:
     if len(args.reports) < 2:
         raise UsageError("need at least two per-subject reports to compare")
     _check_outputs([args.out], args.reports)
-    names = [
-        _csv_cell(_stem(p, strip="_per_subject"), "report name") for p in args.reports
-    ]
+    names = [stats.report_name(p) for p in args.reports]
     for i, name in enumerate(names):
         if name in names[:i]:
             first = args.reports[names.index(name)]
@@ -384,6 +378,10 @@ def _cmd_compare(args) -> int:
 def _cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     seed = _resolved_seed(args, cfg)
+    paths = [os.path.join(args.out_dir, f"subject{s:02d}.semg")
+             for s in range(1, args.subjects + 1)]
+    if os.path.exists(args.out_dir):  # a missing one is made after generation
+        _check_outputs(paths, [])
     recordings = dio.generate_synthetic(
         subjects=args.subjects, classes=cfg.num_classes, reps=args.reps,
         seed=seed, channels=args.channels,
@@ -391,8 +389,7 @@ def _cmd_synth(args) -> int:
         gesture_seconds=args.gesture_seconds, rest_seconds=args.rest_seconds,
     )
     os.makedirs(args.out_dir, exist_ok=True)
-    for rec in recordings:
-        path = os.path.join(args.out_dir, f"subject{rec.subject:02d}.semg")
+    for path, rec in zip(paths, recordings):
         dio.write_recording(path, rec)
         _note(f"wrote {path} ({rec.num_samples} samples)")
     _emit(
@@ -400,24 +397,6 @@ def _cmd_synth(args) -> int:
         classes=cfg.num_classes, reps=args.reps, seed=seed,
     )
     return 0
-
-
-def _stem(path, strip: str = "") -> str:
-    name = os.path.splitext(os.path.basename(str(path)))[0]
-    if strip and name.endswith(strip):
-        name = name[: -len(strip)]
-    return name
-
-
-def _csv_cell(name: str, what: str) -> str:
-    """``name``, which the report CSVs write unquoted and the report file
-    names begin with; one holding a comma, a quote, a line break or a
-    path separator is refused."""
-    if any(ch in name for ch in ',"\r\n/' + os.sep + (os.altsep or "")):
-        raise UsageError(
-            f"{what} {name!r} holds a comma, quote, line break or path separator"
-        )
-    return name
 
 
 # -- parser and entry point -----------------------------------------------

@@ -44,8 +44,6 @@ __all__ = [
     "write_segments",
     "concat_segments",
     "split",
-    "split_train",
-    "split_test",
     "generate_synthetic",
 ]
 
@@ -510,16 +508,6 @@ def split(segments: SegmentSet, spec: SplitSpec = SplitSpec()):
     """
     train_mask, test_mask = _split_masks(segments, spec)
     return _select(segments, train_mask), _select(segments, test_mask)
-
-
-def split_train(segments: SegmentSet, spec: SplitSpec = SplitSpec()) -> SegmentSet:
-    """``split(segments, spec)[0]`` without copying the test side."""
-    return _select(segments, _split_masks(segments, spec)[0])
-
-
-def split_test(segments: SegmentSet, spec: SplitSpec = SplitSpec()) -> SegmentSet:
-    """``split(segments, spec)[1]`` without copying the train side."""
-    return _select(segments, _split_masks(segments, spec)[1])
 
 
 # class signatures are derived from the class id alone (not the user

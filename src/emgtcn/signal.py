@@ -33,6 +33,7 @@ __all__ = [
     "segment",
     "preprocess",
     "ms_to_samples",
+    "window_samples",
 ]
 
 
@@ -174,17 +175,8 @@ def segment(recording, window_ms: int, stride_ms: int | None = None) -> SegmentS
     a run of span samples the count is floor((span - L) / stride) + 1.
     Emitted labels are zero-based (gesture g -> class g-1).
     """
-    if stride_ms is None:
-        stride_ms = window_ms
     sample_rate_hz = float(recording.sample_rate_hz)
-    seg_len = ms_to_samples(window_ms, sample_rate_hz, "window_ms")
-    stride = ms_to_samples(stride_ms, sample_rate_hz, "stride_ms")
-    for name, ms, n in (("window_ms", window_ms, seg_len), ("stride_ms", stride_ms, stride)):
-        if n > np.iinfo(np.intp).max:  # np.arange below takes no larger bound or step
-            raise ConfigError(
-                f"{name}={ms} is {n:.6g} samples at {sample_rate_hz} Hz, "
-                "more than numpy can index"
-            )
+    seg_len, stride = window_samples(window_ms, stride_ms, sample_rate_hz)
 
     data = np.asarray(recording.data, dtype=np.float64)
     gesture = np.asarray(recording.gesture)
@@ -248,3 +240,19 @@ def ms_to_samples(ms: int, rate_hz: float, name: str) -> int:
         )
     return int(n)
 
+
+def window_samples(window_ms: int, stride_ms: int | None, rate_hz: float) -> tuple:
+    """The window and the stride (by default the window) in samples at
+    ``rate_hz``. A duration must be a whole positive number of samples,
+    and it and its count below 2**32, the segment format's u32 fields."""
+    counts = []
+    for name, ms in (("window_ms", window_ms), ("stride_ms", stride_ms)):
+        ms = window_ms if ms is None else ms
+        n = ms_to_samples(ms, rate_hz, name)
+        if max(ms, n) >= 2**32:
+            raise ConfigError(
+                f"{name}={ms} is {n:.6g} samples at {rate_hz} Hz; a duration and its "
+                "sample count must each be below 2**32"
+            )
+        counts.append(n)
+    return tuple(counts)

@@ -30,10 +30,13 @@ __all__ = [
     "wilcoxon_signed_rank",
     "significance_band",
     "emit_report",
+    "report_paths",
+    "report_name",
     "read_per_subject",
 ]
 
 EXACT_ENUMERATION_LIMIT = 20
+_PER_SUBJECT = "_per_subject"
 
 
 def accuracy(predictions, labels) -> float:
@@ -171,8 +174,6 @@ def _normal_p(ranks: np.ndarray, w: float, abs_d: np.ndarray) -> float:
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, tie_counts = np.unique(abs_d, return_counts=True)
     var -= float(((tie_counts**3 - tie_counts) / 48.0).sum())
-    if var <= 0.0:
-        return 1.0
     z = (w - mean + 0.5) / math.sqrt(var)
     return min(1.0, math.erfc(-z / math.sqrt(2.0)))
 
@@ -192,13 +193,36 @@ def significance_band(p: float) -> str:
     return "ns"
 
 
+def report_paths(out_dir, model_id: str) -> dict:
+    """The per-subject and summary CSV paths of ``model_id`` in
+    ``out_dir``, keyed by file role; ``_plain_name`` says which ids are refused."""
+    stem = os.path.join(out_dir, _plain_name(model_id, "model id"))
+    return {"per_subject": f"{stem}{_PER_SUBJECT}.csv", "summary": f"{stem}_summary.csv"}
+
+
+def report_name(path) -> str:
+    """The model id that ``report_paths`` named the per-subject report ``path`` for."""
+    name = os.path.splitext(os.path.basename(str(path)))[0]
+    return _plain_name(name.removesuffix(_PER_SUBJECT), "report name")
+
+
+def _plain_name(name: str, what: str) -> str:
+    """``name``, which the report CSVs write unquoted and the report file
+    names begin with; one holding a comma, a quote, a line break or a
+    path separator is refused."""
+    if any(ch in name for ch in ',"\r\n/' + os.sep + (os.altsep or "")):
+        raise UsageError(
+            f"{what} {name!r} holds a comma, quote, line break or path separator"
+        )
+    return name
+
+
 def emit_report(report: EvalReport, out_dir) -> dict:
-    """Write the per-subject and summary CSVs, whose floats read back
-    exactly; return the paths written, keyed by file role."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write the per-subject and summary CSVs at ``report_paths``, whose
+    floats read back exactly; return those paths."""
     name = report.model_id or "model"
-    stem = os.path.join(out_dir, name)
-    paths = {"per_subject": f"{stem}_per_subject.csv", "summary": f"{stem}_summary.csv"}
+    paths = report_paths(out_dir, name)
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(paths["per_subject"], ("subject", "accuracy"),
                sorted(report.per_subject_accuracy.items()))
     _write_csv(paths["summary"], ("model_id", "mean", "std", "median", "q1", "q3"),

@@ -1228,3 +1228,61 @@ def test_train_refuses_a_fifo_output_before_it_trains(pipeline, tmp_path, capsys
         f"file error: [Errno 17] not a regular file: '{fifo}'"
     ]
     assert os.listdir(tmp_path) == ["fifo"] and fifo.is_fifo()
+
+
+def test_eval_checks_its_reports_before_it_reads(pipeline, tmp_path, capsys):
+    # a checkpoint trained into the report folder under a report's name
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    ckpt = rep / "a_summary.csv"
+    ckpt.write_bytes(pipeline["ckpt"].read_bytes())
+    argv = ["eval", ckpt, pipeline["segs"], "--out-dir", rep, "--model-id", "a"]
+    _refused(capsys, argv, rep, ckpt)
+
+
+def test_synth_checks_its_outputs_before_it_generates(tmp_path, monkeypatch, capsys):
+    def generate(*args, **kwargs):
+        raise AssertionError("subjects were generated before their outputs were checked")
+
+    monkeypatch.setattr(dio, "generate_synthetic", generate)
+    folder = tmp_path / "subject01.semg"
+    folder.mkdir()
+    code = run(["synth", "--out-dir", tmp_path, "--subjects", 2])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"file error: [Errno 17] not a regular file: '{folder}'"
+    ]
+    assert os.listdir(tmp_path) == ["subject01.semg"]
+
+
+def test_non_finite_gradient_exits_3_and_writes_nothing(pipeline, tmp_path, capsys):
+    ckpt, trace = tmp_path / "m.ckpt", tmp_path / "t.csv"
+    with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+        code = run([
+            "train", pipeline["segs"], "--checkpoint", ckpt, "--trace", trace,
+            "--epochs", 1, "--lr", 1e30, "--model-dim", 4, "--num-classes", 3,
+            "--batch-size", 8, "--seed", 0,
+        ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines[-1].startswith("numerical failure: non-finite gradient"), lines
+    assert not ckpt.exists() and not trace.exists()
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["compare", "a_per_subject.csv", "--out", "c.csv"], "need at least two"),
+    (["eval", "m.ckpt", "s.sseg", "--out-dir", "r", "--train-reps", "1,x"],
+     "repetition list must be integers, got '1,x'"),
+    (["params", "--config", "list.json"], "list.json: top level must be an object"),
+    (["params", "--num-classes", 1], "num_classes must be >= 2, got 1"),
+], ids=["compare-one-report", "reps-not-integers", "config-list", "one-class"])
+def test_documented_refusals_exit_2(tmp_path, monkeypatch, capsys, argv, words):
+    monkeypatch.chdir(tmp_path)
+    Path("list.json").write_text("[1]")
+    line = assert_one_error_line(run(argv), capsys.readouterr())
+    assert words in line, line
+    assert os.listdir(tmp_path) == ["list.json"]

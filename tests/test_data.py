@@ -20,8 +20,6 @@ from emgtcn.data import (
     read_recording,
     read_segments,
     split,
-    split_test,
-    split_train,
     write_recording,
     write_segments,
 )
@@ -336,6 +334,19 @@ def test_annotated_csv_rejects_bad_shape(tmp_path):
         read_annotated_csv(path, sample_rate_hz=2000.0)
 
 
+@pytest.mark.parametrize("text, words", [
+    ("", "empty file"),
+    ("ch1,label,repetition\n0.5,1,1\n", "last two columns must be gesture,repetition"),
+    ("ch1,gesture,repetition\n0.5,1,1\n0.x,1,1\n", "rows.csv:3: malformed row"),
+    ("ch1,gesture,repetition\n\n", "no sample rows"),
+], ids=["empty", "last-columns", "malformed-number", "no-rows"])
+def test_annotated_csv_refuses_malformed_text(tmp_path, text, words):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=words):
+        read_annotated_csv(path, sample_rate_hz=2000.0)
+
+
 def test_segments_round_trip_bit_exact(tmp_path):
     segs = sample_segments()
     segs.data[0, 0, 0] = -0.0
@@ -595,6 +606,15 @@ def test_write_segments_refuses_a_header_beyond_u32_and_writes_nothing(tmp_path)
     assert not path.exists()
 
 
+def test_write_segments_refuses_a_label_beyond_u16_and_writes_nothing(tmp_path):
+    path = tmp_path / "x.sseg"
+    segs = sample_segments(m=2, seed=1)
+    segs.labels[1] = 65536
+    with pytest.raises(DataError, match="labels exceed the u16 range"):
+        write_segments(path, segs)
+    assert not path.exists()
+
+
 def test_segment_parts_written_without_joining(tmp_path):
     parts = [sample_segments(m=512, c=4, l=256, seed=s) for s in range(4)]  # 16 MiB
     path = tmp_path / "parts.sseg"
@@ -645,20 +665,6 @@ def test_split_is_partition_and_warns_on_drops():
     assert len(train) + len(test) + dropped == len(segs)
     assert dropped > 0
     assert not set(map(tuple, train.data[:, 0])) & set(map(tuple, test.data[:, 0]))
-
-
-def test_split_sides_alone_equal_split():
-    segs = sample_segments(m=40, seed=5)
-    spec = SplitSpec(train_repetitions={1, 3}, test_repetitions={2})
-    with pytest.warns(UserWarning) as both:
-        train, test = split(segs, spec)
-    for side, want in ((split_train, train), (split_test, test)):
-        with pytest.warns(UserWarning) as alone:
-            got = side(segs, spec)
-        assert str(alone[0].message) == str(both[0].message)
-        assert alone[0].filename == __file__  # attributed to the caller
-        for name in ("data", "labels", "subjects", "repetitions"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_split_every_gesture_in_both_halves():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from emgtcn.errors import ConfigError, RangeError
+from emgtcn.errors import ConfigError, DataError, RangeError
 from emgtcn.signal import (
     FilterParams,
     MuLawParams,
+    SegmentSet,
     butterworth_lowpass,
     mu_law,
     normalize_max_abs,
@@ -35,6 +36,24 @@ def test_filter_params_validation():
     with pytest.raises(ConfigError):
         FilterParams(cutoff_hz=-5.0)
     FilterParams(cutoff_hz=999.0, sample_rate_hz=2000.0)
+
+
+@pytest.mark.parametrize("build, error, words", [
+    (lambda: FilterParams(sample_rate_hz=float("inf")), ConfigError,
+     "sample_rate_hz must be positive, got inf"),
+    (lambda: FilterParams(sample_rate_hz=float("nan")), ConfigError,
+     "sample_rate_hz must be positive, got nan"),
+    (lambda: butterworth_lowpass(np.zeros((2, 0)), FilterParams()), DataError,
+     "cannot filter an empty series"),
+    (lambda: SegmentSet(np.zeros((2, 3)), *[np.zeros(2)] * 3, 2000.0, 200), DataError,
+     r"segment data must be M x C x L, got \(2, 3\)"),
+    (lambda: SegmentSet(np.zeros((2, 1, 3)), np.zeros(2), np.zeros(3), np.zeros(2),
+                        2000.0, 200), DataError,
+     r"subjects must have one entry per segment \(2\), got \(3,\)"),
+], ids=["inf-rate", "nan-rate", "empty-series", "not-3d", "short-column"])
+def test_signal_types_refuse_malformed_input(build, error, words):
+    with pytest.raises(error, match=words):
+        build()
 
 
 def test_filter_constant_signal_converges_to_constant():
@@ -223,7 +242,8 @@ def test_segment_rejects_bad_window():
     (200, 10**20, 2000.0, f"stride_ms={10**20} is 2e+20 samples at 2000.0 Hz"),
     (10**20, None, 2000.0, f"window_ms={10**20} is 2e+20 samples at 2000.0 Hz"),
     (200, None, 1e300, "window_ms=200 is 2e+299 samples at 1e+300 Hz"),
-], ids=["stride", "window", "rate"])
+    (2**32, None, 1000.0, "window_ms=4294967296 is 4.29497e+09 samples at 1000.0 Hz"),
+], ids=["stride", "window", "rate", "u32"])
 def test_segment_refuses_a_duration_numpy_cannot_index(window_ms, stride_ms, rate, setting):
     rec = _single_span_recording(span=2000)
     rec.sample_rate_hz = rate

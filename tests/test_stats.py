@@ -418,8 +418,9 @@ def test_emit_report_writes_numpy_floats_as_numbers(tmp_path):
         ("1,0.5\n2,-0.1\n", 3, "accuracy -0.1"),
         ("1,nan\n2,0.5\n", 2, "accuracy nan"),
         ("1,0.5\n2,inf\n", 3, "accuracy inf"),
+        ("1,0.5\n2,x\n", 3, "malformed row"),
     ],
-    ids=["duplicate", "above-one", "negative", "nan", "inf"],
+    ids=["duplicate", "above-one", "negative", "nan", "inf", "malformed"],
 )
 def test_read_per_subject_rejects_bad_rows(tmp_path, rows, line, words):
     path = tmp_path / "r_per_subject.csv"

@@ -526,6 +526,13 @@ def test_attention_block_refuses_output_width_unlike_its_input():
         T.attention_block(e, wq, bq, wk, bk, wv, bv, wo, bo)
 
 
+def test_attention_block_refuses_queries_and_keys_of_different_widths():
+    inputs = list(_attention_inputs(131, (), (False,) * 9))
+    inputs[1:3] = T.Tensor(np.ones((12, 11))), T.Tensor(np.zeros(11))  # wq, bq
+    with pytest.raises(DimensionError, match=r"cannot contract shapes \(10, 11\) and"):
+        T.attention_block(*inputs)
+
+
 def test_linear_identity():
     x = T.Tensor([[1.5, -2.0]])
     out = T.linear(x, T.Tensor(np.eye(2)), T.Tensor(np.zeros(2)))

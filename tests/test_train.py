@@ -78,6 +78,11 @@ def test_cross_entropy_refuses_a_single_vector():
         cross_entropy(Tensor([1.0, 2.0, 3.0]), 2)
 
 
+def test_cross_entropy_refuses_fewer_labels_than_rows():
+    with pytest.raises(DimensionError, match="need one label per row: 3 rows, 2 labels"):
+        cross_entropy(Tensor(np.zeros((3, 4))), np.array([0, 1]))
+
+
 def test_cross_entropy_label_out_of_range_names_index():
     with pytest.raises(DataError) as err:
         cross_entropy(Tensor(np.zeros((3, 4))), np.array([0, 7, 1]))
@@ -607,6 +612,31 @@ def test_load_checkpoint_refuses_non_finite_and_malformed_numbers(
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
     assert named in str(err.value)
+
+
+@pytest.mark.parametrize("doctor, words", [
+    (lambda c: {22: 7}, "unknown entry kind 7 for 'config'"),  # config's kind byte
+    (lambda c: object.__setattr__(c.config, "model_dim", 2.5),
+     "config must map names to integers"),
+    (lambda c: c.opt.update(extra=1.0), "'opt' must hold the numbers"),
+    (lambda c: setattr(c, "rng_state", {"bit_generator": "MT19937"}),
+     "'rng' is not a PCG64 state"),
+    (lambda c: c.weights.update({"": np.ones(1)}), "unrecognized checkpoint entry 'w/'"),
+], ids=["entry-kind", "config-float", "opt-keys", "rng-state", "entry-name"])
+def test_load_checkpoint_refuses_malformed_entries(tmp_path, doctor, words):
+    """``doctor`` changes the checkpoint before it is saved and may name
+    bytes to overwrite in the file, by offset."""
+    model = tiny_model(seed=4)
+    ckpt = make_checkpoint(model, Adam(model.named_parameters()), epoch=2, rng_state=None)
+    patch = doctor(ckpt) or {}
+    path = tmp_path / "bad.tchg"
+    save_checkpoint(path, ckpt)
+    raw = bytearray(path.read_bytes())
+    for offset, byte in patch.items():
+        raw[offset] = byte
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=words):
+        load_checkpoint(path)
 
 
 def test_checkpoint_geometry_numpy_cannot_index_is_format_error(tmp_path):
