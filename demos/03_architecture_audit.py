@@ -15,7 +15,7 @@ from emgtcn.model import (
     count_parameters,
     derive_config,
 )
-from emgtcn.tensor import Tensor, dilated_causal_conv1d
+from emgtcn.tensor import Tensor, causal_conv_block
 
 print(f"{'window':>7} {'N':>3} {'D':>3} {'Z':>2} "
       f"{'embed':>6} {'attn':>5} {'blocks':>6} {'head':>5} {'total':>6} ratio")
@@ -30,17 +30,18 @@ for window_ms in (200, 300):
               f"{parts['blocks']:>6} {parts['classifier']:>5} {total:>6} "
               f"{BASELINE_RECURRENT_PARAMS / total:5.1f}x")
 
-# causality: perturbing the input at t never changes outputs before t
+# causality: perturbing the input at t never changes a TC block's outputs before t
 rng = np.random.default_rng(1)
 x = rng.normal(size=(2, 12)).T  # (T, channels)
-kernel = Tensor(rng.normal(size=(2, 2, 3)))
-bias = Tensor(np.zeros(2))
-base = dilated_causal_conv1d(Tensor(x), kernel, bias, dilation=2).data
+weights = (Tensor(rng.normal(size=(2, 2, 3))), Tensor(np.zeros(2)),
+           Tensor(rng.normal(size=(2, 2, 3))), Tensor(np.zeros(2)))
+base = causal_conv_block(Tensor(x), *weights, dilation=2).data
 bumped = x.copy()
 bumped[8, :] += 10.0
-after = dilated_causal_conv1d(Tensor(bumped), kernel, bias, dilation=2).data
+after = causal_conv_block(Tensor(bumped), *weights, dilation=2).data
 changed = np.flatnonzero(np.any(after != base, axis=1))
 print(f"\nperturbed input index 8; changed output indices: {changed}")
+assert np.array_equal(after[:8], base[:8]), changed
 
 # receptive field growth: 1 + 2*(k-1)*sum(dilations)
 for n in (10, 15, 16):

@@ -8,13 +8,14 @@ TCHGR_SEED environment variable, then 0; a negative seed is refused.
 
 Stream discipline: anything meant for humans goes to stderr; stdout
 carries exactly one machine-readable key=value line per command.
-Exit codes: 0 success, 2 config/validation problems, 3 numerical
-failures, 4 file format or I/O problems.
+Exit codes, set only in main(): 0 success, 2 config/validation
+problems, 3 numerical failures, 4 file format or I/O problems.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -46,10 +47,9 @@ __all__ = ["main"]
 
 def _parse_rep_list(text: str) -> tuple:
     try:
-        reps = tuple(int(v) for v in text.split(",") if v.strip() != "")
+        return tuple(int(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
         raise ConfigError(f"repetition list must be integers, got {text!r}") from None
-    return reps
 
 
 def _is_int(value) -> bool:
@@ -98,11 +98,11 @@ _SETTINGS = (
 
 def _load_run_config(args) -> argparse.Namespace:
     """The table's defaults, overlaid by the config file, then by the
-    flags. Each subcommand checks the settings it reads by building the
-    typed objects it uses from them."""
+    flags, with ``_resolved_seed`` for a command that takes --seed. Each
+    command checks the other settings it reads by building its objects."""
     kinds = {name: kind for name, _, kind, _, _, _ in _SETTINGS}
     cfg = {name: default for name, _, _, default, _, _ in _SETTINGS}
-    if args.config:
+    if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -125,24 +125,21 @@ def _load_run_config(args) -> argparse.Namespace:
         value = getattr(args, name, None)
         if value is not None:
             cfg[name] = value
+    if hasattr(args, "seed"):
+        cfg["seed"] = _resolved_seed(args, cfg["seed"])
     return argparse.Namespace(**cfg)
 
 
-def _resolved_seed(args, cfg) -> int:
+def _resolved_seed(args, seed) -> int:
     """--seed flag, then the config file, then TCHGR_SEED, then 0; a
     negative seed is refused with the source it came from."""
-    if cfg.seed is not None:
-        seed = cfg.seed
-        source = "--seed" if args.seed is not None else f"{args.config}: seed"
-    else:
-        env = os.environ.get("TCHGR_SEED")
-        if env is None:
-            return 0
+    source = "--seed" if args.seed is not None else f"{args.config}: seed"
+    if seed is None:
+        source, env = "TCHGR_SEED", os.environ.get("TCHGR_SEED", "0")
         try:
             seed = int(env)
         except ValueError:
             raise ConfigError(f"TCHGR_SEED must be an integer, got {env!r}") from None
-        source = "TCHGR_SEED"
     if seed < 0:
         raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
     return seed
@@ -162,28 +159,42 @@ def _fmt(x: float) -> str:
 
 def _check_outputs(outputs, inputs):
     """Refuse, before anything is read, an output that the writers would
-    refuse (``data._writable``: exit 4), or one that names an input or
-    an earlier output (exit 2): two paths name one file when
-    ``os.path.samefile`` says so or, while one does not exist yet, when
-    their real paths agree."""
-    for i, out in enumerate(outputs):
-        dio._writable(out)
-        for other in (*inputs, *outputs[:i]):
-            try:
-                same = os.path.samefile(out, other)
-            except OSError:  # one of them does not exist yet
-                same = os.path.realpath(out) == os.path.realpath(other)
-            if same:
-                raise UsageError(f"output {out} would overwrite {other}")
+    refuse (``data._writable``: exit 4), or one that names the file of an
+    input or an earlier output (exit 2). Each path is keyed once: by its
+    ``(st_dev, st_ino)``, or by its real path while it does not exist."""
+    seen = {}
+    for i, path in enumerate((*inputs, *outputs)):
+        if i >= len(inputs):
+            dio._writable(path)
+        try:
+            st = os.stat(path)
+            key = st.st_dev, st.st_ino
+        except OSError:  # does not exist yet
+            key = os.path.realpath(path)
+        if key in seen and i >= len(inputs):
+            raise UsageError(f"output {path} would overwrite {seen[key]}")
+        seen.setdefault(key, path)
+
+
+def _check_out_dir(out_dir, outputs, inputs):
+    """``_check_outputs`` when ``out_dir`` exists. A missing one is made
+    after the work, but is refused first, with the error ``os.makedirs``
+    raises, when its nearest existing ancestor is not a folder."""
+    head = out_dir
+    while head and not os.path.exists(head):
+        missing, head = head, os.path.dirname(head.rstrip(os.sep))
+    if head == out_dir:
+        _check_outputs(outputs, inputs)
+    elif head and not os.path.isdir(head):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
 
 
 # -- subcommands ---------------------------------------------------------
 
 
-def _cmd_preprocess(args) -> int:
-    _check_outputs([args.out], args.inputs)
-    cfg = _load_run_config(args)
+def _cmd_preprocess(args, cfg):
     mu = sig.MuLawParams(mu=cfg.mu)
+    _check_outputs([args.out], args.inputs)
     parts = []
     for index, path in enumerate(args.inputs, start=1):
         try:
@@ -201,7 +212,6 @@ def _cmd_preprocess(args) -> int:
         _note(f"  class {cls}: {count} segments")
     dio.write_segments(args.out, *parts)
     _emit(segments=args.out, count=len(labels), classes=len(classes))
-    return 0
 
 
 def _segment_input(path, subject: int, cfg, mu: sig.MuLawParams):
@@ -244,18 +254,16 @@ def _model_config(cfg, window_ms, channels: int, sample_rate_hz) -> ModelConfig:
     )
 
 
-def _cmd_train(args) -> int:
-    _check_outputs([args.checkpoint, args.trace], [args.segments])
-    cfg = _load_run_config(args)
-    seed = _resolved_seed(args, cfg)
+def _cmd_train(args, cfg):
     train_cfg = tr.TrainConfig(
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=seed,
+        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed,
     )
+    _check_outputs([args.checkpoint, args.trace], [args.segments])
     train_set = _read_side(args.segments, cfg, "train", cfg.num_classes)
     model_cfg = _model_config(
         cfg, train_set.window_ms, train_set.channels, train_set.sample_rate_hz
     )
-    model = AttentionTcn(model_cfg, seed=seed)
+    model = AttentionTcn(model_cfg, seed=cfg.seed)
     _note(
         f"training on {len(train_set)} segments "
         f"(N={model_cfg.num_patches}, D={model_cfg.model_dim}, "
@@ -274,15 +282,12 @@ def _cmd_train(args) -> int:
         checkpoint=args.checkpoint, trace=args.trace,
         final_loss=_fmt(final_loss), final_train_acc=_fmt(final_acc),
     )
-    return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, cfg):
     model_id = args.model_id or os.path.splitext(os.path.basename(args.checkpoint))[0]
     paths = stats.report_paths(args.out_dir, model_id)
-    if os.path.exists(args.out_dir):  # a missing one is made after scoring
-        _check_outputs(list(paths.values()), [args.checkpoint, args.segments])
-    cfg = _load_run_config(args)
+    _check_out_dir(args.out_dir, list(paths.values()), [args.checkpoint, args.segments])
     ckpt = tr.load_checkpoint(args.checkpoint)
     model = tr.restore_model(ckpt)
     test_set = _read_side(args.segments, cfg, "test", model.cfg.num_classes)
@@ -299,7 +304,6 @@ def _cmd_eval(args) -> int:
         per_subject=paths["per_subject"], summary=paths["summary"],
         mean=_fmt(report.mean), std=_fmt(report.std),
     )
-    return 0
 
 
 def _predict(model: AttentionTcn, windows: np.ndarray, chunk: int = 256) -> np.ndarray:
@@ -310,8 +314,7 @@ def _predict(model: AttentionTcn, windows: np.ndarray, chunk: int = 256) -> np.n
     return np.concatenate(preds)
 
 
-def _cmd_params(args) -> int:
-    cfg = _load_run_config(args)
+def _cmd_params(args, cfg):
     model_cfg = _model_config(cfg, cfg.window_ms, args.channels, cfg.sample_rate_hz)
     model = AttentionTcn(model_cfg, seed=0)
     total, breakdown = count_parameters(model)
@@ -333,10 +336,9 @@ def _cmd_params(args) -> int:
         blocks=breakdown["blocks"], classifier=breakdown["classifier"],
         total=total, baseline=BASELINE_RECURRENT_PARAMS, ratio=_fmt(ratio),
     )
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, cfg):
     if len(args.reports) < 2:
         raise UsageError("need at least two per-subject reports to compare")
     _check_outputs([args.out], args.reports)
@@ -372,19 +374,15 @@ def _cmd_compare(args) -> int:
         )
     dio._write_csv(args.out, ("model_a", "model_b", "W", "p", "band"), rows)
     _emit(comparisons=args.out, rows=len(rows))
-    return 0
 
 
-def _cmd_synth(args) -> int:
-    cfg = _load_run_config(args)
-    seed = _resolved_seed(args, cfg)
+def _cmd_synth(args, cfg):
     paths = [os.path.join(args.out_dir, f"subject{s:02d}.semg")
              for s in range(1, args.subjects + 1)]
-    if os.path.exists(args.out_dir):  # a missing one is made after generation
-        _check_outputs(paths, [])
+    _check_out_dir(args.out_dir, paths, [])
     recordings = dio.generate_synthetic(
         subjects=args.subjects, classes=cfg.num_classes, reps=args.reps,
-        seed=seed, channels=args.channels,
+        seed=cfg.seed, channels=args.channels,
         sample_rate_hz=cfg.sample_rate_hz,
         gesture_seconds=args.gesture_seconds, rest_seconds=args.rest_seconds,
     )
@@ -394,9 +392,8 @@ def _cmd_synth(args) -> int:
         _note(f"wrote {path} ({rec.num_samples} samples)")
     _emit(
         out_dir=args.out_dir, subjects=args.subjects,
-        classes=cfg.num_classes, reps=args.reps, seed=seed,
+        classes=cfg.num_classes, reps=args.reps, seed=cfg.seed,
     )
-    return 0
 
 
 # -- parser and entry point -----------------------------------------------
@@ -483,7 +480,8 @@ def main(argv=None) -> int:
     saved_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args, _load_run_config(args))
+        return 0
     except NumericalError as err:
         _note(f"numerical failure: {err}")
         return 3

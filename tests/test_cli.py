@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emgtcn import data as dio, signal, stats, train as tr
+from emgtcn import cli, data as dio, signal, stats, train as tr
 from emgtcn.cli import main
 from emgtcn.model import AttentionTcn, derive_config
 
@@ -1286,3 +1286,81 @@ def test_documented_refusals_exit_2(tmp_path, monkeypatch, capsys, argv, words):
     line = assert_one_error_line(run(argv), capsys.readouterr())
     assert words in line, line
     assert os.listdir(tmp_path) == ["list.json"]
+
+
+def _makedirs_error(path) -> str:
+    """The line main() printed when ``os.makedirs(path)`` failed."""
+    with pytest.raises(OSError) as err:
+        os.makedirs(path)
+    return f"file error: {err.value}"
+
+
+@pytest.mark.parametrize("below", ["sub", os.path.join("a", "b"), "sub" + os.sep])
+def test_synth_refuses_an_out_dir_under_a_file_before_it_generates(
+    tmp_path, monkeypatch, capsys, below
+):
+    def generate(*args, **kwargs):
+        raise AssertionError("subjects were generated before the folder was checked")
+
+    monkeypatch.setattr(dio, "generate_synthetic", generate)
+    (tmp_path / "x.sseg").write_bytes(b"")
+    out_dir = os.path.join(tmp_path, "x.sseg", below)
+    assert run(["synth", "--out-dir", out_dir, "--subjects", 2]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [_makedirs_error(out_dir)]
+    assert "Not a directory" in captured.err
+    assert os.listdir(tmp_path) == ["x.sseg"]
+
+
+def test_eval_refuses_an_out_dir_under_a_file_before_it_scores(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    def load(path):
+        raise AssertionError("the checkpoint was read before the folder was checked")
+
+    monkeypatch.setattr(tr, "load_checkpoint", load)
+    (tmp_path / "x.sseg").write_bytes(b"")
+    out_dir = os.path.join(tmp_path, "x.sseg", "sub")
+    assert run(["eval", pipeline["ckpt"], pipeline["segs"], "--out-dir", out_dir]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [_makedirs_error(out_dir)]
+    assert os.listdir(tmp_path) == ["x.sseg"]
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "eval"])
+def test_a_bad_config_is_refused_before_a_bad_output_path(tmp_path, capsys, command):
+    config = tmp_path / "c.json"
+    config.write_text('{"nope": 1}')
+    (tmp_path / "file").write_bytes(b"")
+    missing = tmp_path / "missing" / "out"
+    argv = {
+        "preprocess": ["preprocess", "in.semg", "--out", missing],
+        "train": ["train", "s.sseg", "--checkpoint", missing, "--trace", missing],
+        "eval": ["eval", "m.ckpt", "s.sseg", "--out-dir", tmp_path / "file" / "sub"],
+    }[command]
+    line = assert_one_error_line(run([*argv, "--config", config]), capsys.readouterr())
+    assert line == f"error: {config}: unknown config keys ['nope']"
+
+
+def test_output_check_cost_grows_linearly_with_the_path_count(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(os, "stat", counted(os.stat))
+    monkeypatch.setattr(os, "lstat", counted(os.lstat))
+
+    def stat_calls(n):
+        calls.clear()
+        outputs = [os.path.join(tmp_path, f"subject{s:02d}.semg") for s in range(1, n + 1)]
+        cli._check_outputs(outputs, [])
+        return len(calls)
+
+    small, large = stat_calls(300), stat_calls(600)
+    assert 0 < small and large <= 2.5 * small, (small, large)

@@ -994,3 +994,37 @@ def test_a_file_without_write_permission_is_not_replaced(tmp_path, monkeypatch, 
     assert err.value.errno == errno.EACCES and err.value.filename == str(path)
     assert path.read_bytes() == blob
     assert os.listdir(tmp_path) == ["out"]
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_folder_that_takes_no_new_file_names_the_target(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+
+    def refuse(file, mode="r", *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+
+    # root may create files in any folder, so the refusal is made to see what a user sees
+    monkeypatch.setattr(data_module, "open", refuse, raising=False)
+    with pytest.raises(PermissionError) as err:
+        _WRITERS[writer](path, 1)
+    assert err.value.errno == errno.EACCES and err.value.filename == str(path)
+    assert os.listdir(tmp_path) == []
+
+
+def test_recording_refuses_samples_that_are_not_2d():
+    for shape in ((10,), (1, 2, 5)):
+        with pytest.raises(DataError, match=r"samples must be channels x T, got \("):
+            Recording(
+                data=np.zeros(shape, dtype=np.float32), sample_rate_hz=2000.0,
+                gesture=np.zeros(5, dtype=np.uint16),
+                repetition=np.zeros(5, dtype=np.uint16),
+            )
+
+
+def test_recording_turns_integer_samples_into_float32():
+    rec = Recording(
+        data=np.arange(-3, 3, dtype=np.int16).reshape(2, 3), sample_rate_hz=2000.0,
+        gesture=np.zeros(3, dtype=np.uint16), repetition=np.zeros(3, dtype=np.uint16),
+    )
+    assert rec.data.dtype == np.float32
+    assert np.array_equal(rec.data, [[-3.0, -2.0, -1.0], [0.0, 1.0, 2.0]])

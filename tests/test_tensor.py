@@ -694,3 +694,24 @@ def test_tape_determinism_bit_identical():
         return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul], ids=["add", "mul"])
+def test_broadcast_along_an_inner_axis_sums_its_gradient(op):
+    rng = np.random.default_rng(47)
+    a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    coeffs = rng.normal(size=(3, 4))
+    T.mul(op(a, b), T.Tensor(coeffs)).sum().backward()
+    assert a.grad.shape == (3, 4) and b.grad.shape == (3, 1)
+
+    def loss():
+        return float((op(T.Tensor(a.data), T.Tensor(b.data)).data * coeffs).sum())
+
+    assert max_rel_err(a.grad, fd_grad(loss, a.data)) <= 1e-6
+    assert max_rel_err(b.grad, fd_grad(loss, b.data)) <= 1e-6
+
+
+def test_repr_gives_shape_and_tracking():
+    assert repr(T.Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+    assert repr(T.Tensor(1.0, requires_grad=True)) == "Tensor(shape=(), requires_grad=True)"
