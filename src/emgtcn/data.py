@@ -236,8 +236,12 @@ def _writable(path) -> str:
     in-place write would need (a device, FIFO or folder is never
     replaced). A failure is an ``OSError`` naming ``path``."""
     target, name = os.fsdecode(os.path.realpath(path)), os.fsdecode(path)
-    if not os.path.isdir(os.path.dirname(target)):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), name)
+    try:  # the error ``open`` gives: a missing folder, or a file on the way
+        mode = os.stat(os.path.dirname(target)).st_mode
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, name) from None
+    if not stat.S_ISDIR(mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), name)
     if os.path.exists(target) and not os.path.isfile(target):
         raise FileExistsError(errno.EEXIST, "not a regular file", name)
     if os.path.exists(target) and not os.access(target, os.W_OK):
@@ -380,7 +384,7 @@ def write_segments(path, *parts: SegmentSet):
     first = _common_geometry(parts)
     columns = {
         name: np.concatenate([getattr(p, name) for p in parts])
-        for name in ("labels", "subjects", "repetitions")
+        for name in SegmentSet.PER_WINDOW[1:]
     }
     for name, arr in columns.items():
         if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
@@ -418,10 +422,10 @@ def read_segments(path) -> SegmentSet:
     r = _Reader(path, "segment file")
     r.header(_SEG_MAGIC, _SEG_VERSION)
     channels, seg_len, m, rate, window_ms = r.unpack("<IIQdI", "header")
-    labels, subjects, reps = (
-        r.array("<u2", (m,), part).astype(np.int64)
-        for part in ("labels", "subjects", "repetitions")
-    )
+    columns = {
+        name: r.array("<u2", (m,), name).astype(np.int64)
+        for name in SegmentSet.PER_WINDOW[1:]
+    }
     data = r.array("<f8", (m, channels, seg_len), "windows")
     r.done()
     if not _all_finite(data):
@@ -430,10 +434,7 @@ def read_segments(path) -> SegmentSet:
             f"window {i}: sample {t} of channel ch{c + 1} is not finite "
             f"({data[i, c, t]})"
         )
-    return SegmentSet(
-        data=data, labels=labels, subjects=subjects, repetitions=reps,
-        sample_rate_hz=rate, window_ms=window_ms,
-    )
+    return SegmentSet(data=data, **columns, sample_rate_hz=rate, window_ms=window_ms)
 
 
 def _common_geometry(parts) -> SegmentSet:
@@ -463,26 +464,16 @@ def concat_segments(parts) -> SegmentSet:
     All parts must agree on channel count, window length, and rate.
     """
     parts = list(parts)
-    first = _common_geometry(parts)
-    return SegmentSet(
-        data=np.concatenate([p.data for p in parts]),
-        labels=np.concatenate([p.labels for p in parts]),
-        subjects=np.concatenate([p.subjects for p in parts]),
-        repetitions=np.concatenate([p.repetitions for p in parts]),
-        sample_rate_hz=first.sample_rate_hz,
-        window_ms=first.window_ms,
-    )
+    return replace(_common_geometry(parts), **{
+        name: np.concatenate([getattr(p, name) for p in parts])
+        for name in SegmentSet.PER_WINDOW
+    })
 
 
 def _select(segments: SegmentSet, mask: np.ndarray) -> SegmentSet:
-    return SegmentSet(
-        data=segments.data[mask],
-        labels=segments.labels[mask],
-        subjects=segments.subjects[mask],
-        repetitions=segments.repetitions[mask],
-        sample_rate_hz=segments.sample_rate_hz,
-        window_ms=segments.window_ms,
-    )
+    return replace(segments, **{
+        name: getattr(segments, name)[mask] for name in SegmentSet.PER_WINDOW
+    })
 
 
 def _split_masks(segments: SegmentSet, spec: SplitSpec):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -80,6 +81,9 @@ class SegmentSet:
     sample_rate_hz: float
     window_ms: int
 
+    #: the per-window arrays: the windows, then one entry per window
+    PER_WINDOW: ClassVar[tuple] = ("data", "labels", "subjects", "repetitions")
+
     def __post_init__(self):
         if self.data.ndim != 3:
             raise DataError(f"segment data must be M x C x L, got {self.data.shape}")
@@ -88,7 +92,7 @@ class SegmentSet:
                 f"sample rate must be finite and positive, got {self.sample_rate_hz}"
             )
         m = self.data.shape[0]
-        for name in ("labels", "subjects", "repetitions"):
+        for name in self.PER_WINDOW[1:]:
             arr = getattr(self, name)
             if arr.shape != (m,):
                 raise DataError(

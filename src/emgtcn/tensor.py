@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The op set is sized for the gesture classifier: elementwise arithmetic,
-matrix multiplication, reshape/transpose, ReLU, last-dimension softmax,
-dilated causal 1-D convolution, and three model stages as one op each,
-which the model calls instead of composing the primitives:
+The op set is sized for the gesture classifier: elementwise add and
+multiply, matrix multiplication, reshape/transpose, ReLU, last-dimension
+softmax, dilated causal 1-D convolution, and three model stages as one
+op each, which the model calls instead of composing the primitives:
 ``patch_embed`` (patch split and affine map), ``attention_block``
 (self-attention with its residual add) and ``causal_conv_block`` (conv,
 ReLU, conv, ReLU, residual add). Every op records its inputs and a
@@ -44,7 +44,6 @@ __all__ = [
     "linear",
     "patch_embed",
     "attention_block",
-    "sum_all",
     "make_op",
 ]
 
@@ -84,16 +83,6 @@ class Tensor:
         tag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def sum(self):
-        return sum_all(self)
-
     def backward(self) -> "ComputationTape":
         """Run reverse-mode accumulation from this scalar loss.
 
@@ -111,10 +100,6 @@ class Tensor:
         tape = ComputationTape(self)
         tape.run()
         return tape
-
-
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 class ComputationTape:
@@ -286,13 +271,6 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last dimension, stabilised by max subtraction."""
     y, backward = _softmax(x.data)
     return make_op(y, (x,), lambda g: (backward(g),))
-
-
-def sum_all(x: Tensor) -> Tensor:
-    def backward(g):
-        return (np.broadcast_to(g, x.data.shape),)
-
-    return make_op(np.asarray(x.data.sum()), (x,), backward)
 
 
 def _affine(x, weight, bias):

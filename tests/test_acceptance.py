@@ -24,7 +24,8 @@ from emgtcn.model import (
     self_attention,
     tc_block,
 )
-from emgtcn.tensor import Tensor, dilated_causal_conv1d
+from emgtcn.tensor import Tensor, dilated_causal_conv1d, mul
+from composed_ops import sum_all
 
 # the eight standard variants as (window_ms, num_patches, model_dim)
 VARIANTS = [
@@ -171,7 +172,7 @@ def test_criterion_5_causality_and_receptive_field(acceptance_gate):
                 out = tc_block(out, blk)
             mask = np.zeros((n, d))
             mask[-1, :] = 1.0
-            (out * Tensor(mask)).sum().backward()
+            sum_all(mul(out, Tensor(mask))).backward()
             per_position = np.abs(h.grad).sum(axis=1)
             assert np.all(per_position > 0.0), (window_ms, n, d)
 

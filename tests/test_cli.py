@@ -1329,6 +1329,36 @@ def test_eval_refuses_an_out_dir_under_a_file_before_it_scores(
     assert os.listdir(tmp_path) == ["x.sseg"]
 
 
+def _open_error(path) -> str:
+    """The line main() printed when ``open(path, "xb")`` failed."""
+    with pytest.raises(OSError) as err:
+        open(path, "xb")
+    return f"file error: {err.value}"
+
+
+@pytest.mark.parametrize("below", ["y.sseg", os.path.join("a", "y.sseg")])
+@pytest.mark.parametrize("command", ["preprocess", "train"])
+def test_an_output_path_through_a_file_is_refused_as_open_refuses_it(
+    pipeline, tmp_path, capsys, command, below
+):
+    (tmp_path / "x.sseg").write_bytes(b"")
+    out = os.path.join(tmp_path, "x.sseg", below)
+    argv = {
+        "preprocess": ["preprocess", pipeline["inputs"][0], "--out", out],
+        "train": [
+            "train", pipeline["segs"], "--checkpoint", tmp_path / "m.ckpt", "--trace", out,
+            "--epochs", 1, "--model-dim", 4, "--num-classes", 3,
+        ],
+    }[command]
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [_open_error(out)]
+    assert "Not a directory" in captured.err
+    assert os.listdir(tmp_path) == ["x.sseg"]
+    assert (tmp_path / "x.sseg").read_bytes() == b""
+
+
 @pytest.mark.parametrize("command", ["preprocess", "train", "eval"])
 def test_a_bad_config_is_refused_before_a_bad_output_path(tmp_path, capsys, command):
     config = tmp_path / "c.json"

@@ -570,6 +570,9 @@ def test_concat_segments():
     assert len(both) == 10
     assert np.array_equal(both.data[:4], a.data)
     assert np.array_equal(both.labels[4:], b.labels)
+    assert np.array_equal(both.subjects, np.concatenate([a.subjects, b.subjects]))
+    assert np.array_equal(both.repetitions, np.concatenate([a.repetitions, b.repetitions]))
+    assert (both.sample_rate_hz, both.window_ms) == (a.sample_rate_hz, a.window_ms)
     with pytest.raises(DataError):
         concat_segments([])
     with pytest.raises(DataError):
@@ -665,6 +668,16 @@ def test_split_is_partition_and_warns_on_drops():
     assert len(train) + len(test) + dropped == len(segs)
     assert dropped > 0
     assert not set(map(tuple, train.data[:, 0])) & set(map(tuple, test.data[:, 0]))
+
+
+def test_split_sides_hold_their_rows_of_every_per_window_array():
+    segs = replace(sample_segments(m=40, seed=6), sample_rate_hz=1000.0, window_ms=8)
+    for side, reps in zip(split(segs), ([1, 3, 4, 6], [2, 5])):
+        mask = np.isin(segs.repetitions, reps)
+        assert 0 < len(side) < len(segs)
+        for name in ("data", "labels", "subjects", "repetitions"):
+            assert np.array_equal(getattr(side, name), getattr(segs, name)[mask]), name
+        assert (side.sample_rate_hz, side.window_ms) == (1000.0, 8)
 
 
 def test_split_every_gesture_in_both_halves():

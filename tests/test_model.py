@@ -17,7 +17,8 @@ from emgtcn.model import (
     tc_block,
 )
 from emgtcn.signal import segment
-from emgtcn.tensor import Tensor
+from emgtcn.tensor import Tensor, mul
+from composed_ops import sum_all
 
 # the eight standard architecture variants as (window_ms, N, D), with
 # the parameter totals reported for the original full-scale models;
@@ -299,7 +300,7 @@ def test_receptive_field_spans_all_patches(window_ms, n, d, reported):
         out = tc_block(out, blk)
     mask = np.zeros((n, d))
     mask[-1] = 1.0
-    (out * Tensor(mask)).sum().backward()
+    sum_all(mul(out, Tensor(mask))).backward()
     reached = np.abs(h.grad).max(axis=1) > 0
     assert reached.all()
 

@@ -7,6 +7,8 @@ import pytest
 
 from emgtcn import tensor as T
 from emgtcn.errors import ConfigError, DimensionError, StateError, UsageError
+from emgtcn.tensor import add, mul
+from composed_ops import sum_all
 from gradcheck import fd_grad, max_rel_err
 
 # softmax([1,2,3]) evaluated at 40 decimal digits and rounded to float64
@@ -31,7 +33,7 @@ def test_matmul_grad_of_sum_is_ones_times_bt():
     rng = np.random.default_rng(7)
     a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    T.matmul(a, b).sum().backward()
+    sum_all(T.matmul(a, b)).backward()
     assert np.allclose(a.grad, np.ones((3, 2)) @ b.data.T, atol=1e-12)
 
     num = fd_grad(lambda: float((a.data @ b.data).sum()), a.data)
@@ -51,7 +53,7 @@ def test_matmul_batched_matches_loop():
     out = T.matmul(a, b)
     for i in range(5):
         assert np.allclose(out.data[i], a.data[i] @ b.data, atol=1e-12)
-    out.sum().backward()
+    sum_all(out).backward()
     num = fd_grad(lambda: float((a.data @ b.data).sum()), b.data)
     assert max_rel_err(b.grad, num) <= 1e-6
 
@@ -91,7 +93,7 @@ def test_softmax_gradient():
     rng = np.random.default_rng(13)
     x = T.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
     w = rng.normal(size=(2, 5))
-    (T.softmax_lastdim(x) * T.Tensor(w)).sum().backward()
+    sum_all(mul(T.softmax_lastdim(x), T.Tensor(w))).backward()
 
     def loss():
         e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
@@ -109,7 +111,7 @@ def test_relu_all_negative_zero_grad():
     x = T.Tensor([-3.0, -0.5, -2.0], requires_grad=True)
     out = T.relu(x)
     assert np.array_equal(out.data, np.zeros(3))
-    out.sum().backward()
+    sum_all(out).backward()
     assert np.array_equal(x.grad, np.zeros(3))
 
 
@@ -119,7 +121,7 @@ def test_relu_gradient_matches_fd():
     vals[np.abs(vals) < 0.05] = 0.5  # keep the FD probe away from the kink
     x = T.Tensor(vals, requires_grad=True)
     w = rng.normal(size=20)
-    (T.relu(x) * T.Tensor(w)).sum().backward()
+    sum_all(mul(T.relu(x), T.Tensor(w))).backward()
     num = fd_grad(lambda: float((np.maximum(x.data, 0.0) * w).sum()), x.data)
     assert max_rel_err(x.grad, num) <= 1e-6
 
@@ -185,7 +187,7 @@ def test_conv_gradients_match_fd():
     k = T.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
     b = T.Tensor(rng.normal(size=3), requires_grad=True)
     w = rng.normal(size=(3, 7)).T
-    (T.dilated_causal_conv1d(x, k, b, dilation=2) * T.Tensor(w)).sum().backward()
+    sum_all(mul(T.dilated_causal_conv1d(x, k, b, dilation=2), T.Tensor(w))).backward()
 
     def loss():
         out = T.dilated_causal_conv1d(
@@ -244,7 +246,7 @@ def test_conv_matches_loop_oracle(dilation, batched):
     b = T.Tensor(rng.normal(size=16), requires_grad=True)
     g = rng.normal(size=shape)
     out = T.dilated_causal_conv1d(x, k, b, dilation=dilation)
-    (out * T.Tensor(g)).sum().backward()
+    sum_all(mul(out, T.Tensor(g))).backward()
 
     lead = (1,) if not batched else ()
     want_out, want_gx, want_gk, want_gb = _loop_conv(
@@ -268,7 +270,7 @@ def test_conv_reach_beyond_window_matches_loop_oracle(batched):
     b = T.Tensor(rng.normal(size=2), requires_grad=True)
     g = rng.normal(size=shape[:-1] + (2,))
     out = T.dilated_causal_conv1d(x, k, b, dilation=4)
-    (out * T.Tensor(g)).sum().backward()
+    sum_all(mul(out, T.Tensor(g))).backward()
 
     lead = (1,) if not batched else ()
     want_out, want_gx, want_gk, want_gb = _loop_conv(
@@ -315,7 +317,7 @@ def test_conv_block_equals_composition_bit_for_bit(dilation, batched, trainable)
     for block in (T.causal_conv_block, _composed_block):
         inputs = _block_inputs(59 + dilation, shape, trainable)
         out = block(*inputs, dilation)
-        (out * T.Tensor(g)).sum().backward()
+        sum_all(mul(out, T.Tensor(g))).backward()
         results.append((out.data, [p.grad for p in inputs]))
     (fused, fused_grads), (composed, composed_grads) = results
     assert fused.tobytes() == composed.tobytes()
@@ -328,7 +330,7 @@ def test_conv_block_equals_composition_bit_for_bit(dilation, batched, trainable)
 def test_conv_block_gradients_match_fd():
     inputs = _block_inputs(67, (2, 10, 3), (True,) * 5, k=2)
     w = np.random.default_rng(71).normal(size=(2, 10, 3))
-    (T.causal_conv_block(*inputs, 2) * T.Tensor(w)).sum().backward()
+    sum_all(mul(T.causal_conv_block(*inputs, 2), T.Tensor(w))).backward()
 
     def loss():
         out = T.causal_conv_block(*(T.Tensor(p.data) for p in inputs), 2)
@@ -416,7 +418,7 @@ def _assert_equals_composition(fused, composed, make_inputs, trainable, g, *extr
     for op in (fused, composed):
         inputs = make_inputs()
         out = op(*inputs, *extra)
-        (out * T.Tensor(g)).sum().backward()
+        sum_all(mul(out, T.Tensor(g))).backward()
         results.append((out.data, [p.grad for p in inputs]))
     (fused_out, fused_grads), (composed_out, composed_grads) = results
     assert fused_out.tobytes() == composed_out.tobytes()
@@ -457,7 +459,7 @@ def test_attention_block_equals_composition_bit_for_bit(lead, trainable):
 def test_patch_embed_gradients_match_fd():
     inputs = _embed_inputs(101, (2,), (True,) * 3, c=2, length=12, d=3, n=4)
     w = np.random.default_rng(103).normal(size=(2, 4, 3))
-    (T.patch_embed(*inputs, 4) * T.Tensor(w)).sum().backward()
+    sum_all(mul(T.patch_embed(*inputs, 4), T.Tensor(w))).backward()
 
     def loss():
         out = T.patch_embed(*(T.Tensor(p.data) for p in inputs), 4)
@@ -470,7 +472,7 @@ def test_patch_embed_gradients_match_fd():
 def test_attention_block_gradients_match_fd():
     inputs = _attention_inputs(107, (2,), (True,) * 9, n=4, d=3)
     w = np.random.default_rng(109).normal(size=(2, 4, 3))
-    (T.attention_block(*inputs) * T.Tensor(w)).sum().backward()
+    sum_all(mul(T.attention_block(*inputs), T.Tensor(w))).backward()
 
     def loss():
         out = T.attention_block(*(T.Tensor(p.data) for p in inputs))
@@ -559,7 +561,7 @@ def test_linear_weight_gradient_matches_fd():
     w = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     b = T.Tensor(rng.normal(size=2), requires_grad=True)
     c = rng.normal(size=(4, 2))
-    (T.linear(x, w, b) * T.Tensor(c)).sum().backward()
+    sum_all(mul(T.linear(x, w, b), T.Tensor(c))).backward()
 
     def loss():
         return float(((x.data @ w.data + b.data) * c).sum())
@@ -570,25 +572,25 @@ def test_linear_weight_gradient_matches_fd():
 
 def test_backward_sum_gives_ones():
     x = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    x.sum().backward()
+    sum_all(x).backward()
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_elementwise_square():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    (x * x).sum().backward()
+    sum_all(mul(x, x)).backward()
     assert np.array_equal(x.grad, [2.0, 4.0])
 
 
 def test_backward_rejects_non_scalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(UsageError):
-        (x * x).backward()
+        mul(x, x).backward()
 
 
 def test_double_backward_without_reset_rejected():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    loss = (x * x).sum()
+    loss = sum_all(mul(x, x))
     tape = loss.backward()
     with pytest.raises(StateError):
         loss.backward()
@@ -600,7 +602,7 @@ def test_double_backward_without_reset_rejected():
 
 def test_second_backward_refused_after_tape_dropped():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    loss = (x * x).sum()
+    loss = sum_all(mul(x, x))
     loss.backward()  # the returned tape is dropped at once
     with pytest.raises(StateError):
         loss.backward()
@@ -615,7 +617,7 @@ def test_graph_freed_when_loss_and_tape_dropped():
     gc.disable()
     try:
         hidden = T.matmul(x, w)
-        loss = T.relu(hidden).sum()
+        loss = sum_all(T.relu(hidden))
         tape = loss.backward()
         # Tensor has no __weakref__ slot; these arrays are owned by the graph alone
         refs = [weakref.ref(hidden.data), weakref.ref(loss.data)]
@@ -629,7 +631,7 @@ def test_graph_freed_when_loss_and_tape_dropped():
 
 def test_grad_accumulates_across_uses():
     x = T.Tensor([3.0], requires_grad=True)
-    (x + x).sum().backward()
+    sum_all(add(x, x)).backward()
     assert np.array_equal(x.grad, [2.0])
 
 
@@ -638,7 +640,7 @@ def test_reshape_transpose_gradients():
     x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = rng.normal(size=(4, 6))
     out = T.transpose(T.reshape(x, (6, 4)), (1, 0))
-    (out * T.Tensor(w)).sum().backward()
+    sum_all(mul(out, T.Tensor(w))).backward()
     num = fd_grad(
         lambda: float((x.data.reshape(6, 4).T * w).sum()), x.data
     )
@@ -668,10 +670,10 @@ def test_composite_graph_matches_fd():
             ).data
             h = np.maximum(conv, 0.0)
             return float((h @ w.data + b.data).sum())
-        scores = T.matmul(q, T.transpose(kx, (1, 0))) * T.Tensor(1.0 / np.sqrt(d))
+        scores = mul(T.matmul(q, T.transpose(kx, (1, 0))), T.Tensor(1.0 / np.sqrt(d)))
         att = T.matmul(T.softmax_lastdim(scores), v)
         conv = T.dilated_causal_conv1d(att, kern, cb, dilation=2)
-        return T.linear(T.relu(conv), w, b).sum()
+        return sum_all(T.linear(T.relu(conv), w, b))
 
     forward(False).backward()
     for name, p in params.items():
@@ -690,7 +692,7 @@ def test_tape_determinism_bit_identical():
         x = T.Tensor(x0, requires_grad=True)
         w = T.Tensor(w0, requires_grad=True)
         out = T.softmax_lastdim(T.matmul(x, w))
-        T.relu(out).sum().backward()
+        sum_all(T.relu(out)).backward()
         return out.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
     assert run() == run()
@@ -702,7 +704,7 @@ def test_broadcast_along_an_inner_axis_sums_its_gradient(op):
     a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(3, 1)), requires_grad=True)
     coeffs = rng.normal(size=(3, 4))
-    T.mul(op(a, b), T.Tensor(coeffs)).sum().backward()
+    sum_all(mul(op(a, b), T.Tensor(coeffs))).backward()
     assert a.grad.shape == (3, 4) and b.grad.shape == (3, 1)
 
     def loss():
