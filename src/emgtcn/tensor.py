@@ -16,9 +16,9 @@ layout: its input ``x`` is (..., T, C_in) and its kernel is
 (C_out, C_in, k).
 
 Everything runs in 64-bit floats so finite-difference gradient checks
-are meaningful. Data buffers are row-major numpy arrays; tensors are
-treated as immutable once created (gradient buffers are the only thing
-mutated after construction).
+are meaningful. Data buffers are row-major numpy arrays. A tensor is
+immutable once created (only its gradient buffer changes later): no op
+writes into its inputs' arrays, and each finishes its own output in place.
 """
 
 from __future__ import annotations
@@ -167,10 +167,11 @@ def make_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     per parent, in order. Recording is skipped entirely when no parent
     requires gradients.
     """
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    out = Tensor(data)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._backward = True, tuple(parents), backward_fn
+            break
     return out
 
 
@@ -234,20 +235,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    def backward(g):
-        return (g.reshape(x.data.shape),)
-
-    return make_op(x.data.reshape(shape), (x,), backward)
+    """``x`` in a new shape; its value is a view of ``x``'s data."""
+    return make_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
+    """``x`` with its axes permuted; identity axes give a view of ``x``'s data."""
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        return (np.transpose(g, inverse),)
-
-    return make_op(np.transpose(x.data, axes), (x,), backward)
+    return make_op(np.transpose(x.data, axes), (x,), lambda g: (np.transpose(g, inverse),))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -256,20 +252,21 @@ def relu(x: Tensor) -> Tensor:
     return make_op(out, (x,), lambda g: (g * (out > 0),))
 
 
-def _softmax(x):
-    """``softmax_lastdim`` on an array, and its backward half ``backward(g)``."""
-    if x.size == 0 or x.ndim == 0 or x.shape[-1] < 1:
+def _softmax(y):
+    """``softmax_lastdim`` of ``y``, written over ``y``, and its backward half."""
+    if y.size == 0 or y.ndim == 0 or y.shape[-1] < 1:
         raise DimensionError(
-            f"softmax_lastdim needs a nonempty last dimension; got shape {x.shape}"
+            f"softmax_lastdim needs a nonempty last dimension; got shape {y.shape}"
         )
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     return y, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last dimension, stabilised by max subtraction."""
-    y, backward = _softmax(x.data)
+    y, backward = _softmax(x.data.copy())
     return make_op(y, (x,), lambda g: (backward(g),))
 
 
@@ -277,7 +274,7 @@ def _affine(x, weight, bias):
     """The checks and math of ``linear`` on arrays. Returns x @ weight +
     bias and ``backward(g, want_x, want_weight, want_bias)``, which gives
     (gx, gw, gb)."""
-    if weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+    if x.ndim < 1 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise DimensionError(
             f"linear: input shape {x.shape} does not match weight shape {weight.shape}"
         )
@@ -293,7 +290,9 @@ def _affine(x, weight, bias):
         gb = g.reshape(-1, n_out).sum(axis=0) if want_bias else None
         return gx, gw, gb
 
-    return x @ weight + bias, backward
+    out = np.dot(x, weight) if x.ndim == 2 else x @ weight
+    out += bias
+    return out, backward
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -312,6 +311,10 @@ def patch_embed(x: Tensor, weight: Tensor, bias: Tensor, num_patches: int) -> Te
     patches of P = L/N samples, each flattened channel-major into a C*P
     row (the C-order copy of a transpose), then mapped by ``linear``."""
     parents = (x, weight, bias)
+    if num_patches < 1:
+        raise ConfigError(f"num_patches must be >= 1, got {num_patches}")
+    if x.ndim < 2 or x.shape[-1] % num_patches:
+        raise DimensionError(f"patch_embed: {x.shape} does not cut into {num_patches} patches")
     lead, (c, length) = x.shape[:-2], x.shape[-2:]
     cut = lead + (c, num_patches, length // num_patches)
     split = np.ascontiguousarray(x.data.reshape(cut).swapaxes(-3, -2))
@@ -333,6 +336,8 @@ def attention_block(e, wq, bq, wk, bk, wv, bv, wo, bo) -> Tensor:
     bit it copies k^T and the k gradient to C order, and sums e's gradient
     in the tape's order: residual, then the q, k and v terms."""
     parents = (e, wq, bq, wk, bk, wv, bv, wo, bo)
+    if e.ndim < 2:
+        raise DimensionError(f"attention: input shape {e.shape} is not (..., N, D)")
     (q, back_q), (k, back_k), (v, back_v) = (
         _affine(e.data, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv))
     )
@@ -340,7 +345,9 @@ def attention_block(e, wq, bq, wk, bk, wv, bv, wo, bo) -> Tensor:
     if q.shape[-1] != kt.shape[-2]:
         raise DimensionError(f"matmul: cannot contract shapes {q.shape} and {kt.shape}")
     scale = np.asarray(1.0 / math.sqrt(e.shape[-1]))
-    a, back_a = _softmax((q @ kt) * scale)
+    s = q @ kt
+    s *= scale
+    a, back_a = _softmax(s)
     o, back_o = _affine(a @ v, wo.data, bo.data)
     if o.shape != e.shape:
         raise DimensionError(f"attention: output {o.shape} is not input shape {e.shape}")
@@ -358,7 +365,8 @@ def attention_block(e, wq, bq, wk, bk, wv, bv, wo, bo) -> Tensor:
         ge = ((g + ge_q) + ge_k) + ge_v if want[0] else None
         return ge, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo
 
-    return make_op(e.data + o, parents, backward)
+    o += e.data
+    return make_op(o, parents, backward)
 
 
 def _conv_forward(x, kernel, bias, dilation):
@@ -368,7 +376,7 @@ def _conv_forward(x, kernel, bias, dilation):
     the output and ``backward(g, want_x, want_kernel, want_bias)``, which
     adds each tap's shifted gradient slice in tap order. A tap reaching T
     or more steps back reads only zeros and is skipped both ways."""
-    if not isinstance(dilation, (int, np.integer)) or dilation < 1:
+    if type(dilation) is bool or not isinstance(dilation, (int, np.integer)) or dilation < 1:
         raise ConfigError(f"dilation must be a positive integer, got {dilation!r}")
     if kernel.ndim != 3 or kernel.size == 0:
         raise ConfigError(
@@ -384,16 +392,17 @@ def _conv_forward(x, kernel, bias, dilation):
             f"conv1d: bias shape {bias.shape} does not match {c_out} output channels"
         )
     t_len = x.shape[-2]
-    # (tap index, shift back in time) for every tap that reads any input
-    live = [(i, (k - 1 - i) * dilation) for i in range(k)]
-    live = [(i, shift) for i, shift in live if shift < t_len]
     # row i*c_in + c of the (k*c_in, c_out) kernel matrix holds kernel[:, c, i]
     taps = np.zeros(x.shape[:-1] + (k * c_in,))
-    for i, shift in live:
-        taps[..., shift:, i * c_in : (i + 1) * c_in] = x[..., : t_len - shift, :]
+    live = []  # (tap index, shift back in time) for every tap that reads any input
+    for i in range(k):
+        if (shift := (k - 1 - i) * dilation) < t_len:
+            taps[..., shift:, i * c_in : (i + 1) * c_in] = x[..., : t_len - shift, :]
+            live.append((i, shift))
     taps = taps.reshape(-1, k * c_in)
     w_mat = kernel.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out = (taps @ w_mat + bias).reshape(x.shape[:-1] + (c_out,))
+    out = np.dot(taps, w_mat)
+    out += bias
 
     def backward(g, want_x, want_kernel, want_bias):
         gx = gk = gb = None
@@ -409,7 +418,7 @@ def _conv_forward(x, kernel, bias, dilation):
             gb = g2.sum(axis=0)
         return gx, gk, gb
 
-    return out, backward
+    return out.reshape(x.shape[:-1] + (c_out,)), backward
 
 
 def dilated_causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, dilation: int) -> Tensor:
@@ -430,9 +439,9 @@ def causal_conv_block(h, kernel1, bias1, kernel2, bias2, dilation: int) -> Tenso
     """h + relu(conv2(relu(conv1(h)))) as one op, bit for bit equal to the
     composed ops; backward reads each ReLU mask as r > 0 from its output r."""
     c1, backward1 = _conv_forward(h.data, kernel1.data, bias1.data, dilation)
-    r1 = np.maximum(c1, 0.0)
+    r1 = np.maximum(c1, 0.0, out=c1)
     c2, backward2 = _conv_forward(r1, kernel2.data, bias2.data, dilation)
-    r2 = np.maximum(c2, 0.0)
+    r2 = np.maximum(c2, 0.0, out=c2)
     if r2.shape != h.shape:
         raise DimensionError(f"conv block: output {r2.shape} is not input shape {h.shape}")
 

@@ -521,6 +521,27 @@ def test_attention_block_refuses_what_the_composition_refuses(name, shape):
     assert messages[0] == messages[1]
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: T.patch_embed(*_embed_inputs(1, (), (False,) * 3), 0), ConfigError, "got 0"),
+    (lambda: T.patch_embed(*_embed_inputs(1, (), (False,) * 3, length=401), 10), DimensionError,
+     r"\(12, 401\) does not cut into 10 patches"),
+    (lambda: T.patch_embed(T.Tensor(np.ones(400)), T.Tensor(np.ones((480, 12))),
+                           T.Tensor(np.zeros(12)), 10), DimensionError, r"\(400,\)"),
+    (lambda: T.attention_block(T.Tensor(np.ones(12)), *_attention_inputs(1, (), (False,) * 9)[1:]),
+     DimensionError, r"input shape \(12,\)"),
+    (lambda: T.linear(T.Tensor(1.0), T.Tensor(np.ones((1, 1))), T.Tensor(np.zeros(1))),
+     DimensionError, r"input shape \(\)"),
+    (lambda: T.dilated_causal_conv1d(*_block_inputs(1, (10, 4), (False,) * 3), True),
+     ConfigError, "got True"),
+    (lambda: T.causal_conv_block(*_block_inputs(1, (10, 4), (False,) * 5), True), ConfigError,
+     "got True"),
+], ids=["embed-no-patches", "embed-uneven-patches", "embed-1d", "attention-1d", "linear-0d",
+        "conv-bool-dilation", "block-bool-dilation"])
+def test_stage_ops_refuse_malformed_calls(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_attention_block_refuses_output_width_unlike_its_input():
     e, wq, bq, wk, bk, wv, bv = _attention_inputs(131, (), (False,) * 7)
     wo, bo = T.Tensor(np.ones((12, 1))), T.Tensor(np.zeros(1))

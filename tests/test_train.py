@@ -441,7 +441,8 @@ def test_frozen_logits_equal_trainable_logits(window_ms, patches, dim):
     ckpt = make_checkpoint(trainable, Adam(trainable.named_parameters()), 0, None)
     frozen = restore_model(ckpt)
     rng = np.random.default_rng(1)
-    for shape in ((12, trainable.cfg.seq_len), (256, 12, trainable.cfg.seq_len)):
+    for batch in ((), (4,), (256,)):
+        shape = batch + (12, trainable.cfg.seq_len)
         x = rng.normal(size=shape)
         graph = trainable(x)
         assert graph._backward is not None
