@@ -26,6 +26,7 @@ from emgtcn.model import (
 )
 from emgtcn.tensor import Tensor, dilated_causal_conv1d, mul
 from composed_ops import sum_all
+from signed_rank_oracle import literal_enumeration_p, signed_vector
 
 # the eight standard variants as (window_ms, num_patches, model_dim)
 VARIANTS = [
@@ -289,25 +290,23 @@ def test_criterion_7_desk_scale_learning(acceptance_gate):
 
 
 def test_criterion_8_statistics(acceptance_gate):
-    """Exact Wilcoxon hand case, the normal approximation staying within
-    0.05 of exact for n <= 12, and the band thresholds."""
+    """Exact Wilcoxon hand case, the exact p equal to a literal listing of
+    all 2^n sign assignments at every W for n <= 12, with and without
+    tied magnitudes, and the band thresholds."""
     with acceptance_gate.criterion(8, "signed-rank test and significance bands"):
         d = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        res = stats.wilcoxon_signed_rank(d, np.zeros(5), method="exact")
+        res = stats.wilcoxon_signed_rank(d, np.zeros(5))
         assert res.statistic == 0.0
         assert res.p_value == 0.0625
 
         for n in range(4, 13):
-            values = np.arange(1, n + 1, dtype=np.float64)
+            tied = 1.0 + np.arange(n) // 2  # magnitudes tied in pairs
             for w in range(0, n * (n + 1) // 2 + 1):
-                diffs = _signed_vector(values, w)
-                exact = stats.wilcoxon_signed_rank(
-                    diffs, np.zeros(n), method="exact"
-                ).p_value
-                approx = stats.wilcoxon_signed_rank(
-                    diffs, np.zeros(n), method="normal"
-                ).p_value
-                assert abs(exact - approx) <= 0.05, (n, w, exact, approx)
+                diffs = signed_vector(n, w)
+                for d in (diffs, np.sign(diffs) * tied):
+                    exact = stats.wilcoxon_signed_rank(d, np.zeros(n)).p_value
+                    listed = literal_enumeration_p(d)
+                    assert abs(exact - listed) <= 1e-12, (n, w, exact, listed)
 
         assert stats.significance_band(0.0001) == "****"
         assert stats.significance_band(0.00011) == "***"
@@ -315,18 +314,6 @@ def test_criterion_8_statistics(acceptance_gate):
         assert stats.significance_band(0.01) == "**"
         assert stats.significance_band(0.05) == "*"
         assert stats.significance_band(0.051) == "ns"
-
-
-def _signed_vector(values: np.ndarray, w: int) -> np.ndarray:
-    """Flip signs so the negative ranks of 1..n sum to exactly w."""
-    out = values.copy()
-    remaining = w
-    for v in values[::-1]:
-        if remaining >= v:
-            out[int(v) - 1] = -v
-            remaining -= int(v)
-    assert remaining == 0
-    return out
 
 
 # -- 9: determinism and persistence -------------------------------------------

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +6,6 @@ import pytest
 import scipy.stats
 
 from emgtcn.errors import (
-    ConfigError,
     DataError,
     DimensionError,
     RangeError,
@@ -21,39 +19,7 @@ from emgtcn.stats import (
     significance_band,
     wilcoxon_signed_rank,
 )
-
-
-def literal_enumeration_p(d):
-    """Independent oracle: walk all 2^n sign assignments directly."""
-    d = np.asarray(d, dtype=np.float64)
-    d = d[d != 0]
-    absd = np.abs(d)
-    order = np.argsort(absd, kind="stable")
-    ranks = np.empty(d.size)
-    i = 0
-    while i < d.size:
-        j = i
-        while j + 1 < d.size and absd[order[j + 1]] == absd[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    w = min(ranks[d > 0].sum(), ranks[d < 0].sum())
-    count = 0
-    for signs in itertools.product((0, 1), repeat=d.size):
-        if sum(r for r, s in zip(ranks, signs) if s) <= w + 1e-9:
-            count += 1
-    return min(1.0, 2.0 * count / 2.0**d.size)
-
-
-def signed_vector(n, w):
-    """Distinct-magnitude differences 1..n whose negative ranks sum to w."""
-    remaining, negative = w, set()
-    for r in range(n, 0, -1):
-        if remaining >= r:
-            negative.add(r)
-            remaining -= r
-    assert remaining == 0
-    return np.array([-float(i) if i in negative else float(i) for i in range(1, n + 1)])
+from signed_rank_oracle import literal_enumeration_p, signed_vector
 
 
 def test_accuracy_basic_fractions():
@@ -120,6 +86,8 @@ def test_aggregate_mean_is_permutation_invariant():
 def test_aggregate_rejects_out_of_range():
     with pytest.raises(RangeError):
         aggregate({0: 1.5})
+    with pytest.raises(RangeError, match=r"accuracies must lie in \[0, 1\]"):
+        aggregate({1: float("nan"), 2: 0.5})
     with pytest.raises(UsageError):
         aggregate({})
 
@@ -150,10 +118,10 @@ def test_wilcoxon_tied_ranks_hand_case():
 def test_wilcoxon_exact_matches_literal_enumeration():
     rng = np.random.default_rng(3)
     for _ in range(30):
-        n = int(rng.integers(2, 11))
+        n = int(rng.integers(2, 13))
         a = np.round(rng.normal(size=n), 1)
         b = np.round(rng.normal(size=n), 1)
-        r = wilcoxon_signed_rank(a, b, method="exact")
+        r = wilcoxon_signed_rank(a, b)
         if r.method == "degenerate":
             continue
         # a and b are multiples of 0.1; the oracle gets the differences as
@@ -186,14 +154,21 @@ def test_wilcoxon_drops_zero_differences():
     assert r.n_effective == 3
 
 
-def test_wilcoxon_method_selection():
+def test_wilcoxon_exact_on_both_sides_of_twenty_pairs():
+    # one exact path at every n: nothing switches at 20 pairs, and the
+    # test takes no method option
     rng = np.random.default_rng(6)
-    small = wilcoxon_signed_rank(rng.normal(size=20), rng.normal(size=20))
-    assert small.method == "exact"
-    large = wilcoxon_signed_rank(rng.normal(size=21), rng.normal(size=21))
-    assert large.method == "normal-approximation"
-    with pytest.raises(ConfigError):
-        wilcoxon_signed_rank([1.0], [0.0], method="bogus")
+    for n in (20, 21):
+        a = np.round(rng.normal(size=n), 1)
+        b = np.round(rng.normal(size=n), 1)
+        exact_d = np.rint(10.0 * (a - b))
+        exact_d = exact_d[exact_d != 0]
+        assert np.unique(np.abs(exact_d)).size < exact_d.size  # ties
+        r = wilcoxon_signed_rank(a, b)
+        assert r.method == "exact"
+        assert r.p_value == pytest.approx(literal_enumeration_p(exact_d), abs=1e-12)
+    with pytest.raises(TypeError):
+        wilcoxon_signed_rank([1.0], [0.0], method="exact")
 
 
 def test_wilcoxon_input_validation():
@@ -205,33 +180,66 @@ def test_wilcoxon_input_validation():
         wilcoxon_signed_rank([np.nan], [0.0])
 
 
-def test_wilcoxon_normal_tracks_exact_up_to_twelve():
-    # exhaustive over every achievable W with distinct magnitudes;
-    # below n=4 the approximation is mathematically outside the band
+def test_wilcoxon_exact_every_w_up_to_twelve():
+    # exhaustive over every achievable W with distinct magnitudes, and
+    # the same sign patterns on magnitudes tied in threes
     for n in range(4, 13):
+        tied = 1.0 + np.arange(n) // 3
         for w in range(n * (n + 1) // 4 + 1):
             d = signed_vector(n, w)
-            pe = wilcoxon_signed_rank(d, np.zeros(n), method="exact").p_value
-            pn = wilcoxon_signed_rank(d, np.zeros(n), method="normal").p_value
-            assert abs(pe - pn) <= 0.05, (n, w)
+            for diffs in (d, np.sign(d) * tied):
+                p = wilcoxon_signed_rank(diffs, np.zeros(n)).p_value
+                assert p == pytest.approx(literal_enumeration_p(diffs), abs=1e-12), (n, w)
 
 
-def test_wilcoxon_normal_close_at_fifteen_subsample():
-    # 25 paired values, checked at an n=15 subsample as exact
-    # enumeration territory
+def test_wilcoxon_exact_at_fifteen_subsample():
+    # 25 paired values, checked at an n=15 subsample, plain and rounded
+    # to tenths so that magnitudes tie
     rng = np.random.default_rng(7)
     a = rng.normal(size=25)
     b = a + rng.normal(scale=0.8, size=25)
     idx = rng.choice(25, size=15, replace=False)
-    pe = wilcoxon_signed_rank(a[idx], b[idx], method="exact").p_value
-    pn = wilcoxon_signed_rank(a[idx], b[idx], method="normal").p_value
-    assert abs(pe - pn) <= 0.02
-    # and exhaustively across all W at n=15
+    p = wilcoxon_signed_rank(a[idx], b[idx]).p_value
+    assert p == pytest.approx(literal_enumeration_p(a[idx] - b[idx]), abs=1e-12)
+    a1, b1 = np.round(a[idx], 1), np.round(b[idx], 1)
+    p = wilcoxon_signed_rank(a1, b1).p_value
+    assert p == pytest.approx(literal_enumeration_p(np.rint(10.0 * (a1 - b1))), abs=1e-12)
+    # and across all W at n=15
     for w in range(0, 15 * 16 // 4 + 1, 3):
         d = signed_vector(15, w)
-        pe = wilcoxon_signed_rank(d, np.zeros(15), method="exact").p_value
-        pn = wilcoxon_signed_rank(d, np.zeros(15), method="normal").p_value
-        assert abs(pe - pn) <= 0.02, w
+        p = wilcoxon_signed_rank(d, np.zeros(15)).p_value
+        assert p == pytest.approx(literal_enumeration_p(d), abs=1e-12), w
+
+
+def edgeworth_p(n, w):
+    """Two-sided p of W on tie-free ranks 1..n from the continuity-corrected
+    normal tail plus its fourth-cumulant (Edgeworth) term. W+ sums
+    independent r * Bernoulli(1/2), whose fourth cumulant is -r^4 / 8;
+    near a thousand pairs this is within ~2e-7 of the exact p."""
+    mean = n * (n + 1) / 4.0
+    var = n * (n + 1) * (2 * n + 1) / 24.0
+    k4 = -sum(r**4 for r in range(1, n + 1)) / 8.0
+    z = (w - mean + 0.5) / math.sqrt(var)
+    density = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
+    kurtosis_term = density * k4 / (24.0 * var**2) * (z**3 - 3.0 * z)
+    cdf = 0.5 * math.erfc(-z / math.sqrt(2.0)) - kurtosis_term
+    return min(1.0, 2.0 * cdf)
+
+
+def test_wilcoxon_exact_past_1023_pairs():
+    # from 1024 pairs on, 2^n sign assignments pass float64's range, so a
+    # tally of counts overflows. scipy's continuity-corrected normal
+    # approximation is off by up to ~1.5e-4 mid-range at this n, so it is
+    # checked in a tail and near the centre; the Edgeworth term holds tight.
+    for n, z in ((1024, -2.33), (1100, -0.025)):
+        sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
+        w = int(n * (n + 1) / 4.0 + z * sd)
+        d = signed_vector(n, w)
+        r = wilcoxon_signed_rank(d, np.zeros(n))
+        assert r.n_effective == n and r.statistic == w
+        approx = scipy.stats.wilcoxon(d, method="approx", correction=True).pvalue
+        assert abs(r.p_value - approx) <= 1e-4, (n, r.p_value, approx)
+        assert abs(r.p_value - edgeworth_p(n, w)) <= 1e-6, (n, r.p_value)
 
 
 def test_wilcoxon_p_always_in_unit_interval():
@@ -245,8 +253,7 @@ def test_wilcoxon_p_always_in_unit_interval():
 
 
 def test_wilcoxon_matches_scipy_on_tie_free_samples():
-    # scipy is an independent oracle: exact for n <= 20 (our auto
-    # switch), continuity-corrected normal approximation above it
+    # scipy's exact null distribution is an independent oracle
     rng = np.random.default_rng(2110)
     for case in range(200):
         n = int(rng.integers(5, 41))
@@ -254,10 +261,7 @@ def test_wilcoxon_matches_scipy_on_tie_free_samples():
         b = a + rng.normal(loc=rng.uniform(-1.0, 1.0), size=n)
         assert np.unique(np.abs(a - b)).size == n and np.all(a != b)
         ours = wilcoxon_signed_rank(a, b)
-        if n <= 20:
-            ref = scipy.stats.wilcoxon(a, b, method="exact")
-        else:
-            ref = scipy.stats.wilcoxon(a, b, method="approx", correction=True)
+        ref = scipy.stats.wilcoxon(a, b, method="exact")
         assert ours.statistic == ref.statistic, (case, n)
         assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0), (case, n)
 
@@ -265,8 +269,8 @@ def test_wilcoxon_matches_scipy_on_tie_free_samples():
 def fraction_reference(ka, kb, n):
     """Independent oracle for accuracies ka/n vs kb/n: the differences are
     exact Fractions, so zeros and ties are found by exact equality. Returns
-    (W, two-sided p): exact enumeration up to 20 pairs, else the tie- and
-    continuity-corrected normal approximation."""
+    (W, two-sided p), with p counted over all sign assignments in Python's
+    exact integers."""
     d = [Fraction(int(x) - int(y), n) for x, y in zip(ka, kb) if x != y]
     counts = {}
     for x in d:
@@ -278,19 +282,14 @@ def fraction_reference(ka, kb, n):
     ranks = [rank_of[abs(x)] for x in d]
     w = min(sum(r for r, x in zip(ranks, d) if x > 0),
             sum(r for r, x in zip(ranks, d) if x < 0))
-    m = len(d)
-    if m <= 20:
-        # average ranks are half-integers: enumerate on doubled integer ranks
-        twice, w2 = [int(2 * r) for r in ranks], int(2 * w)
-        below = sum(
-            1 for signs in itertools.product((0, 1), repeat=m)
-            if sum(r for r, s in zip(twice, signs) if s) <= w2
-        )
-        return w, min(1.0, float(Fraction(2 * below, 2**m)))
-    var = Fraction(m * (m + 1) * (2 * m + 1), 24)
-    var -= sum(Fraction(c**3 - c, 48) for c in counts.values())
-    z = (float(w) - m * (m + 1) / 4.0 + 0.5) / math.sqrt(float(var))
-    return w, min(1.0, math.erfc(-z / math.sqrt(2.0)))
+    # average ranks are half-integers: count on doubled integer ranks;
+    # ways[s] is the number of sign assignments whose doubled W+ is s
+    twice, w2 = [int(2 * r) for r in ranks], int(2 * w)
+    ways = [1] + [0] * sum(twice)
+    for r in twice:
+        for s in range(len(ways) - 1, r - 1, -1):
+            ways[s] += ways[s - r]
+    return w, min(1.0, float(Fraction(2 * sum(ways[: w2 + 1]), 2 ** len(d))))
 
 
 def test_wilcoxon_ties_found_by_exact_value():
@@ -308,7 +307,7 @@ def test_wilcoxon_ties_found_by_exact_value():
         n = 850 if case % 2 else int(rng.integers(50, 10**5))
         ka = rng.integers(3, n - 2, size=int(rng.integers(4, 11)))
         shift = rng.integers(-3, 4, size=ka.size)
-        if case >= 40:  # more than 20 nonzero pairs: the normal approximation
+        if case >= 40:  # 21 to 40 nonzero pairs
             ka = rng.integers(3, n - 2, size=int(rng.integers(21, 41)))
             shift = rng.choice([-3, -2, -1, 1, 2, 3], size=ka.size)
         kb = ka + shift
