@@ -16,10 +16,12 @@ rec = dio.generate_synthetic(subjects=1, classes=5, reps=6, seed=42)[0]
 print(f"recording: {rec.channels} channels x {rec.num_samples} samples "
       f"at {rec.sample_rate_hz:.0f} Hz")
 
-# the companding curve: strong gain for small amplitudes
+# the companding curve: strong gain for small amplitudes; the result is
+# a float64 array of the input's shape
 mu = sig.MuLawParams()
-for x in (0.01, 0.1, 0.5, 1.0):
-    print(f"  mu-law({x:4}) = {sig.mu_law(x, mu):.6f}")
+xs = np.array([0.01, 0.1, 0.5, 1.0])
+for x, y in zip(xs, sig.mu_law(xs, mu)):
+    print(f"  mu-law({x:4}) = {y:.6f}")
 
 processed = sig.preprocess(rec.data)
 print(f"after preprocessing: range [{processed.min():.4f}, "

@@ -28,13 +28,13 @@ b = np.array([model_b[s] for s in subjects])
 
 result = stats.wilcoxon_signed_rank(a, b)
 print(f"W = {result.statistic}, p = {result.p_value:.6f} "
-      f"({result.method}, n_eff = {result.n_effective})")
+      f"(n_eff = {result.n_effective})")
 print(f"band: {stats.significance_band(result.p_value)}")
 
 # the textbook hand case: five positive differences
 hand = stats.wilcoxon_signed_rank(np.arange(1.0, 6.0), np.zeros(5))
 print(f"d=[1..5]: W = {hand.statistic}, p = {hand.p_value} "
-      f"({hand.method}, n_eff = {hand.n_effective})")
+      f"(n_eff = {hand.n_effective})")
 
 # band thresholds
 for p in (0.00005, 0.0001, 0.0005, 0.005, 0.03, 0.2):

@@ -3,8 +3,8 @@
 Subcommands: preprocess, train, eval, params, compare, synth. Settings
 come from an optional JSON config file plus flags, with flags winning;
 each subcommand has flags only for the settings it reads.
-The seed resolves as: --seed flag, then the config file, then the
-TCHGR_SEED environment variable, then 0; a negative seed is refused.
+The seed resolves as: --seed flag, then the config file, then 0; a
+negative seed is refused.
 
 Stream discipline: anything meant for humans goes to stderr; stdout
 carries exactly one machine-readable key=value line per command.
@@ -98,8 +98,9 @@ _SETTINGS = (
 
 def _load_run_config(args) -> argparse.Namespace:
     """The table's defaults, overlaid by the config file, then by the
-    flags, with ``_resolved_seed`` for a command that takes --seed. Each
-    command checks the other settings it reads by building its objects."""
+    flags. A command that takes --seed refuses a negative seed, naming
+    its source; an unset seed is 0. Each command checks the other
+    settings it reads by building its objects."""
     kinds = {name: kind for name, _, kind, _, _, _ in _SETTINGS}
     cfg = {name: default for name, _, _, default, _, _ in _SETTINGS}
     if getattr(args, "config", None):
@@ -125,24 +126,12 @@ def _load_run_config(args) -> argparse.Namespace:
         value = getattr(args, name, None)
         if value is not None:
             cfg[name] = value
-    if hasattr(args, "seed"):
-        cfg["seed"] = _resolved_seed(args, cfg["seed"])
-    return argparse.Namespace(**cfg)
-
-
-def _resolved_seed(args, seed) -> int:
-    """--seed flag, then the config file, then TCHGR_SEED, then 0; a
-    negative seed is refused with the source it came from."""
-    source = "--seed" if args.seed is not None else f"{args.config}: seed"
-    if seed is None:
-        source, env = "TCHGR_SEED", os.environ.get("TCHGR_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"TCHGR_SEED must be an integer, got {env!r}") from None
-    if seed < 0:
+    seed = cfg["seed"]
+    if hasattr(args, "seed") and seed is not None and seed < 0:
+        source = "--seed" if args.seed is not None else f"{args.config}: seed"
         raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    cfg["seed"] = seed or 0
+    return argparse.Namespace(**cfg)
 
 
 def _note(msg: str):
@@ -369,8 +358,7 @@ def _cmd_compare(args, cfg):
         rows.append((base_name, name, result.statistic, result.p_value, band))
         _note(
             f"{base_name} vs {name}: W={result.statistic} "
-            f"p={result.p_value:.6g} ({band}, {result.method}, "
-            f"n={result.n_effective})"
+            f"p={result.p_value:.6g} ({band}, n={result.n_effective})"
         )
     dio._write_csv(args.out, ("model_a", "model_b", "W", "p", "band"), rows)
     _emit(comparisons=args.out, rows=len(rows))

@@ -398,6 +398,7 @@ def write_segments(path, *parts: SegmentSet):
             f"{first.channels} channels of {first.seg_len}-sample windows of "
             f"{first.window_ms} ms do not fit the u32 fields of the segment format"
         ) from None
+    _check_window(first)
     with _replacing(path) as fh:
         fh.write(_SEG_MAGIC)
         fh.write(header)
@@ -434,7 +435,20 @@ def read_segments(path) -> SegmentSet:
             f"window {i}: sample {t} of channel ch{c + 1} is not finite "
             f"({data[i, c, t]})"
         )
-    return SegmentSet(data=data, **columns, sample_rate_hz=rate, window_ms=window_ms)
+    segs = SegmentSet(data=data, **columns, sample_rate_hz=rate, window_ms=window_ms)
+    _check_window(segs)
+    return segs
+
+
+def _check_window(segs: SegmentSet):
+    """Refuse a set whose windows are not ``window_ms`` long at its
+    sample rate: as an SSEG header, it would contradict itself."""
+    exact = segs.window_ms * segs.sample_rate_hz / 1000.0
+    if abs(exact - segs.seg_len) > 1e-9:
+        raise FormatError(
+            f"segment file: {segs.window_ms} ms at {segs.sample_rate_hz} Hz is "
+            f"{exact:.6g} samples, but its windows hold {segs.seg_len}"
+        )
 
 
 def _common_geometry(parts) -> SegmentSet:

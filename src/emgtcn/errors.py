@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: validation problems (config,
-dimensions, ranges, data, usage, state) exit 2, numerical failures
-exit 3, file-format and I/O problems exit 4.
+dimensions, data, usage) exit 2, numerical failures exit 3,
+file-format and I/O problems exit 4.
 """
 
 
@@ -18,20 +18,12 @@ class DimensionError(EmgTcnError):
     """Tensor/array shapes do not line up for an operation."""
 
 
-class RangeError(EmgTcnError):
-    """A value falls outside its documented domain."""
-
-
 class DataError(EmgTcnError):
-    """Input data violates a documented invariant."""
+    """Input data violates a documented invariant or leaves its domain."""
 
 
 class UsageError(EmgTcnError):
-    """An operation was called in a way its contract forbids."""
-
-
-class StateError(EmgTcnError):
-    """An object is in the wrong state for the requested operation."""
+    """An operation was called in a way, or at a time, its contract forbids."""
 
 
 class FormatError(EmgTcnError):

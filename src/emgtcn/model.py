@@ -231,9 +231,6 @@ class AttentionTcn:
         flat = T.reshape(h, x.shape[:-2] + (self.cfg.num_patches * self.cfg.model_dim,))
         return T.linear(flat, self.head_weight, self.head_bias)
 
-    def __call__(self, x) -> Tensor:
-        return self.forward(x)
-
 
 def count_parameters(model: AttentionTcn) -> tuple:
     """Closed-form audit of trainable scalars.

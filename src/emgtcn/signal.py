@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import butter, lfilter
 
-from .errors import ConfigError, DataError, RangeError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "MuLawParams",
@@ -137,12 +137,13 @@ def normalize_max_abs(x: np.ndarray) -> np.ndarray:
     return x if peak == 0.0 else x / peak
 
 
-def mu_law(x, p: MuLawParams = MuLawParams()):
+def mu_law(x, p: MuLawParams = MuLawParams()) -> np.ndarray:
     """Logarithmic companding sign(x) * ln(1 + mu|x|) / ln(1 + mu).
 
     Odd, strictly increasing, and fixes -1, 0, 1 exactly; both zeros map
     to +0.0 and NaN stays NaN. Inputs must already be normalized into
-    [-1, 1]. The result is computed in one fresh buffer: since
+    [-1, 1]. The result is a fresh float64 array of x's shape (0-d for a
+    scalar), computed in that one buffer: since
     (+-y) / c == +-(y / c) exactly, companding |x| and copying the sign
     of each nonzero x back gives the formula's value bit for bit.
     """
@@ -154,7 +155,7 @@ def mu_law(x, p: MuLawParams = MuLawParams()):
         if bad.any():
             idx = tuple(int(i) for i in np.argwhere(bad)[0])
             pos = idx[0] if len(idx) == 1 else idx
-            raise RangeError(
+            raise DataError(
                 f"mu_law input must satisfy |x| <= 1; index {pos} holds {arr[idx]!r}"
             )
     # sign(+-0) is 0, so a zero x must give +0.0 while a negative x whose
@@ -165,9 +166,7 @@ def mu_law(x, p: MuLawParams = MuLawParams()):
     np.log1p(out, out=out)
     out /= np.log1p(p.mu)
     np.copysign(out, arr, out=out, where=nonzero)
-    if np.isscalar(x):
-        return float(out)
-    return out if out.ndim else out[()]  # a 0-d input gives a numpy scalar
+    return out
 
 
 def segment(recording, window_ms: int, stride_ms: int | None = None) -> SegmentSet:

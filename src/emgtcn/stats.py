@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .data import _csv_rows, _write_csv
-from .errors import DataError, DimensionError, RangeError, UsageError
+from .errors import DataError, DimensionError, UsageError
 
 __all__ = [
     "EvalReport",
@@ -75,7 +75,7 @@ def aggregate(per_subject: dict, model_id: str = "") -> EvalReport:
         [per_subject[s] for s in sorted(per_subject)], dtype=np.float64
     )
     if not np.all((values >= 0) & (values <= 1)):  # NaN fails both
-        raise RangeError("accuracies must lie in [0, 1]")
+        raise DataError("accuracies must lie in [0, 1]")
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return EvalReport(
         per_subject_accuracy=dict(per_subject),
@@ -93,7 +93,6 @@ class WilcoxonResult:
     statistic: float
     p_value: float
     n_effective: int
-    method: str
 
 
 def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
@@ -125,15 +124,13 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     d = d[d != 0.0]
     n = d.size
     if n == 0:
-        return WilcoxonResult(statistic=0.0, p_value=1.0, n_effective=0,
-                              method="degenerate")
+        return WilcoxonResult(statistic=0.0, p_value=1.0, n_effective=0)
 
     ranks = rankdata(np.abs(d), method="average")
     w_pos = float(ranks[d > 0].sum())
     w_neg = float(ranks[d < 0].sum())
     w = min(w_pos, w_neg)
-    return WilcoxonResult(statistic=w, p_value=_exact_p(ranks, w), n_effective=n,
-                          method="exact")
+    return WilcoxonResult(statistic=w, p_value=_exact_p(ranks, w), n_effective=n)
 
 
 def _exact_p(ranks: np.ndarray, w: float) -> float:
@@ -164,7 +161,7 @@ def _exact_p(ranks: np.ndarray, w: float) -> float:
 def significance_band(p: float) -> str:
     """Map a p-value to its star band; boundaries go to the stronger band."""
     if not (0.0 <= p <= 1.0):
-        raise RangeError(f"p-value must lie in [0, 1], got {p!r}")
+        raise DataError(f"p-value must lie in [0, 1], got {p!r}")
     if p <= 0.0001:
         return "****"
     if p <= 0.001:

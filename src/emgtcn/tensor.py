@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, StateError, UsageError
+from .errors import ConfigError, DimensionError, UsageError
 
 __all__ = [
     "Tensor",
@@ -75,10 +75,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self):
         tag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{tag})"
@@ -117,7 +113,7 @@ class ComputationTape:
 
     def run(self):
         if self.root._consumed:
-            raise StateError(
+            raise UsageError(
                 "backward() already ran for this tape; call reset() before replaying"
             )
         self.root._consumed = True

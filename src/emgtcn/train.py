@@ -142,10 +142,6 @@ class Adam:
         for _, p, s in self._slots:
             p.data -= update[s].reshape(p.data.shape)
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of the true classes.
@@ -195,11 +191,14 @@ def train(
 
     Shuffling draws one permutation per epoch from a PCG64 generator
     seeded with cfg.seed (or restored from ``rng_state`` when resuming),
-    which is what makes split runs reproduce whole runs exactly.
+    which is what makes split runs reproduce whole runs exactly. A given
+    ``optimizer`` must step at cfg.lr.
     """
     m = len(train_set)
     if m == 0:
         raise UsageError("cannot train on an empty segment set")
+    if optimizer is not None and optimizer.lr != cfg.lr:
+        raise ConfigError(f"cfg.lr={cfg.lr!r} differs from the optimizer's lr={optimizer.lr!r}")
     opt = optimizer if optimizer is not None else Adam(
         model.named_parameters(), lr=cfg.lr
     )

@@ -844,40 +844,35 @@ def test_train_rerun_is_byte_identical(pipeline, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_synth_env_seed_matches_flag(tmp_path, monkeypatch):
-    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
-    monkeypatch.delenv("TCHGR_SEED", raising=False)
-    assert run([
-        "synth", "--out-dir", flag_dir, "--subjects", 2, "--num-classes", 3,
-        "--reps", 2, "--seed", 11, "--gesture-seconds", 0.2,
-        "--rest-seconds", 0.05,
+SMALL_SYNTH = ["--subjects", 2, "--num-classes", 3, "--reps", 2,
+               "--gesture-seconds", 0.2, "--rest-seconds", 0.05]
+
+
+def synth_bytes(out_dir):
+    return [(out_dir / f"subject0{s}.semg").read_bytes() for s in (1, 2)]
+
+
+def test_synth_config_seed_matches_flag(tmp_path):
+    cfg, other = tmp_path / "run.json", tmp_path / "other.json"
+    cfg.write_text(json.dumps({"seed": 11}))
+    other.write_text(json.dumps({"seed": 99}))
+    assert run(["synth", "--out-dir", tmp_path / "flag", *SMALL_SYNTH, "--seed", 11]) == 0
+    assert run(["synth", "--out-dir", tmp_path / "cfg", *SMALL_SYNTH, "--config", cfg]) == 0
+    assert run([  # the flag beats the file
+        "synth", "--out-dir", tmp_path / "both", *SMALL_SYNTH, "--config", other,
+        "--seed", 11,
     ]) == 0
+    flag = synth_bytes(tmp_path / "flag")
+    assert flag == synth_bytes(tmp_path / "cfg") == synth_bytes(tmp_path / "both")
+
+
+def test_environment_does_not_set_the_seed(tmp_path, monkeypatch, capsys):
+    assert run(["synth", "--out-dir", tmp_path / "flag", *SMALL_SYNTH, "--seed", 0]) == 0
+    capsys.readouterr()
     monkeypatch.setenv("TCHGR_SEED", "11")
-    assert run([
-        "synth", "--out-dir", env_dir, "--subjects", 2, "--num-classes", 3,
-        "--reps", 2, "--gesture-seconds", 0.2, "--rest-seconds", 0.05,
-    ]) == 0
-    for name in ("subject01.semg", "subject02.semg"):
-        assert (flag_dir / name).read_bytes() == (env_dir / name).read_bytes()
-
-
-def test_flag_seed_beats_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TCHGR_SEED", "99")
-    assert run([
-        "synth", "--out-dir", tmp_path / "s", "--subjects", 1,
-        "--num-classes", 2, "--reps", 1, "--seed", 3,
-        "--gesture-seconds", 0.2, "--rest-seconds", 0.05,
-    ]) == 0
-    assert machine_line(capsys)["seed"] == "3"
-
-
-def test_bad_env_seed_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TCHGR_SEED", "zebra")
-    assert run([
-        "synth", "--out-dir", tmp_path / "s", "--subjects", 1,
-        "--num-classes", 2, "--reps", 1,
-    ]) == 2
-    assert "TCHGR_SEED" in capsys.readouterr().err
+    assert run(["synth", "--out-dir", tmp_path / "env", *SMALL_SYNTH]) == 0
+    assert machine_line(capsys)["seed"] == "0"
+    assert synth_bytes(tmp_path / "flag") == synth_bytes(tmp_path / "env")
 
 
 def test_zero_epochs_checkpoint_equals_initialization(pipeline, tmp_path):
@@ -946,7 +941,7 @@ def test_config_shuffle_is_an_unknown_key(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("epochs", "10"), ("train_repetitions", 5)]
+    "key, value", [("epochs", "10"), ("train_repetitions", 5), ("seed", "zebra")]
 )
 def test_config_value_of_wrong_type_exits_2(pipeline, tmp_path, capsys, key, value):
     cfg = tmp_path / "run.json"
@@ -1021,6 +1016,28 @@ def test_non_finite_segment_file_exits_2(pipeline, tmp_path, capsys, field):
     assert not ck.exists()
 
 
+def test_segment_header_that_contradicts_itself_exits_4(pipeline, tmp_path, capsys):
+    # window_ms 200 -> 300 over the file's 400-sample windows at 2 kHz
+    raw = bytearray(pipeline["segs"].read_bytes())
+    assert struct.unpack_from("<I", raw, 32) == (200,)
+    struct.pack_into("<I", raw, 32, 300)
+    bad = tmp_path / "bad.sseg"
+    bad.write_bytes(bytes(raw))
+    for argv in (
+        ["train", bad, "--checkpoint", tmp_path / "m.ckpt", "--trace", tmp_path / "t.csv",
+         "--epochs", 1, "--model-dim", 4, "--num-classes", 3],
+        ["eval", pipeline["ckpt"], bad, "--out-dir", tmp_path / "reports"],
+    ):
+        assert run(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "file error: segment file: 300 ms at 2000.0 Hz is 600 samples, "
+            "but its windows hold 400\n"
+        )
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def assert_one_error_line(code, captured):
     assert code == 2
     assert captured.out == ""
@@ -1029,8 +1046,7 @@ def assert_one_error_line(code, captured):
     return lines[0]
 
 
-def test_negative_seed_exits_2(pipeline, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("TCHGR_SEED", raising=False)
+def test_negative_seed_exits_2(pipeline, tmp_path, capsys):
     synth = ["synth", "--out-dir", tmp_path / "s", "--subjects", 1,
              "--num-classes", 2, "--reps", 1, "--gesture-seconds", 0.2]
     train = ["train", pipeline["segs"], "--checkpoint", tmp_path / "m.ckpt",
@@ -1045,9 +1061,6 @@ def test_negative_seed_exits_2(pipeline, tmp_path, monkeypatch, capsys):
     ):
         line = assert_one_error_line(run(argv), capsys.readouterr())
         assert source in line and "non-negative" in line, line
-    monkeypatch.setenv("TCHGR_SEED", "-5")
-    line = assert_one_error_line(run(synth), capsys.readouterr())
-    assert "TCHGR_SEED" in line and "-5" in line
     assert list(tmp_path.iterdir()) == [cfg]
 
 

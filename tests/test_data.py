@@ -59,7 +59,7 @@ def sample_segments(m=10, c=2, l=8, seed=1):
         subjects=rng.integers(1, 4, size=m),
         repetitions=rng.integers(1, 7, size=m),
         sample_rate_hz=2000.0,
-        window_ms=4,
+        window_ms=l // 2,  # l samples at 2 kHz, as the SSEG header must say
     )
 
 
@@ -607,6 +607,22 @@ def test_write_segments_refuses_a_header_beyond_u32_and_writes_nothing(tmp_path)
     with pytest.raises(DataError, match="of 4294967296 ms do not fit the u32 fields"):
         write_segments(path, replace(sample_segments(m=2, seed=1), window_ms=2**32))
     assert not path.exists()
+
+
+def test_segment_header_must_give_its_window_length(tmp_path):
+    # 6 ms at 2 kHz is 12 samples, not the 8 each window holds
+    message = "6 ms at 2000.0 Hz is 12 samples, but its windows hold 8"
+    path = tmp_path / "x.sseg"
+    with pytest.raises(FormatError, match=message):
+        write_segments(path, replace(sample_segments(m=2), window_ms=6))
+    assert not path.exists()
+    write_segments(path, sample_segments(m=2))
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<I", raw, 32) == (4,)  # window_ms
+    struct.pack_into("<I", raw, 32, 6)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=message):
+        read_segments(path)
 
 
 def test_write_segments_refuses_a_label_beyond_u16_and_writes_nothing(tmp_path):

@@ -66,3 +66,10 @@ def test_anything_besides_the_artifacts_is_named_on_one_line(tmp_path):
     line = fixed_run.leftovers(str(tmp_path), names)
     assert "\n" not in line
     assert line.endswith(": m0.ckpt.1a2b3c4d.tmp, raw/stray")
+
+
+def test_committed_record_counts_the_source_lines_of_this_tree():
+    # aim 2's metric: a change to src/ must refresh the record it is judged by
+    record = (TOOL.parent / "fixed_run.digests").read_text().splitlines()
+    counted = [ln for ln in fixed_run.notes() if ln.startswith("# src_lines ")]
+    assert counted and counted[0] in record, (counted, record[-1])

@@ -311,7 +311,7 @@ def test_parameter_audit_all_variants(window_ms, n, d, reported):
     assert cfg.num_blocks == 4
     model = AttentionTcn(cfg, seed=0)
     total, breakdown = count_parameters(model)
-    enumerated = sum(p.size for p in model.named_parameters().values())
+    enumerated = sum(p.data.size for p in model.named_parameters().values())
     assert total == enumerated
     assert sum(breakdown.values()) == total
     assert total < 110_000
@@ -331,19 +331,19 @@ def test_forward_output_shapes_all_variants():
         cfg = derive_config(window_ms, num_patches=n, model_dim=d)
         model = AttentionTcn(cfg, seed=0)
         x = np.zeros((12, cfg.seq_len))
-        assert model(x).shape == (17,)
+        assert model.forward(x).shape == (17,)
 
 
 def test_forward_batch_shape():
     cfg = derive_config(200, num_patches=10, model_dim=12)
     model = AttentionTcn(cfg, seed=0)
     x = np.random.default_rng(14).normal(size=(32, 12, 400))
-    out = model(x)
+    out = model.forward(x)
     assert out.shape == (32, 17)
     # same shapes replay bit-identically; across batch layouts the BLAS
     # blocking differs, so only near-equality holds there
-    assert model(x).data.tobytes() == out.data.tobytes()
-    single = model(x[5])
+    assert model.forward(x).data.tobytes() == out.data.tobytes()
+    single = model.forward(x[5])
     assert np.allclose(out.data[5], single.data, rtol=0, atol=1e-12)
 
 
@@ -352,7 +352,7 @@ def test_forward_zero_weights_uniform_logits():
     model = AttentionTcn(cfg, seed=0)
     for p in model.named_parameters().values():
         p.data[...] = 0.0
-    out = model(np.random.default_rng(15).normal(size=(2, 12)))
+    out = model.forward(np.random.default_rng(15).normal(size=(2, 12)))
     assert np.array_equal(out.data, np.zeros(5))
 
 
@@ -360,9 +360,9 @@ def test_forward_shape_mismatch():
     cfg = tiny_cfg()
     model = AttentionTcn(cfg, seed=0)
     with pytest.raises(DimensionError):
-        model(np.zeros((3, 12)))
+        model.forward(np.zeros((3, 12)))
     with pytest.raises(DimensionError):
-        model(np.zeros(12))
+        model.forward(np.zeros(12))
 
 
 def test_forward_deterministic_and_seeded_init():
@@ -372,7 +372,7 @@ def test_forward_deterministic_and_seeded_init():
     b = AttentionTcn(cfg, seed=42)
     for pa, pb in zip(a.named_parameters().values(), b.named_parameters().values()):
         assert np.array_equal(pa.data, pb.data)
-    assert a(x).data.tobytes() == b(x).data.tobytes()
+    assert a.forward(x).data.tobytes() == b.forward(x).data.tobytes()
     c = AttentionTcn(cfg, seed=43)
     assert not np.array_equal(c.patch_weight.data, a.patch_weight.data)
 

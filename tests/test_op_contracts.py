@@ -134,7 +134,7 @@ def test_training_step_records_nine_nodes_through_make_op(monkeypatch):
     rng = np.random.default_rng(3)
     x, labels = rng.normal(size=(4, 12, 400)), np.array([0, 5, 16, 2])
     recorded = _counting(monkeypatch)
-    train.cross_entropy(m(x), labels).backward()
+    train.cross_entropy(m.forward(x), labels).backward()
     assert recorded == [True] * 9
 
 
@@ -143,5 +143,5 @@ def test_frozen_batch1_forward_calls_make_op_eight_times(monkeypatch):
     for p in m.named_parameters().values():
         p.requires_grad = False
     recorded = _counting(monkeypatch)
-    m(np.random.default_rng(5).normal(size=(12, 400)))
+    m.forward(np.random.default_rng(5).normal(size=(12, 400)))
     assert recorded == [False] * 8

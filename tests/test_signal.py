@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from emgtcn.errors import ConfigError, DataError, RangeError
+from emgtcn.errors import ConfigError, DataError
 from emgtcn.signal import (
     FilterParams,
     MuLawParams,
@@ -124,7 +124,7 @@ def test_mu_law_small_mu_is_near_identity():
 
 def test_mu_law_rejects_out_of_range_with_index():
     x = np.array([0.0, 0.5, 1.5, 0.2])
-    with pytest.raises(RangeError) as err:
+    with pytest.raises(DataError) as err:
         mu_law(x)
     assert "2" in str(err.value)
 
@@ -335,8 +335,7 @@ def test_preprocess_pipeline_range():
 # the conditioning formulas as first written, each stage a fresh temporary
 def _mu_law_formula(x, mu=255.0):
     arr = np.asarray(x, dtype=np.float64)
-    out = np.sign(arr) * np.log1p(mu * np.abs(arr)) / np.log1p(mu)
-    return float(out) if np.isscalar(x) else out
+    return np.sign(arr) * np.log1p(mu * np.abs(arr)) / np.log1p(mu)
 
 
 def _normalize_formula(x):
@@ -369,12 +368,12 @@ def test_mu_law_equals_formula_bit_for_bit(mu):
     y = mu_law(x, p)
     assert _same_bits(y, _mu_law_formula(x, mu))
     assert x.tobytes() == before.tobytes()
-    for v in (0.0, -0.0, 1.0, -1.0, 0.3, -0.7, np.float64(-0.25), np.float32(0.5)):
+    # a scalar or 0-d input gives a 0-d float64 array
+    for v in (0.0, -0.0, 1.0, -1.0, 0.3, -0.7, np.float64(-0.25), np.float32(0.5),
+              np.asarray(-0.25)):
         got = mu_law(v, p)
-        assert type(got) is float and _same_bits(got, _mu_law_formula(v, mu))
-    zero_d = np.asarray(-0.25)
-    assert type(mu_law(zero_d, p)) is np.float64
-    assert _same_bits(mu_law(zero_d, p), _mu_law_formula(zero_d, mu))
+        assert type(got) is np.ndarray and got.shape == () and got.dtype == np.float64
+        assert _same_bits(got, _mu_law_formula(v, mu))
     nan = np.array([0.5, np.nan, -np.nan, -0.5])
     assert _same_bits(mu_law(nan, p), _mu_law_formula(nan, mu))
     assert mu_law(np.empty((2, 0)), p).shape == (2, 0)
@@ -389,7 +388,7 @@ def test_mu_law_zero_signs():
 
 
 def test_mu_law_range_check_sees_past_a_nan():
-    with pytest.raises(RangeError) as err:
+    with pytest.raises(DataError) as err:
         mu_law(np.array([0.1, np.nan, -1.5, 0.2]))
     assert "index 2" in str(err.value) and "-1.5" in str(err.value)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emgtcn import tensor as T
-from emgtcn.errors import ConfigError, DimensionError, StateError, UsageError
+from emgtcn.errors import ConfigError, DimensionError, UsageError
 from emgtcn.tensor import add, mul
 from composed_ops import sum_all
 from gradcheck import fd_grad, max_rel_err
@@ -613,7 +613,7 @@ def test_double_backward_without_reset_rejected():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     loss = sum_all(mul(x, x))
     tape = loss.backward()
-    with pytest.raises(StateError):
+    with pytest.raises(UsageError):
         loss.backward()
     tape.reset()
     assert x.grad is None
@@ -625,7 +625,7 @@ def test_second_backward_refused_after_tape_dropped():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     loss = sum_all(mul(x, x))
     loss.backward()  # the returned tape is dropped at once
-    with pytest.raises(StateError):
+    with pytest.raises(UsageError):
         loss.backward()
     assert np.array_equal(x.grad, [2.0, 4.0])
 

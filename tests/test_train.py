@@ -117,7 +117,7 @@ def test_desk_training_step_records_9_nodes(window_ms, patches, dim):
     # configs have 4 blocks), head reshape and linear 2, loss 1
     model = AttentionTcn(derive_config(window_ms, patches, dim))
     x = np.random.default_rng(5).normal(size=(8, 12, model.cfg.seq_len))
-    loss = cross_entropy(model(x), np.arange(8))
+    loss = cross_entropy(model.forward(x), np.arange(8))
     nodes = ComputationTape(loss).nodes
     assert sum(node._backward is not None for node in nodes) == 9
 
@@ -283,6 +283,18 @@ def test_train_empty_set_rejected():
         train(model, empty, TrainConfig(epochs=1))
 
 
+def test_train_refuses_a_config_lr_its_optimizer_does_not_use():
+    model = tiny_model(seed=1)
+    before = {k: p.data.copy() for k, p in model.named_parameters().items()}
+    opt = Adam(model.named_parameters(), lr=1e-3)
+    cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-2)
+    with pytest.raises(ConfigError, match=r"cfg.lr=0.01 differs from the optimizer's lr=0.001"):
+        train(model, random_segments(8, model.cfg), cfg, optimizer=opt)
+    assert opt.step_count == 0
+    for k, p in model.named_parameters().items():
+        assert np.array_equal(p.data, before[k])
+
+
 def test_train_zero_epochs_keeps_weights():
     model = tiny_model(seed=1)
     before = {k: p.data.copy() for k, p in model.named_parameters().items()}
@@ -421,7 +433,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
     clone = restore_model(loaded)
     x = np.random.default_rng(0).normal(size=(2, 12))
-    assert clone(x).data.tobytes() == model(x).data.tobytes()
+    assert clone.forward(x).data.tobytes() == model.forward(x).data.tobytes()
 
 
 def test_restored_model_is_frozen(tmp_path):
@@ -430,7 +442,7 @@ def test_restored_model_is_frozen(tmp_path):
     save_checkpoint(path, make_checkpoint(model, Adam(model.named_parameters()), 0, None))
     frozen = restore_model(load_checkpoint(path))
     assert not any(p.requires_grad for p in frozen.named_parameters().values())
-    out = frozen(np.random.default_rng(0).normal(size=(4, 2, 12)))
+    out = frozen.forward(np.random.default_rng(0).normal(size=(4, 2, 12)))
     assert not out.requires_grad
     assert out._backward is None and out._parents == ()
 
@@ -444,9 +456,9 @@ def test_frozen_logits_equal_trainable_logits(window_ms, patches, dim):
     for batch in ((), (4,), (256,)):
         shape = batch + (12, trainable.cfg.seq_len)
         x = rng.normal(size=shape)
-        graph = trainable(x)
+        graph = trainable.forward(x)
         assert graph._backward is not None
-        assert frozen(x).data.tobytes() == graph.data.tobytes(), shape
+        assert frozen.forward(x).data.tobytes() == graph.data.tobytes(), shape
 
 
 def test_train_makes_restored_model_trainable():
