@@ -1,17 +1,18 @@
 """Recording and segment file formats, the repetition-based train/test
 split, and a synthetic multi-class generator for desk-scale runs.
 
-Recordings travel as SEMG-BIN v1, a fixed little-endian layout chosen
-so a round trip is bit-exact and any language can parse it:
-
-    magic "SEMG" | u32 version=1 | u32 channels | f64 sample_rate |
-    u64 T | C*T float32 samples row-major | T * (u16 gesture, u16 rep)
+Recordings (SEMG), segment sets (SSEG) and checkpoints (TCHG) share one
+little-endian layout, so a round trip is bit-exact and any language can
+parse it: a 4-byte magic (the kind), version 2 as a uint32, the byte
+length of a JSON head as a uint64, the head, then each array in C order
+from the next multiple of 8 bytes. The UTF-8 head, padded with spaces
+to a multiple of 8 bytes, is ``{"arrays": [[name, dtype, shape], ...],
+"meta": {...}}``; the arrays follow in its order, so their offsets
+follow from it. Each writer names the arrays and meta of its kind.
 
 Real acquisitions can be read in (not written) as annotated CSV with columns
 ch1..chC,gesture,repetition (one row per sample); parsing vendor
-archive containers is out of scope. Segment sets persist in an
-analogous "SSEG" container so the preprocess and train commands can
-hand off through the filesystem.
+archive containers is out of scope.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import json
 import math
 import mmap
 import os
@@ -48,9 +50,8 @@ __all__ = [
 ]
 
 _REC_MAGIC = b"SEMG"
-_REC_VERSION = 1
 _SEG_MAGIC = b"SSEG"
-_SEG_VERSION = 1
+_VERSION = 2
 
 
 @dataclass
@@ -160,75 +161,6 @@ class SplitSpec:
             )
 
 
-class _Reader:
-    """Bounds-checked cursor over a binary file (SEMG, SSEG, TCHG), read
-    through one private copy-on-write map of the whole file.
-
-    Every part's byte count is checked against the bytes left in the
-    file before it is read. Every array is a view over the map: nothing
-    is copied in, and writes to an array never reach the file.
-    """
-
-    def __init__(self, path, what: str):
-        self.what = what
-        self.offset = 0
-        with open(path, "rb") as fh:
-            self.size = os.fstat(fh.fileno()).st_size
-            self.map = b""  # mmap refuses an empty file, which holds no part anyway
-            if self.size:
-                self.map = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-
-    def _need(self, n: int, part: str):
-        if n > self.size - self.offset:
-            raise FormatError(
-                f"truncated {self.what}: needed {n} bytes for {part} at offset "
-                f"{self.offset}, only {self.size - self.offset} remain"
-            )
-
-    def take(self, n: int, part: str) -> bytes:
-        self._need(n, part)
-        self.offset += n
-        return self.map[self.offset - n : self.offset]
-
-    def unpack(self, fmt: str, part: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), part))
-
-    def header(self, magic: bytes, version: int):
-        """Check the four-byte magic and the u32 format version."""
-        found = self.take(4, "magic")
-        if found != magic:
-            raise FormatError(f"not a {self.what}: bad magic {found!r} at offset 0")
-        (found,) = self.unpack("<I", "version")
-        if found != version:
-            raise FormatError(
-                f"{self.what} version {found} is not supported; this build reads "
-                f"{version}"
-            )
-
-    def array(self, dtype: str, shape: tuple, part: str) -> np.ndarray:
-        """The next bytes as a (maybe unaligned) view of ``shape`` over
-        the map; a shape numpy cannot hold is a format error."""
-        dtype = np.dtype(dtype)
-        n = dtype.itemsize * math.prod(shape)
-        self._need(n, part)
-        try:  # only a shape of no elements can get here too big for numpy
-            out = np.frombuffer(self.map, dtype, n // dtype.itemsize, self.offset)
-            out = out.reshape(shape)
-        except ValueError:
-            raise FormatError(
-                f"{self.what}: {part} has shape {shape}, which numpy cannot hold"
-            ) from None
-        self.offset += n
-        return out
-
-    def done(self):
-        if self.offset != self.size:
-            raise FormatError(
-                f"{self.what} has {self.size - self.offset} trailing bytes "
-                f"after offset {self.offset}"
-            )
-
-
 def _writable(path) -> str:
     """The real path of ``path`` (symlinks resolved), once it is clear
     that ``_replacing`` may write there: its folder exists, and a file
@@ -275,34 +207,139 @@ def _replacing(path):
         raise
 
 
-def write_recording(path, rec: Recording):
-    """Serialize as SEMG-BIN v1 (samples stored as float32), replacing
-    ``path`` atomically (``_replacing``)."""
-    samples = np.ascontiguousarray(rec.data, dtype="<f4")
-    ann = np.empty((rec.num_samples, 2), dtype="<u2")
-    ann[:, 0] = rec.gesture
-    ann[:, 1] = rec.repetition
+def _write_file(path, magic: bytes, meta: dict, arrays: dict):
+    """Write one file of the layout in the module docstring, replacing
+    ``path`` atomically (``_replacing``). ``arrays`` maps each name to
+    its dtype and a list of parts: one array of any shape, or several
+    stacked on their first axis, written in turn and never joined."""
+    index = []
+    for name, (dtype, parts) in arrays.items():
+        shape = list(parts[0].shape)
+        if len(parts) > 1:
+            shape[0] = sum(len(p) for p in parts)
+        index.append([name, dtype, shape])
+    head = json.dumps({"arrays": index, "meta": meta}, sort_keys=True).encode()
+    head += b" " * (-len(head) % 8)
     with _replacing(path) as fh:
-        fh.write(_REC_MAGIC)
-        fh.write(struct.pack("<IIdQ", _REC_VERSION, rec.channels,
-                             rec.sample_rate_hz, rec.num_samples))
-        fh.write(samples)
-        fh.write(ann)
+        fh.write(magic + struct.pack("<IQ", _VERSION, len(head)) + head)
+        for dtype, parts in arrays.values():
+            fh.write(bytes(-fh.tell() % 8))
+            for part in parts:
+                fh.write(np.ascontiguousarray(part, dtype=dtype))
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object that holds no key twice (``json`` keeps the last)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} appears twice")
+        out[key] = value
+    return out
+
+
+def _read_file(path, magic: bytes, what: str, dtypes: dict, kinds: dict) -> tuple:
+    """The meta and the arrays (name -> array) of a file of the layout
+    in the module docstring, named ``what`` in errors. ``dtypes`` maps
+    each array name the file must hold to its dtype; a key ``"g/*"``
+    stands for any number of names ``g/...``. ``kinds`` maps each meta
+    key to the type of its value (``object``: any, the caller checks).
+    Every array is an aligned view over one private copy-on-write map
+    of the file: nothing is copied in, and writes to it never reach
+    the file."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = b""  # mmap refuses an empty file, which holds no part anyway
+        if size:
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+
+    def need(offset: int, n: int, part: str):
+        if n > size - offset:
+            raise FormatError(
+                f"truncated {what} file: needed {n} bytes for {part} at offset "
+                f"{offset}, only {size - offset} remain"
+            )
+
+    need(0, 4, "magic")
+    if buf[:4] != magic:
+        raise FormatError(f"not a {what} file: bad magic {buf[:4]!r} at offset 0")
+    need(4, 12, "version and head length")
+    version, head_len = struct.unpack_from("<IQ", buf, 4)
+    if version != _VERSION:
+        raise FormatError(
+            f"{what} file version {version} is not supported; this build reads {_VERSION}"
+        )
+    need(16, head_len, "head")
+    try:  # UnicodeDecodeError is a ValueError too
+        head = json.loads(buf[16 : 16 + head_len].decode("utf-8"),
+                          object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as err:
+        raise FormatError(f"{what} file: head is not JSON ({err})") from None
+    if not (isinstance(head, dict) and head.keys() == {"arrays", "meta"}
+            and isinstance(head["arrays"], list) and isinstance(head["meta"], dict)):
+        raise FormatError(f"{what} file: head must hold a list 'arrays' and an object 'meta'")
+    meta = head["meta"]
+    if meta.keys() != kinds.keys() or any(
+        t is not object and type(meta[k]) is not t for k, t in kinds.items()
+    ):
+        want = ", ".join(k if t is object else f"{k} ({t.__name__})" for k, t in kinds.items())
+        raise FormatError(f"{what} file: meta must hold exactly {want}")
+    offset, arrays = 16 + head_len, {}
+    for i, entry in enumerate(head["arrays"]):
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                and isinstance(entry[2], list)):
+            raise FormatError(f"{what} file: array {i} is not [name, dtype, shape]")
+        name, dtype, shape = entry
+        group, _, rest = name.partition("/")
+        want = dtypes.get(f"{group}/*" if rest else name)
+        if want is None:
+            raise FormatError(f"unrecognized {what} entry {name!r}")
+        if name in arrays:
+            raise FormatError(f"{what} entry {name!r} appears twice")
+        if dtype != want:
+            raise FormatError(f"{what} entry {name!r} is not of dtype {want}")
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise FormatError(f"{what} entry {name!r} has a dimension that is not an integer >= 0")
+        start, count = offset + -offset % 8, math.prod(shape)
+        n = np.dtype(want).itemsize * count
+        need(offset, start - offset + n, repr(name))
+        try:  # only a shape of no elements can get here too big for numpy
+            arrays[name] = np.frombuffer(buf, want, count, start).reshape(shape)
+        except ValueError:
+            raise FormatError(
+                f"{what} entry {name!r} has shape {tuple(shape)}, which numpy cannot hold"
+            ) from None
+        offset = start + n
+    missing = [name for name in dtypes if not name.endswith("/*") and name not in arrays]
+    if missing:
+        raise FormatError(f"{what} file is missing entry {missing[0]!r}")
+    if offset != size:
+        raise FormatError(
+            f"{what} file has {size - offset} trailing bytes after offset {offset}"
+        )
+    return meta, arrays
+
+
+def write_recording(path, rec: Recording):
+    """Write ``rec`` as a SEMG file: the arrays ``samples`` (``<f4``,
+    channels x T), ``gesture`` and ``repetition`` (``<u2``, T) and the
+    meta ``sample_rate_hz``. ``path`` is replaced atomically."""
+    _write_file(path, _REC_MAGIC, {"sample_rate_hz": float(rec.sample_rate_hz)}, {
+        "samples": ("<f4", [rec.data]),
+        "gesture": ("<u2", [rec.gesture]),
+        "repetition": ("<u2", [rec.repetition]),
+    })
 
 
 def read_recording(path, subject: int = 0) -> Recording:
-    """Read a SEMG-BIN v1 file. The samples are a view over a private
-    copy-on-write map of the file, as in ``read_segments``; the
-    annotations are copied out as contiguous uint16."""
-    r = _Reader(path, "recording file")
-    r.header(_REC_MAGIC, _REC_VERSION)
-    channels, rate, t = r.unpack("<IdQ", "header")
-    data = r.array("<f4", (channels, t), "samples")
-    ann = r.array("<u2", (t, 2), "annotations")
-    r.done()
+    """Read a SEMG file. The samples and annotations are views over a
+    private copy-on-write map of the file, as in ``read_segments``."""
+    meta, arrays = _read_file(path, _REC_MAGIC, "recording", {
+        "samples": "<f4", "gesture": "<u2", "repetition": "<u2",
+    }, {"sample_rate_hz": float})
     return Recording(
-        data=data, sample_rate_hz=rate, gesture=ann[:, 0], repetition=ann[:, 1],
-        subject=subject,
+        data=arrays["samples"], sample_rate_hz=meta["sample_rate_hz"],
+        gesture=arrays["gesture"], repetition=arrays["repetition"], subject=subject,
     )
 
 
@@ -371,8 +408,10 @@ def read_annotated_csv(path, sample_rate_hz: float, subject: int = 0) -> Recordi
 
 
 def write_segments(path, *parts: SegmentSet):
-    """Persist one or more SegmentSets as one SSEG v1 file (float64
-    windows, u16 metadata).
+    """Persist one or more SegmentSets as one SSEG file: the arrays
+    ``SegmentSet.PER_WINDOW``, ``data`` as ``<f8`` (M x C x L) and the
+    columns as ``<u2`` (M), and the meta ``sample_rate_hz`` and
+    ``window_ms``.
 
     Several parts give the bytes of ``concat_segments(parts)``: their
     windows are written in turn and never joined in memory.
@@ -389,27 +428,16 @@ def write_segments(path, *parts: SegmentSet):
     for name, arr in columns.items():
         if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
             raise DataError(f"{name} exceed the u16 range of the segment format")
-    try:  # before the file is opened, so a refused header leaves none
-        header = struct.pack("<IIIQdI", _SEG_VERSION, first.channels, first.seg_len,
-                             len(columns["labels"]), first.sample_rate_hz,
-                             first.window_ms)
-    except struct.error:
-        raise DataError(
-            f"{first.channels} channels of {first.seg_len}-sample windows of "
-            f"{first.window_ms} ms do not fit the u32 fields of the segment format"
-        ) from None
     _check_window(first)
-    with _replacing(path) as fh:
-        fh.write(_SEG_MAGIC)
-        fh.write(header)
-        for arr in columns.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<u2"))
-        for p in parts:
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
+    meta = {"sample_rate_hz": float(first.sample_rate_hz), "window_ms": int(first.window_ms)}
+    _write_file(path, _SEG_MAGIC, meta, {
+        "data": ("<f8", [p.data for p in parts]),
+        **{name: ("<u2", [arr]) for name, arr in columns.items()},
+    })
 
 
 def read_segments(path) -> SegmentSet:
-    """Read an SSEG v1 file. The labels, subjects and repetitions are
+    """Read an SSEG file. The labels, subjects and repetitions are
     copied out into int64 arrays; the windows are a view over a private
     copy-on-write map of the file, so reading copies nothing in, and
     writing into the windows changes the array but never the file.
@@ -420,31 +448,31 @@ def read_segments(path) -> SegmentSet:
     the process makes the next read of a lost page end in ``SIGBUS``,
     as it does for numpy's ``mmap_mode``.
     """
-    r = _Reader(path, "segment file")
-    r.header(_SEG_MAGIC, _SEG_VERSION)
-    channels, seg_len, m, rate, window_ms = r.unpack("<IIQdI", "header")
-    columns = {
-        name: r.array("<u2", (m,), name).astype(np.int64)
-        for name in SegmentSet.PER_WINDOW[1:]
-    }
-    data = r.array("<f8", (m, channels, seg_len), "windows")
-    r.done()
-    if not _all_finite(data):
-        i, c, t = np.argwhere(~np.isfinite(data))[0]
+    meta, arrays = _read_file(path, _SEG_MAGIC, "segment", {
+        "data": "<f8", **dict.fromkeys(SegmentSet.PER_WINDOW[1:], "<u2"),
+    }, {"sample_rate_hz": float, "window_ms": int})
+    segs = SegmentSet(
+        data=arrays["data"], **meta,
+        **{name: arrays[name].astype(np.int64) for name in SegmentSet.PER_WINDOW[1:]},
+    )
+    if not _all_finite(segs.data):
+        i, c, t = np.argwhere(~np.isfinite(segs.data))[0]
         raise DataError(
             f"window {i}: sample {t} of channel ch{c + 1} is not finite "
-            f"({data[i, c, t]})"
+            f"({segs.data[i, c, t]})"
         )
-    segs = SegmentSet(data=data, **columns, sample_rate_hz=rate, window_ms=window_ms)
     _check_window(segs)
     return segs
 
 
 def _check_window(segs: SegmentSet):
     """Refuse a set whose windows are not ``window_ms`` long at its
-    sample rate: as an SSEG header, it would contradict itself."""
-    exact = segs.window_ms * segs.sample_rate_hz / 1000.0
-    if abs(exact - segs.seg_len) > 1e-9:
+    sample rate: as an SSEG head, it would contradict itself."""
+    try:
+        exact = segs.window_ms * segs.sample_rate_hz / 1000.0
+    except OverflowError:  # a window_ms beyond any float
+        exact = math.inf
+    if not abs(exact - segs.seg_len) <= 1e-9:  # a NaN window_ms too
         raise FormatError(
             f"segment file: {segs.window_ms} ms at {segs.sample_rate_hz} Hz is "
             f"{exact:.6g} samples, but its windows hold {segs.seg_len}"

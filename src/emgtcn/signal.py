@@ -246,8 +246,8 @@ def ms_to_samples(ms: int, rate_hz: float, name: str) -> int:
 
 def window_samples(window_ms: int, stride_ms: int | None, rate_hz: float) -> tuple:
     """The window and the stride (by default the window) in samples at
-    ``rate_hz``. A duration must be a whole positive number of samples,
-    and it and its count below 2**32, the segment format's u32 fields."""
+    ``rate_hz``. A duration must be a whole positive number of samples;
+    it and its count stay below 2**32, far beyond any real window."""
     counts = []
     for name, ms in (("window_ms", window_ms), ("stride_ms", stride_ms)):
         ms = window_ms if ms is None else ms

@@ -10,14 +10,12 @@ epoch e reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import _Reader, _replacing, _write_csv
+from .data import _read_file, _write_csv, _write_file
 from .errors import (
     ConfigError,
     DataError,
@@ -236,18 +234,8 @@ def write_trace(path, result: TrainResult):
                zip(result.epochs, result.losses, result.accuracies))
 
 
-# -- checkpoint format ---------------------------------------------------
-#
-# little-endian binary:
-#   magic "TCHG" | u32 version | u32 entry_count | entries...
-# entry:
-#   u32 name_len | name utf-8 | u8 kind | payload
-# kinds: 0 = JSON blob (u64 byte length + bytes)
-#        1 = float64 array (u32 ndim, u64 dims..., raw data)
-#        2 = i64 scalar
-
 _MAGIC = b"TCHG"
-_VERSION = 1
+_GROUPS = ("w", "m", "v")
 # each optimizer setting: the type and range Adam can resume from
 _OPT_KEYS = {
     "lr": (float, "a positive finite float", lambda x: 0 < x < math.inf),
@@ -345,85 +333,35 @@ def _check_group(group: str, saved: dict, expected: dict):
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    """Write ``ckpt`` as TCHG v1, replacing ``path`` atomically, so a
-    checkpoint loaded from the old file keeps its values."""
-    config = json.dumps(asdict(ckpt.config), sort_keys=True)
-    entries = [("config", 0, config), ("epoch", 2, ckpt.epoch)]
-    entries.append(("opt", 0, json.dumps(ckpt.opt, sort_keys=True)))
-    if ckpt.rng_state is not None:
-        entries.append(("rng", 0, json.dumps(ckpt.rng_state, sort_keys=True)))
-    for group, arrays in (("w", ckpt.weights), ("m", ckpt.m), ("v", ckpt.v)):
-        entries.extend((f"{group}/{name}", 1, arr) for name, arr in arrays.items())
-
-    with _replacing(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(entries)))
-        for name, kind, payload in entries:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack(f"<I{len(raw)}sB", len(raw), raw, kind))
-            if kind == 0:
-                blob = payload.encode("utf-8")
-                fh.write(struct.pack("<Q", len(blob)))
-                fh.write(blob)
-            elif kind == 1:
-                arr = np.ascontiguousarray(payload, dtype="<f8")
-                shape = arr.shape or (1,)
-                fh.write(struct.pack(f"<I{len(shape)}Q", arr.ndim, *shape))
-                fh.write(arr)
-            else:
-                fh.write(struct.pack("<q", int(payload)))
+    """Write ``ckpt`` as a TCHG file (layout in ``emgtcn.data``),
+    replacing ``path`` atomically, so a checkpoint loaded from the old
+    file keeps its values. The arrays are ``w/<name>``, ``m/<name>``
+    and ``v/<name>`` (weights and Adam moments) as ``<f8``; the meta is
+    ``config``, ``epoch``, ``opt`` and ``rng`` (``null`` for none)."""
+    meta = {"config": asdict(ckpt.config), "epoch": int(ckpt.epoch), "opt": ckpt.opt,
+            "rng": ckpt.rng_state}
+    groups = zip(_GROUPS, (ckpt.weights, ckpt.m, ckpt.v))
+    _write_file(path, _MAGIC, meta, {
+        f"{group}/{name}": ("<f8", [arr]) for group, arrays in groups
+        for name, arr in arrays.items()
+    })
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a TCHG v1 file. Its arrays are (maybe unaligned) views over
-    a private copy-on-write map of the file; the restorers copy them."""
-    fields: dict = {}
-    r = _Reader(path, "checkpoint file")
-    r.header(_MAGIC, _VERSION)
-    (count,) = r.unpack("<I", "entry count")
-    try:
-        for _ in range(count):
-            (name_len,) = r.unpack("<I", "entry name length")
-            name = r.take(name_len, "entry name").decode("utf-8")
-            if name in fields:
-                raise FormatError(f"checkpoint entry {name!r} appears twice")
-            (kind,) = r.unpack("<B", f"kind of {name!r}")
-            if kind == 0:
-                (blob_len,) = r.unpack("<Q", f"length of {name!r}")
-                fields[name] = r.take(blob_len, f"payload of {name!r}").decode("utf-8")
-            elif kind == 1:
-                (ndim,) = r.unpack("<I", f"rank of {name!r}")
-                dims = r.unpack(f"<{max(ndim, 1)}Q", f"shape of {name!r}")
-                fields[name] = r.array("<f8", dims[:ndim], f"data of {name!r}")
-            elif kind == 2:
-                (fields[name],) = r.unpack("<q", f"value of {name!r}")
-            else:
-                raise FormatError(
-                    f"unknown entry kind {kind} for {name!r} at offset {r.offset}"
-                )
-    except UnicodeDecodeError as err:
-        raise FormatError(
-            f"malformed checkpoint entry before offset {r.offset}: {err}"
-        ) from None
-    r.done()
-    try:
-        config = json.loads(fields.pop("config"))
-        epoch = fields.pop("epoch")
-        opt = json.loads(fields.pop("opt"))
-        rng_state = json.loads(fields.pop("rng")) if "rng" in fields else None
-    except KeyError as missing:
-        raise FormatError(f"checkpoint is missing entry {missing}") from None
-    except (TypeError, ValueError) as err:
-        raise FormatError(f"checkpoint metadata is malformed: {err}") from None
-    if not (isinstance(config, dict) and all(type(v) is int for v in config.values())):
+    """Read a TCHG file. Its arrays are views over a private
+    copy-on-write map of the file; the restorers copy them."""
+    meta, arrays = _read_file(path, _MAGIC, "checkpoint", {f"{g}/*": "<f8" for g in _GROUPS},
+                              {"config": dict, "epoch": int, "opt": dict, "rng": object})
+    config, epoch, opt, rng_state = (meta[k] for k in ("config", "epoch", "opt", "rng"))
+    if not all(type(v) is int for v in config.values()):
         raise FormatError(f"checkpoint config must map names to integers, got {config!r}")
     try:
         config = ModelConfig(**config)
     except (TypeError, ConfigError) as err:
         raise FormatError(f"checkpoint config is invalid: {err}") from None
-    if not (type(epoch) is int and epoch >= 0):
+    if epoch < 0:
         raise FormatError(f"checkpoint entry 'epoch' must be an integer >= 0, got {epoch!r}")
-    if not (isinstance(opt, dict) and opt.keys() == _OPT_KEYS.keys()):
+    if opt.keys() != _OPT_KEYS.keys():
         raise FormatError(
             f"checkpoint entry 'opt' must hold the numbers {sorted(_OPT_KEYS)}, got {opt!r}"
         )
@@ -437,18 +375,12 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(
                 f"checkpoint entry 'rng' is not a PCG64 state: {err!r}"
             ) from None
-    weights, moments_m, moments_v = {}, {}, {}
-    for name, value in fields.items():
+    groups = {group: {} for group in _GROUPS}
+    for name, value in arrays.items():
         group, _, param = name.partition("/")
-        target = {"w": weights, "m": moments_m, "v": moments_v}.get(group)
-        if target is None or not param:
-            raise FormatError(f"unrecognized checkpoint entry {name!r}")
-        if not (isinstance(value, np.ndarray) and np.isfinite(value).all()):
+        if not np.isfinite(value).all():
             raise FormatError(f"checkpoint entry {name!r} is not an array of finite numbers")
         if group == "v" and (value < 0).any():
             raise FormatError(f"checkpoint entry {name!r} holds a negative second moment")
-        target[param] = value
-    return Checkpoint(
-        config=config, epoch=epoch, weights=weights, m=moments_m, v=moments_v,
-        opt=opt, rng_state=rng_state,
-    )
+        groups[group][param] = value
+    return Checkpoint(config, epoch, *groups.values(), opt=opt, rng_state=rng_state)

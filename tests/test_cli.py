@@ -13,7 +13,6 @@ import json
 import math
 import os
 import re
-import struct
 import subprocess
 import sys
 import tracemalloc
@@ -26,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from emgtcn import cli, data as dio, signal, stats, train as tr
 from emgtcn.cli import main
 from emgtcn.model import AttentionTcn, derive_config
+from file_heads import array_offset, file_bytes, head_of, huge_recording, with_meta
 
 
 def run(argv):
@@ -183,7 +183,7 @@ def test_truncated_second_semg_input_exits_4(pipeline, tmp_path, capsys):
 
 def test_recording_shape_numpy_cannot_hold_exits_4(tmp_path, capsys):
     huge = tmp_path / "huge.semg"
-    huge.write_bytes(b"SEMG" + struct.pack("<IIdQ", 1, 0, 2000.0, 2**62))
+    huge.write_bytes(huge_recording())
     code = run(["preprocess", huge, "--out", tmp_path / "x.sseg"])
     captured = capsys.readouterr()
     assert code == 4
@@ -283,9 +283,7 @@ def test_non_finite_sample_rate_exits_2(tmp_path, capsys):
     dio.write_recording(good, rec)
     for rate in ("inf", "nan"):
         semg = tmp_path / f"{rate}.semg"
-        raw = bytearray(good.read_bytes())
-        raw[12:20] = np.array([float(rate)], dtype="<f8").tobytes()  # header rate
-        semg.write_bytes(bytes(raw))
+        semg.write_bytes(with_meta(good.read_bytes(), sample_rate_hz=float(rate)))
         for argv in (
             ["synth", "--out-dir", tmp_path / "s", "--sample-rate-hz", rate],
             ["params", "--sample-rate-hz", rate],
@@ -510,7 +508,8 @@ def test_bad_duration_refused_before_conditioning(
 def test_duration_beyond_the_segment_format_exits_2(
     pipeline, tmp_path, capsys, rate, argv, words
 ):
-    # the segment file stores window_ms and the window length as u32
+    # a duration or sample count of 2**32 or more is far beyond any real
+    # window (2**32 ms is 50 days), so it is refused as a mistyped setting
     path, out = tmp_path / "rec.semg", tmp_path / "x.sseg"
     rec = dio.read_recording(pipeline["inputs"][0])
     dio.write_recording(path, dataclasses.replace(rec, sample_rate_hz=rate))
@@ -998,8 +997,11 @@ def test_out_of_range_rep_exits_2(pipeline, tmp_path):
 @pytest.mark.parametrize("field", ["last window value", "sample rate"])
 def test_non_finite_segment_file_exits_2(pipeline, tmp_path, capsys, field):
     raw = bytearray(pipeline["segs"].read_bytes())
-    at, value = (len(raw) - 8, np.nan) if field == "last window value" else (24, -np.inf)
-    raw[at : at + 8] = np.array([value], dtype="<f8").tobytes()
+    if field == "last window value":
+        at = array_offset(raw, "labels") - 8  # the windows end 8-aligned
+        raw[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    else:
+        raw = with_meta(raw, sample_rate_hz=-math.inf)
     bad = tmp_path / "bad.sseg"
     bad.write_bytes(bytes(raw))
     ck = tmp_path / "m.ckpt"
@@ -1018,11 +1020,10 @@ def test_non_finite_segment_file_exits_2(pipeline, tmp_path, capsys, field):
 
 def test_segment_header_that_contradicts_itself_exits_4(pipeline, tmp_path, capsys):
     # window_ms 200 -> 300 over the file's 400-sample windows at 2 kHz
-    raw = bytearray(pipeline["segs"].read_bytes())
-    assert struct.unpack_from("<I", raw, 32) == (200,)
-    struct.pack_into("<I", raw, 32, 300)
+    raw = pipeline["segs"].read_bytes()
+    assert head_of(raw)["meta"]["window_ms"] == 200
     bad = tmp_path / "bad.sseg"
-    bad.write_bytes(bytes(raw))
+    bad.write_bytes(with_meta(raw, window_ms=300))
     for argv in (
         ["train", bad, "--checkpoint", tmp_path / "m.ckpt", "--trace", tmp_path / "t.csv",
          "--epochs", 1, "--model-dim", 4, "--num-classes", 3],
@@ -1036,6 +1037,25 @@ def test_segment_header_that_contradicts_itself_exits_4(pipeline, tmp_path, caps
             "but its windows hold 400\n"
         )
     assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_head_nested_past_the_recursion_limit_exits_4(pipeline, tmp_path, capsys):
+    deep = b"[" * 100_000 + b"]" * 100_000
+    for magic, name in ((b"SEMG", "deep.semg"), (b"SSEG", "deep.sseg"), (b"TCHG", "deep.ckpt")):
+        (tmp_path / name).write_bytes(file_bytes(magic, deep))
+    for argv in (
+        ["preprocess", tmp_path / "deep.semg", "--out", tmp_path / "x.sseg"],
+        ["train", tmp_path / "deep.sseg", "--checkpoint", tmp_path / "m.ckpt",
+         "--trace", tmp_path / "t.csv", "--epochs", 1, "--model-dim", 4, "--num-classes", 3],
+        ["eval", tmp_path / "deep.ckpt", pipeline["segs"], "--out-dir", tmp_path / "r"],
+        ["eval", pipeline["ckpt"], tmp_path / "deep.sseg", "--out-dir", tmp_path / "r"],
+    ):
+        code, captured = run(argv), capsys.readouterr()
+        assert code == 4 and captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("file error: "), lines
+        assert "head is not JSON (maximum recursion depth" in lines[0], lines
+    assert sorted(os.listdir(tmp_path)) == ["deep.ckpt", "deep.semg", "deep.sseg"]
 
 
 def assert_one_error_line(code, captured):

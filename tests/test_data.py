@@ -1,6 +1,8 @@
 import errno
 import hashlib
 import io
+import json
+import math
 import os
 import struct
 import tracemalloc
@@ -33,6 +35,9 @@ from emgtcn.train import (
     restore_model,
     restore_optimizer,
     save_checkpoint,
+)
+from file_heads import (
+    array_offset, file_bytes, head_of, head_span, huge_recording, with_head, with_meta,
 )
 
 
@@ -109,8 +114,12 @@ def test_recording_header_constants(tmp_path):
     write_recording(path, rec)
     raw = path.read_bytes()
     assert raw[:4] == b"SEMG"
-    assert int.from_bytes(raw[4:8], "little") == 1
-    assert int.from_bytes(raw[8:12], "little") == 12
+    assert int.from_bytes(raw[4:8], "little") == 2
+    assert head_of(raw) == {
+        "arrays": [["samples", "<f4", [12, 20]], ["gesture", "<u2", [20]],
+                   ["repetition", "<u2", [20]]],
+        "meta": {"sample_rate_hz": 2000.0},
+    }
     back = read_recording(path)
     assert back.channels == 12
     assert back.sample_rate_hz == 2000.0
@@ -146,6 +155,13 @@ def test_recording_version_mismatch(tmp_path):
     with pytest.raises(FormatError) as err:
         read_recording(bad)
     assert "9" in str(err.value)
+    # a whole file of the first layout: magic, version, channels, rate,
+    # T, the samples, then (gesture, repetition) pairs
+    ann = np.stack([rec.gesture, rec.repetition], axis=1).astype("<u2")
+    v1 = struct.pack("<IIdQ", 1, rec.channels, rec.sample_rate_hz, rec.num_samples)
+    bad.write_bytes(b"SEMG" + v1 + rec.data.astype("<f4").tobytes() + ann.tobytes())
+    with pytest.raises(FormatError, match="recording file version 1 is not supported"):
+        read_recording(bad)
 
 
 def test_recording_rejects_non_finite_sample(tmp_path):
@@ -153,7 +169,7 @@ def test_recording_rejects_non_finite_sample(tmp_path):
     path = tmp_path / "rec.semg"
     write_recording(path, rec)
     raw = bytearray(path.read_bytes())
-    at = 28 + 4 * (1 * 50 + 5)  # header, then channel 1, sample 5
+    at = array_offset(raw, "samples") + 4 * (1 * 50 + 5)  # channel 1, sample 5
     raw[at : at + 4] = np.array([np.inf], dtype="<f4").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError) as err:
@@ -241,9 +257,9 @@ def pristine(tmp_path_factory):
 
 
 _NAMES = st.sampled_from(["r.semg", "s.sseg", "m.ckpt"])
-# the headers and the checkpoint's JSON entries sit in the first few
-# hundred bytes, so half of the flips are drawn there
-_BIT = st.one_of(st.integers(0, 8 * 400 - 1), st.integers(0, 2**40))
+# (in the head?, bit): half of the flips land in the fixed header or
+# the JSON head, however long each file's head is
+_BIT = st.tuples(st.booleans(), st.integers(0, 2**40))
 _HOSTILE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -263,8 +279,8 @@ def test_bit_flipped_file_raises_only_format_or_data_error(pristine, name, bits)
     # it causes must be one the CLI maps to its exit codes
     path, blob, read = pristine.cases[name]
     damaged = bytearray(blob)
-    for bit in bits:
-        bit %= 8 * len(blob)
+    for in_head, bit in bits:
+        bit %= 8 * (head_span(blob) if in_head else len(blob))
         damaged[bit // 8] ^= 1 << (bit % 8)
     path.write_bytes(bytes(damaged))
     try:
@@ -274,13 +290,16 @@ def test_bit_flipped_file_raises_only_format_or_data_error(pristine, name, bits)
 
 
 def test_repeated_checkpoint_entry_raises_format_error(pristine):
-    # a second "epoch" entry, with the entry count raised to match
+    # a second "epoch" key in the meta, then a second entry for an array
     path, blob, read = pristine.cases["m.ckpt"]
-    (count,) = struct.unpack_from("<I", blob, 8)
-    name = b"epoch"
-    extra = struct.pack(f"<I{len(name)}sBq", len(name), name, 2, 99)
-    path.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:] + extra)
+    text = json.dumps(head_of(blob), sort_keys=True).encode()
+    path.write_bytes(with_head(blob, text.replace(b'"meta": {', b'"meta": {"epoch": 99, ')))
     with pytest.raises(FormatError, match="'epoch' appears twice"):
+        read(path)
+    head = head_of(blob)
+    head["arrays"].append(head["arrays"][0])
+    path.write_bytes(with_head(blob, head))
+    with pytest.raises(FormatError, match=f"'{head['arrays'][0][0]}' appears twice"):
         read(path)
 
 
@@ -380,7 +399,7 @@ def test_recording_shape_numpy_cannot_hold_raises_format_error(tmp_path):
     # 0 channels make the sample block 0 bytes long, so only the shape
     # (0, 2**62) of float32 is wrong: numpy refuses to create it
     path = tmp_path / "huge.semg"
-    path.write_bytes(b"SEMG" + struct.pack("<IIdQ", 1, 0, 2000.0, 2**62))
+    path.write_bytes(huge_recording())
     with pytest.raises(FormatError, match="samples"):
         read_recording(path)
 
@@ -420,7 +439,8 @@ def test_segments_reject_non_finite_window_value(tmp_path):
     path = tmp_path / "nan.sseg"
     write_segments(path, sample_segments(m=3))
     raw = bytearray(path.read_bytes())
-    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last value
+    at = array_offset(raw, "data") + 3 * 2 * 8 * 8 - 8  # last value
+    raw[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(DataError) as err:
         read_segments(path)
@@ -503,8 +523,11 @@ def test_segments_shape_numpy_cannot_hold_raises_format_error(tmp_path):
     # no windows, so the window block is 0 bytes long and only the shape
     # (0, 2**31, 2**31) of float64 is wrong
     path = tmp_path / "huge.sseg"
-    path.write_bytes(b"SSEG" + struct.pack("<IIIQdI", 1, 2**31, 2**31, 0, 2000.0, 200))
-    with pytest.raises(FormatError, match="windows has shape .* numpy cannot hold"):
+    path.write_bytes(file_bytes(b"SSEG", {"arrays": [
+        ["data", "<f8", [0, 2**31, 2**31]], ["labels", "<u2", [0]],
+        ["subjects", "<u2", [0]], ["repetitions", "<u2", [0]],
+    ], "meta": {"sample_rate_hz": 2000.0, "window_ms": 200}}))
+    with pytest.raises(FormatError, match="'data' has shape .* numpy cannot hold"):
         read_segments(path)
 
 
@@ -530,9 +553,7 @@ def test_failed_segment_write_keeps_the_old_file(tmp_path, monkeypatch):
 def test_segments_reject_non_finite_rate(tmp_path):
     path = tmp_path / "rate.sseg"
     write_segments(path, sample_segments(m=3))
-    raw = bytearray(path.read_bytes())
-    raw[24:32] = np.array([-np.inf], dtype="<f8").tobytes()  # after the header
-    path.write_bytes(bytes(raw))
+    path.write_bytes(with_meta(path.read_bytes(), sample_rate_hz=-math.inf))
     with pytest.raises(DataError) as err:
         read_segments(path)
     assert "-inf" in str(err.value)
@@ -541,9 +562,7 @@ def test_segments_reject_non_finite_rate(tmp_path):
 def test_recording_rejects_nan_rate(tmp_path):
     path = tmp_path / "rate.semg"
     write_recording(path, sample_recording(t=12))
-    raw = bytearray(path.read_bytes())
-    raw[12:20] = np.array([np.nan], dtype="<f8").tobytes()  # magic, version, channels
-    path.write_bytes(bytes(raw))
+    path.write_bytes(with_meta(path.read_bytes(), sample_rate_hz=math.nan))
     with pytest.raises(DataError) as err:
         read_recording(path)
     assert "nan" in str(err.value)
@@ -602,13 +621,6 @@ def test_write_segments_refuses_what_concat_refuses(tmp_path):
         assert not path.exists()
 
 
-def test_write_segments_refuses_a_header_beyond_u32_and_writes_nothing(tmp_path):
-    path = tmp_path / "x.sseg"
-    with pytest.raises(DataError, match="of 4294967296 ms do not fit the u32 fields"):
-        write_segments(path, replace(sample_segments(m=2, seed=1), window_ms=2**32))
-    assert not path.exists()
-
-
 def test_segment_header_must_give_its_window_length(tmp_path):
     # 6 ms at 2 kHz is 12 samples, not the 8 each window holds
     message = "6 ms at 2000.0 Hz is 12 samples, but its windows hold 8"
@@ -617,12 +629,19 @@ def test_segment_header_must_give_its_window_length(tmp_path):
         write_segments(path, replace(sample_segments(m=2), window_ms=6))
     assert not path.exists()
     write_segments(path, sample_segments(m=2))
-    raw = bytearray(path.read_bytes())
-    assert struct.unpack_from("<I", raw, 32) == (4,)  # window_ms
-    struct.pack_into("<I", raw, 32, 6)
-    path.write_bytes(bytes(raw))
+    raw = path.read_bytes()
+    assert head_of(raw)["meta"]["window_ms"] == 4
+    path.write_bytes(with_meta(raw, window_ms=6))
     with pytest.raises(FormatError, match=message):
         read_segments(path)
+    # a window_ms beyond any float, and a NaN one, contradict the windows too
+    path.write_bytes(with_meta(raw, window_ms=10**400))
+    with pytest.raises(FormatError, match="is inf samples, but its windows hold 8"):
+        read_segments(path)
+    path.unlink()
+    with pytest.raises(FormatError, match="nan ms at 2000.0 Hz is nan samples"):
+        write_segments(path, replace(sample_segments(m=2), window_ms=math.nan))
+    assert not path.exists()
 
 
 def test_write_segments_refuses_a_label_beyond_u16_and_writes_nothing(tmp_path):
@@ -911,10 +930,10 @@ def test_recording_samples_are_mapped_not_copied(tmp_path):
     data = np.random.default_rng(0).normal(size=(63, t)).astype(np.float32)
     path = tmp_path / "big.semg"
     write_recording(path, Recording(data, 2000.0, gesture, repetition))
-    assert path.stat().st_size == 16 * 2**20 + 28  # 63 channels + annotations
-    peak = _peak_bytes(read_recording, path)
-    assert peak < 0.05 * path.stat().st_size, peak  # the annotation columns
     blob = path.read_bytes()
+    assert len(blob) == 16 * 2**20 + head_span(blob)  # 63 channels + annotations
+    peak = _peak_bytes(read_recording, path)
+    assert peak < 0.05 * len(blob), peak
     back = read_recording(path)
     assert back.data.flags.writeable and not isinstance(back.data, np.memmap)
     assert back.data.tobytes() == data.tobytes()
@@ -976,26 +995,32 @@ def test_empty_recording_and_empty_checkpoint_array_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_checkpoint_arrays_at_odd_offsets_load_the_same_values(tmp_path):
-    # each digit of lr lengthens the JSON blob before the arrays by one
-    # byte, so the eight files put the arrays at every offset mod 8
-    misaligned = 0
-    for digits in range(1, 9):
-        ckpt = _small_checkpoint(5, lr=float("0." + "123456789"[:digits]))
-        path = tmp_path / f"m{digits}.ckpt"
-        save_checkpoint(path, ckpt)
-        loaded = load_checkpoint(path)
-        for group in ("weights", "m", "v"):
-            for name, arr in getattr(ckpt, group).items():
-                got = getattr(loaded, group)[name]
-                assert got.tobytes() == arr.tobytes()
-                misaligned += got.ctypes.data % 2
+def test_every_array_read_is_aligned_and_holds_what_was_written(tmp_path):
+    # each digit of lr lengthens the checkpoint's head by one byte, and
+    # each window or sample moves the arrays after the first, so the
+    # eight files of each kind would put arrays at every offset mod 8
+    for k in range(1, 9):
+        rec, segs = sample_recording(t=40 + k), sample_segments(m=k)
+        ckpt = _small_checkpoint(5, lr=float("0." + "123456789"[:k]))
+        write_recording(tmp_path / "r.semg", rec)
+        write_segments(tmp_path / "s.sseg", segs)
+        save_checkpoint(tmp_path / "m.ckpt", ckpt)
+        back_rec = read_recording(tmp_path / "r.semg")
+        back_segs = read_segments(tmp_path / "s.sseg")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        pairs = [(getattr(back_rec, n), getattr(rec, n))
+                 for n in ("data", "gesture", "repetition")]
+        pairs += [(getattr(back_segs, n), getattr(segs, n)) for n in SegmentSet.PER_WINDOW]
+        pairs += [(getattr(loaded, group)[name], arr) for group in ("weights", "m", "v")
+                  for name, arr in getattr(ckpt, group).items()]
+        for got, want in pairs:
+            assert got.flags.aligned and got.ctypes.data % 8 == 0
+            assert got.tobytes() == np.asarray(want, got.dtype).tobytes()
         model = restore_model(loaded)
         restore_optimizer(loaded, model)
         for name, p in model.named_parameters().items():
             assert p.data.tobytes() == ckpt.weights[name].tobytes()
             assert p.data.flags.aligned
-    assert misaligned
 
 
 @pytest.mark.parametrize("writer", sorted(_WRITERS))

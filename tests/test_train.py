@@ -28,6 +28,7 @@ from emgtcn.train import (
     train,
     write_trace,
 )
+from file_heads import head_of, with_head
 from gradcheck import fd_grad, max_rel_err
 
 LN_17 = 2.833213344056216
@@ -628,26 +629,27 @@ def test_load_checkpoint_refuses_non_finite_and_malformed_numbers(
 
 
 @pytest.mark.parametrize("doctor, words", [
-    (lambda c: {22: 7}, "unknown entry kind 7 for 'config'"),  # config's kind byte
+    (lambda c: lambda head: head["arrays"][0].__setitem__(1, "<i8"),
+     r"checkpoint entry 'w/\S+' is not of dtype <f8"),
     (lambda c: object.__setattr__(c.config, "model_dim", 2.5),
      "config must map names to integers"),
     (lambda c: c.opt.update(extra=1.0), "'opt' must hold the numbers"),
     (lambda c: setattr(c, "rng_state", {"bit_generator": "MT19937"}),
      "'rng' is not a PCG64 state"),
     (lambda c: c.weights.update({"": np.ones(1)}), "unrecognized checkpoint entry 'w/'"),
-], ids=["entry-kind", "config-float", "opt-keys", "rng-state", "entry-name"])
+], ids=["entry-dtype", "config-float", "opt-keys", "rng-state", "entry-name"])
 def test_load_checkpoint_refuses_malformed_entries(tmp_path, doctor, words):
-    """``doctor`` changes the checkpoint before it is saved and may name
-    bytes to overwrite in the file, by offset."""
+    """``doctor`` changes the checkpoint before it is saved and may
+    return a function that then changes the file's JSON head."""
     model = tiny_model(seed=4)
     ckpt = make_checkpoint(model, Adam(model.named_parameters()), epoch=2, rng_state=None)
-    patch = doctor(ckpt) or {}
+    edit = doctor(ckpt)
     path = tmp_path / "bad.tchg"
     save_checkpoint(path, ckpt)
-    raw = bytearray(path.read_bytes())
-    for offset, byte in patch.items():
-        raw[offset] = byte
-    path.write_bytes(bytes(raw))
+    if edit:
+        head = head_of(path.read_bytes())
+        edit(head)
+        path.write_bytes(with_head(path.read_bytes(), head))
     with pytest.raises(FormatError, match=words):
         load_checkpoint(path)
 
