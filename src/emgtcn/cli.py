@@ -34,13 +34,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .model import (
-    BASELINE_RECURRENT_PARAMS,
-    AttentionTcn,
-    ModelConfig,
-    count_parameters,
-    derive_config,
-)
+from .model import BASELINE_RECURRENT_PARAMS, AttentionTcn, ModelConfig, count_parameters
 
 __all__ = ["main"]
 
@@ -235,11 +229,10 @@ def _read_side(path, cfg, side: str, num_classes: int):
     return segs
 
 
-def _model_config(cfg, window_ms, channels: int, sample_rate_hz) -> ModelConfig:
-    return derive_config(
-        window_ms, cfg.num_patches, cfg.model_dim, channels=channels,
-        sample_rate_hz=sample_rate_hz, kernel_size=cfg.kernel_size,
-        num_classes=cfg.num_classes,
+def _model_config(cfg, seq_len: int, channels: int) -> ModelConfig:
+    return ModelConfig(
+        channels=channels, seq_len=seq_len, num_patches=cfg.num_patches,
+        model_dim=cfg.model_dim, kernel_size=cfg.kernel_size, num_classes=cfg.num_classes,
     )
 
 
@@ -249,9 +242,7 @@ def _cmd_train(args, cfg):
     )
     _check_outputs([args.checkpoint, args.trace], [args.segments])
     train_set = _read_side(args.segments, cfg, "train", cfg.num_classes)
-    model_cfg = _model_config(
-        cfg, train_set.window_ms, train_set.channels, train_set.sample_rate_hz
-    )
+    model_cfg = _model_config(cfg, train_set.seg_len, train_set.channels)
     model = AttentionTcn(model_cfg, seed=cfg.seed)
     _note(
         f"training on {len(train_set)} segments "
@@ -304,7 +295,8 @@ def _predict(model: AttentionTcn, windows: np.ndarray, chunk: int = 256) -> np.n
 
 
 def _cmd_params(args, cfg):
-    model_cfg = _model_config(cfg, cfg.window_ms, args.channels, cfg.sample_rate_hz)
+    seq_len = sig.ms_to_samples(cfg.window_ms, cfg.sample_rate_hz, "window_ms")
+    model_cfg = _model_config(cfg, seq_len, args.channels)
     model = AttentionTcn(model_cfg, seed=0)
     total, breakdown = count_parameters(model)
     _note(

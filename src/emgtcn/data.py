@@ -323,9 +323,18 @@ def _read_file(path, magic: bytes, what: str, dtypes: dict, kinds: dict) -> tupl
 def write_recording(path, rec: Recording):
     """Write ``rec`` as a SEMG file: the arrays ``samples`` (``<f4``,
     channels x T), ``gesture`` and ``repetition`` (``<u2``, T) and the
-    meta ``sample_rate_hz``. ``path`` is replaced atomically."""
+    meta ``sample_rate_hz``. ``path`` is replaced atomically. A float64
+    sample beyond the float32 range is refused first, so the file reads back."""
+    samples = rec.data
+    if samples.dtype != np.float32:  # float32 samples were checked finite
+        with np.errstate(over="ignore"):
+            samples = samples.astype(np.float32)
+        if not _all_finite(samples):
+            c, i = np.argwhere(~np.isfinite(samples))[0]
+            raise DataError(f"sample {i} of channel ch{c + 1} ({float(rec.data[c, i])}) "
+                            "is beyond the float32 range of the recording format")
     _write_file(path, _REC_MAGIC, {"sample_rate_hz": float(rec.sample_rate_hz)}, {
-        "samples": ("<f4", [rec.data]),
+        "samples": ("<f4", [samples]),
         "gesture": ("<u2", [rec.gesture]),
         "repetition": ("<u2", [rec.repetition]),
     })
@@ -410,8 +419,8 @@ def read_annotated_csv(path, sample_rate_hz: float, subject: int = 0) -> Recordi
 def write_segments(path, *parts: SegmentSet):
     """Persist one or more SegmentSets as one SSEG file: the arrays
     ``SegmentSet.PER_WINDOW``, ``data`` as ``<f8`` (M x C x L) and the
-    columns as ``<u2`` (M), and the meta ``sample_rate_hz`` and
-    ``window_ms``.
+    columns as ``<u2`` (M), and the meta ``sample_rate_hz``. The window
+    length is only ever L, so nothing can contradict it.
 
     Several parts give the bytes of ``concat_segments(parts)``: their
     windows are written in turn and never joined in memory.
@@ -428,9 +437,7 @@ def write_segments(path, *parts: SegmentSet):
     for name, arr in columns.items():
         if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
             raise DataError(f"{name} exceed the u16 range of the segment format")
-    _check_window(first)
-    meta = {"sample_rate_hz": float(first.sample_rate_hz), "window_ms": int(first.window_ms)}
-    _write_file(path, _SEG_MAGIC, meta, {
+    _write_file(path, _SEG_MAGIC, {"sample_rate_hz": float(first.sample_rate_hz)}, {
         "data": ("<f8", [p.data for p in parts]),
         **{name: ("<u2", [arr]) for name, arr in columns.items()},
     })
@@ -450,7 +457,7 @@ def read_segments(path) -> SegmentSet:
     """
     meta, arrays = _read_file(path, _SEG_MAGIC, "segment", {
         "data": "<f8", **dict.fromkeys(SegmentSet.PER_WINDOW[1:], "<u2"),
-    }, {"sample_rate_hz": float, "window_ms": int})
+    }, {"sample_rate_hz": float})
     segs = SegmentSet(
         data=arrays["data"], **meta,
         **{name: arrays[name].astype(np.int64) for name in SegmentSet.PER_WINDOW[1:]},
@@ -461,22 +468,7 @@ def read_segments(path) -> SegmentSet:
             f"window {i}: sample {t} of channel ch{c + 1} is not finite "
             f"({segs.data[i, c, t]})"
         )
-    _check_window(segs)
     return segs
-
-
-def _check_window(segs: SegmentSet):
-    """Refuse a set whose windows are not ``window_ms`` long at its
-    sample rate: as an SSEG head, it would contradict itself."""
-    try:
-        exact = segs.window_ms * segs.sample_rate_hz / 1000.0
-    except OverflowError:  # a window_ms beyond any float
-        exact = math.inf
-    if not abs(exact - segs.seg_len) <= 1e-9:  # a NaN window_ms too
-        raise FormatError(
-            f"segment file: {segs.window_ms} ms at {segs.sample_rate_hz} Hz is "
-            f"{exact:.6g} samples, but its windows hold {segs.seg_len}"
-        )
 
 
 def _common_geometry(parts) -> SegmentSet:
@@ -486,12 +478,8 @@ def _common_geometry(parts) -> SegmentSet:
         raise DataError("cannot concatenate zero segment sets")
     first = parts[0]
     for p in parts[1:]:
-        same = (
-            p.data.shape[1:] == first.data.shape[1:]
-            and p.sample_rate_hz == first.sample_rate_hz
-            and p.window_ms == first.window_ms
-        )
-        if not same:
+        if not (p.data.shape[1:] == first.data.shape[1:]
+                and p.sample_rate_hz == first.sample_rate_hz):
             raise DataError(
                 f"segment sets disagree on geometry: {p.data.shape[1:]} at "
                 f"{p.sample_rate_hz} Hz vs {first.data.shape[1:]} at "

@@ -48,28 +48,19 @@ class ModelConfig:
     channels: int
     seq_len: int
     num_patches: int
-    patch_len: int
     model_dim: int
     kernel_size: int = 3
     num_classes: int = 17
 
     def __post_init__(self):
-        for name in (
-            "channels",
-            "seq_len",
-            "num_patches",
-            "patch_len",
-            "model_dim",
-            "kernel_size",
-        ):
+        for name in ("channels", "seq_len", "num_patches", "model_dim", "kernel_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.num_patches * self.patch_len != self.seq_len:
+        if self.seq_len % self.num_patches != 0:
             raise ConfigError(
-                f"patches must tile the window exactly: "
-                f"{self.num_patches} * {self.patch_len} != {self.seq_len}"
+                f"window length {self.seq_len} is not divisible into {self.num_patches} patches"
             )
         c, p, d, k = self.channels, self.patch_len, self.model_dim, self.kernel_size
         largest = max(c * p * d, d * d * k, self.num_patches * d * self.num_classes)
@@ -78,6 +69,10 @@ class ModelConfig:
                 f"the largest weight would hold {largest} float64 values, beyond "
                 "what numpy can index"
             )
+
+    @property
+    def patch_len(self) -> int:
+        return self.seq_len // self.num_patches
 
     @property
     def num_blocks(self) -> int:
@@ -100,19 +95,13 @@ def derive_config(
     """Resolve a window length in milliseconds into a full ModelConfig.
 
     The window converts to samples by the same rule ``signal.segment``
-    uses, so a segment file's windows always fit the model built from
-    its ``window_ms`` and ``sample_rate_hz``.
+    uses, so the model fits the windows that ``segment`` cuts at the
+    same length and rate.
     """
-    seq_len = ms_to_samples(window_ms, sample_rate_hz, "window_ms")
-    if num_patches < 1 or seq_len % num_patches != 0:
-        raise ConfigError(
-            f"window length {seq_len} is not divisible into {num_patches} patches"
-        )
     return ModelConfig(
         channels=channels,
-        seq_len=seq_len,
+        seq_len=ms_to_samples(window_ms, sample_rate_hz, "window_ms"),
         num_patches=num_patches,
-        patch_len=seq_len // num_patches,
         model_dim=model_dim,
         kernel_size=kernel_size,
         num_classes=num_classes,

@@ -79,7 +79,6 @@ class SegmentSet:
     subjects: np.ndarray
     repetitions: np.ndarray
     sample_rate_hz: float
-    window_ms: int
 
     #: the per-window arrays: the windows, then one entry per window
     PER_WINDOW: ClassVar[tuple] = ("data", "labels", "subjects", "repetitions")
@@ -210,7 +209,6 @@ def segment(recording, window_ms: int, stride_ms: int | None = None) -> SegmentS
         subjects=np.full(m, subject, dtype=np.int64),
         repetitions=repetition[starts].astype(np.int64),
         sample_rate_hz=sample_rate_hz,
-        window_ms=window_ms,
     )
 
 

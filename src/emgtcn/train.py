@@ -75,7 +75,8 @@ class TrainResult:
 
 
 class Adam:
-    """Standard Adam with bias correction over a name -> Tensor map.
+    """Standard Adam with bias correction over a name -> Tensor map, at
+    the standard constants of Kingma & Ba (ICLR 2015).
 
     The moments live in two flat float64 vectors, one slot per parameter
     in dict order; ``m[name]`` and ``v[name]`` are reshaped views into
@@ -88,13 +89,11 @@ class Adam:
     an optimizer, and never trains silently on zero gradients.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float = 1e-4):
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         # (name, tensor, flat slice) for each parameter, in dict order
         self._slots = []
@@ -239,9 +238,6 @@ _GROUPS = ("w", "m", "v")
 # each optimizer setting: the type and range Adam can resume from
 _OPT_KEYS = {
     "lr": (float, "a positive finite float", lambda x: 0 < x < math.inf),
-    "beta1": (float, "a float in [0, 1)", lambda x: 0 <= x < 1),
-    "beta2": (float, "a float in [0, 1)", lambda x: 0 <= x < 1),
-    "eps": (float, "a positive finite float", lambda x: 0 < x < math.inf),
     "step": (int, "an integer in [0, 2**63)", lambda x: 0 <= x < 2**63),
 }
 
@@ -266,13 +262,7 @@ def make_checkpoint(
         weights={k: p.data.copy() for k, p in model.named_parameters().items()},
         m={k: a.copy() for k, a in optimizer.m.items()},
         v={k: a.copy() for k, a in optimizer.v.items()},
-        opt={
-            "lr": optimizer.lr,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "step": optimizer.step_count,
-        },
+        opt={"lr": optimizer.lr, "step": optimizer.step_count},
         rng_state=rng_state,
     )
 
@@ -297,13 +287,7 @@ def restore_model(ckpt: Checkpoint) -> AttentionTcn:
 
 
 def restore_optimizer(ckpt: Checkpoint, model: AttentionTcn) -> Adam:
-    opt = Adam(
-        model.named_parameters(),
-        lr=ckpt.opt["lr"],
-        beta1=ckpt.opt["beta1"],
-        beta2=ckpt.opt["beta2"],
-        eps=ckpt.opt["eps"],
-    )
+    opt = Adam(model.named_parameters(), lr=ckpt.opt["lr"])
     opt.step_count = int(ckpt.opt["step"])
     for group, saved, views in (("m", ckpt.m, opt.m), ("v", ckpt.v, opt.v)):
         _check_group(group, saved, views)
@@ -337,7 +321,9 @@ def save_checkpoint(path, ckpt: Checkpoint):
     replacing ``path`` atomically, so a checkpoint loaded from the old
     file keeps its values. The arrays are ``w/<name>``, ``m/<name>``
     and ``v/<name>`` (weights and Adam moments) as ``<f8``; the meta is
-    ``config``, ``epoch``, ``opt`` and ``rng`` (``null`` for none)."""
+    ``config`` (the ``ModelConfig`` fields), ``epoch``, ``opt`` (Adam's
+    ``lr`` and ``step``; its betas and eps are constants) and ``rng``
+    (``null`` for none)."""
     meta = {"config": asdict(ckpt.config), "epoch": int(ckpt.epoch), "opt": ckpt.opt,
             "rng": ckpt.rng_state}
     groups = zip(_GROUPS, (ckpt.weights, ckpt.m, ckpt.v))

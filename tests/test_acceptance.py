@@ -270,7 +270,6 @@ def test_criterion_7_desk_scale_learning(acceptance_gate):
             subjects=train_set.subjects[:32],
             repetitions=train_set.repetitions[:32],
             sample_rate_hz=train_set.sample_rate_hz,
-            window_ms=train_set.window_ms,
         )
         overfit_opt = tr.Adam(overfit_model.named_parameters(), lr=1e-2)
         final = None
@@ -331,13 +330,11 @@ def test_criterion_9_determinism_and_persistence(acceptance_gate, tmp_path):
             subjects=np.ones(24, dtype=np.uint16),
             repetitions=np.ones(24, dtype=np.uint16),
             sample_rate_hz=2000.0,
-            window_ms=6,
         )
         from emgtcn.model import ModelConfig
 
         cfg = ModelConfig(
-            channels=2, seq_len=12, num_patches=4, patch_len=3,
-            model_dim=4, num_classes=3,
+            channels=2, seq_len=12, num_patches=4, model_dim=4, num_classes=3,
         )
 
         def run_epochs(total: int):

@@ -25,7 +25,9 @@ from hypothesis import given, settings, strategies as st
 from emgtcn import cli, data as dio, signal, stats, train as tr
 from emgtcn.cli import main
 from emgtcn.model import AttentionTcn, derive_config
-from file_heads import array_offset, file_bytes, head_of, huge_recording, with_meta
+from file_heads import (
+    array_offset, file_bytes, head_of, huge_recording, with_head, with_meta,
+)
 
 
 def run(argv):
@@ -706,7 +708,7 @@ def test_eval_scores_subjects_across_a_chunk_boundary(tmp_path, capsys):
     segs = signal.SegmentSet(
         data=rng.normal(size=(450, 2, 40)), labels=rng.integers(0, 3, 450),
         subjects=subjects, repetitions=np.tile([2, 5], 225),
-        sample_rate_hz=2000.0, window_ms=20,
+        sample_rate_hz=2000.0,
     )
     path = tmp_path / "held_out.sseg"
     dio.write_segments(path, segs)
@@ -1018,24 +1020,36 @@ def test_non_finite_segment_file_exits_2(pipeline, tmp_path, capsys, field):
     assert not ck.exists()
 
 
-def test_segment_header_that_contradicts_itself_exits_4(pipeline, tmp_path, capsys):
-    # window_ms 200 -> 300 over the file's 400-sample windows at 2 kHz
-    raw = pipeline["segs"].read_bytes()
-    assert head_of(raw)["meta"]["window_ms"] == 200
-    bad = tmp_path / "bad.sseg"
-    bad.write_bytes(with_meta(raw, window_ms=300))
-    for argv in (
-        ["train", bad, "--checkpoint", tmp_path / "m.ckpt", "--trace", tmp_path / "t.csv",
-         "--epochs", 1, "--model-dim", 4, "--num-classes", 3],
-        ["eval", pipeline["ckpt"], bad, "--out-dir", tmp_path / "reports"],
-    ):
-        assert run(argv) == 4, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "file error: segment file: 300 ms at 2000.0 Hz is 600 samples, "
-            "but its windows hold 400\n"
-        )
+@pytest.mark.parametrize("command, doctor, words", [
+    ("train", lambda meta: meta.update(window_ms=200),
+     "segment file: meta must hold exactly sample_rate_hz (float)"),
+    ("eval", lambda meta: meta["config"].update(patch_len=40),
+     "checkpoint config is invalid: ModelConfig.__init__() got an unexpected "
+     "keyword argument 'patch_len'"),
+    ("eval", lambda meta: meta["opt"].update(beta1=0.9, beta2=0.999, eps=1e-08),
+     "checkpoint entry 'opt' must hold the numbers ['lr', 'step'], got {'beta1': 0.9, "
+     "'beta2': 0.999, 'eps': 1e-08, 'lr': 0.01, 'step': 2}"),
+], ids=["sseg-window-ms", "tchg-patch-len", "tchg-adam-constants"])
+def test_file_of_the_old_layout_exits_4(pipeline, tmp_path, capsys, command, doctor, words):
+    # the meta the layout held before each fact was stored once: a
+    # segment file's window_ms, a checkpoint config's patch_len and
+    # Adam's betas and eps beside lr and step
+    kind = "segs" if command == "train" else "ckpt"
+    raw = pipeline[kind].read_bytes()
+    head = head_of(raw)
+    doctor(head["meta"])
+    bad = tmp_path / f"old{pipeline[kind].suffix}"
+    bad.write_bytes(with_head(raw, head))
+    argv = {
+        "train": ["train", bad, "--checkpoint", tmp_path / "m.ckpt",
+                  "--trace", tmp_path / "t.csv", "--epochs", 1, "--model-dim", 4,
+                  "--num-classes", 3],
+        "eval": ["eval", bad, pipeline["segs"], "--out-dir", tmp_path / "reports"],
+    }[command]
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"file error: {words}\n"
     assert list(tmp_path.iterdir()) == [bad]
 
 

@@ -64,7 +64,6 @@ def sample_segments(m=10, c=2, l=8, seed=1):
         subjects=rng.integers(1, 4, size=m),
         repetitions=rng.integers(1, 7, size=m),
         sample_rate_hz=2000.0,
-        window_ms=l // 2,  # l samples at 2 kHz, as the SSEG header must say
     )
 
 
@@ -188,6 +187,24 @@ def test_recording_names_first_non_finite_sample(value):
     assert str(err.value) == f"sample 9 of channel ch3 is not finite ({float(value)})"
 
 
+@pytest.mark.filterwarnings("error")
+def test_write_recording_refuses_a_sample_float32_cannot_hold(tmp_path):
+    data = np.zeros((3, 40))
+    data[1, 7], data[2, 3] = 1e300, -1e39
+    path = tmp_path / "rec.semg"
+    with pytest.raises(DataError) as err:
+        write_recording(path, replace(sample_recording(t=40), data=data))
+    assert str(err.value) == (
+        "sample 7 of channel ch2 (1e+300) is beyond the float32 range of the "
+        "recording format"
+    )
+    assert not path.exists()
+    # the float32 extremes themselves are written and read back
+    data[1, 7], data[2, 3] = np.finfo(np.float32).max, np.finfo(np.float32).min
+    write_recording(path, replace(sample_recording(t=40), data=data))
+    assert np.array_equal(read_recording(path).data, data.astype(np.float32))
+
+
 def test_recording_checks_samples_without_a_full_size_mask():
     # 12 channels x 100000 float32 samples: 4.8 MB; annotations 0.4 MB
     t = 100_000
@@ -200,7 +217,7 @@ def test_recording_checks_samples_without_a_full_size_mask():
 
 def test_trailing_bytes_rejected_in_every_format(tmp_path):
     model = AttentionTcn(ModelConfig(
-        channels=2, seq_len=4, num_patches=2, patch_len=2, model_dim=2,
+        channels=2, seq_len=4, num_patches=2, model_dim=2,
     ))
     ckpt = make_checkpoint(
         model, Adam(model.named_parameters()), epoch=0, rng_state=None
@@ -231,7 +248,7 @@ class PristineFiles:
     def __init__(self, root):
         self.root = root
         model = AttentionTcn(ModelConfig(
-            channels=2, seq_len=4, num_patches=2, patch_len=2, model_dim=2,
+            channels=2, seq_len=4, num_patches=2, model_dim=2,
         ))
         rng_state = np.random.Generator(np.random.PCG64(7)).bit_generator.state
         ckpt = make_checkpoint(model, Adam(model.named_parameters()), 3, rng_state)
@@ -377,7 +394,7 @@ def test_segments_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.subjects, segs.subjects)
     assert np.array_equal(back.repetitions, segs.repetitions)
     assert back.sample_rate_hz == segs.sample_rate_hz
-    assert back.window_ms == segs.window_ms
+    assert head_of(path.read_bytes())["meta"] == {"sample_rate_hz": segs.sample_rate_hz}
     assert np.signbit(back.data[0, 0, 0])
 
 
@@ -526,7 +543,7 @@ def test_segments_shape_numpy_cannot_hold_raises_format_error(tmp_path):
     path.write_bytes(file_bytes(b"SSEG", {"arrays": [
         ["data", "<f8", [0, 2**31, 2**31]], ["labels", "<u2", [0]],
         ["subjects", "<u2", [0]], ["repetitions", "<u2", [0]],
-    ], "meta": {"sample_rate_hz": 2000.0, "window_ms": 200}}))
+    ], "meta": {"sample_rate_hz": 2000.0}}))
     with pytest.raises(FormatError, match="'data' has shape .* numpy cannot hold"):
         read_segments(path)
 
@@ -578,7 +595,6 @@ def test_constructors_reject_non_finite_rate():
         SegmentSet(
             data=segs.data, labels=segs.labels, subjects=segs.subjects,
             repetitions=segs.repetitions, sample_rate_hz=float("inf"),
-            window_ms=segs.window_ms,
         )
 
 
@@ -591,11 +607,13 @@ def test_concat_segments():
     assert np.array_equal(both.labels[4:], b.labels)
     assert np.array_equal(both.subjects, np.concatenate([a.subjects, b.subjects]))
     assert np.array_equal(both.repetitions, np.concatenate([a.repetitions, b.repetitions]))
-    assert (both.sample_rate_hz, both.window_ms) == (a.sample_rate_hz, a.window_ms)
+    assert both.sample_rate_hz == a.sample_rate_hz
     with pytest.raises(DataError):
         concat_segments([])
     with pytest.raises(DataError):
         concat_segments([a, sample_segments(m=3, l=16)])
+    with pytest.raises(DataError):
+        concat_segments([a, replace(a, sample_rate_hz=1000.0)])
 
 
 def test_write_segments_parts_give_the_concatenated_file(tmp_path):
@@ -611,7 +629,7 @@ def test_write_segments_parts_give_the_concatenated_file(tmp_path):
 
 def test_write_segments_refuses_what_concat_refuses(tmp_path):
     a = sample_segments(m=4, seed=2)
-    for parts in ([], [a, sample_segments(m=3, l=16)], [a, replace(a, window_ms=8)]):
+    for parts in ([], [a, sample_segments(m=3, l=16)], [a, replace(a, sample_rate_hz=1000.0)]):
         with pytest.raises(DataError) as joined:
             concat_segments(parts)
         path = tmp_path / "x.sseg"
@@ -621,27 +639,17 @@ def test_write_segments_refuses_what_concat_refuses(tmp_path):
         assert not path.exists()
 
 
-def test_segment_header_must_give_its_window_length(tmp_path):
-    # 6 ms at 2 kHz is 12 samples, not the 8 each window holds
-    message = "6 ms at 2000.0 Hz is 12 samples, but its windows hold 8"
+def test_segment_head_of_the_old_layout_is_refused(tmp_path):
+    # the window length is the windows' last axis; a head that still
+    # gives it in ms, whether it agrees or not, is not this layout
     path = tmp_path / "x.sseg"
-    with pytest.raises(FormatError, match=message):
-        write_segments(path, replace(sample_segments(m=2), window_ms=6))
-    assert not path.exists()
     write_segments(path, sample_segments(m=2))
     raw = path.read_bytes()
-    assert head_of(raw)["meta"]["window_ms"] == 4
-    path.write_bytes(with_meta(raw, window_ms=6))
-    with pytest.raises(FormatError, match=message):
-        read_segments(path)
-    # a window_ms beyond any float, and a NaN one, contradict the windows too
-    path.write_bytes(with_meta(raw, window_ms=10**400))
-    with pytest.raises(FormatError, match="is inf samples, but its windows hold 8"):
-        read_segments(path)
-    path.unlink()
-    with pytest.raises(FormatError, match="nan ms at 2000.0 Hz is nan samples"):
-        write_segments(path, replace(sample_segments(m=2), window_ms=math.nan))
-    assert not path.exists()
+    assert head_of(raw)["meta"] == {"sample_rate_hz": 2000.0}
+    for window_ms in (4, 6):
+        path.write_bytes(with_meta(raw, window_ms=window_ms))
+        with pytest.raises(FormatError, match=r"meta must hold exactly sample_rate_hz \(float\)$"):
+            read_segments(path)
 
 
 def test_write_segments_refuses_a_label_beyond_u16_and_writes_nothing(tmp_path):
@@ -678,7 +686,6 @@ def test_split_default_proportions():
         subjects=np.zeros(m, dtype=np.int64),
         repetitions=np.tile(np.arange(1, 7), 10).astype(np.int64),
         sample_rate_hz=2000.0,
-        window_ms=2,
     )
     train, test = split(segs)
     assert len(train) == 40 and len(test) == 20
@@ -706,13 +713,13 @@ def test_split_is_partition_and_warns_on_drops():
 
 
 def test_split_sides_hold_their_rows_of_every_per_window_array():
-    segs = replace(sample_segments(m=40, seed=6), sample_rate_hz=1000.0, window_ms=8)
+    segs = replace(sample_segments(m=40, seed=6), sample_rate_hz=1000.0)
     for side, reps in zip(split(segs), ([1, 3, 4, 6], [2, 5])):
         mask = np.isin(segs.repetitions, reps)
         assert 0 < len(side) < len(segs)
         for name in ("data", "labels", "subjects", "repetitions"):
             assert np.array_equal(getattr(side, name), getattr(segs, name)[mask]), name
-        assert (side.sample_rate_hz, side.window_ms) == (1000.0, 8)
+        assert (side.sample_rate_hz, side.seg_len) == (1000.0, 8)
 
 
 def test_split_every_gesture_in_both_halves():
@@ -838,7 +845,7 @@ def test_generate_synthetic_centroid_separability():
 
 def _small_checkpoint(seed, lr=1e-4):
     model = AttentionTcn(ModelConfig(
-        channels=2, seq_len=4, num_patches=2, patch_len=2, model_dim=2,
+        channels=2, seq_len=4, num_patches=2, model_dim=2,
     ), seed=seed)
     return make_checkpoint(model, Adam(model.named_parameters(), lr=lr), seed, None)
 

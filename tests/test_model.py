@@ -37,7 +37,7 @@ VARIANTS = [
 
 def tiny_cfg(**kw):
     base = dict(
-        channels=2, seq_len=12, num_patches=4, patch_len=3, model_dim=3,
+        channels=2, seq_len=12, num_patches=4, model_dim=3,
         kernel_size=2, num_classes=5,
     )
     base.update(kw)
@@ -45,19 +45,16 @@ def tiny_cfg(**kw):
 
 
 def test_config_requires_exact_tiling():
-    with pytest.raises(ConfigError):
-        ModelConfig(
-            channels=1, seq_len=10, num_patches=3, patch_len=3, model_dim=2
-        )
+    with pytest.raises(ConfigError, match="window length 10 is not divisible into 3 patches"):
+        ModelConfig(channels=1, seq_len=10, num_patches=3, model_dim=2)
 
 
 def test_config_derived_blocks_and_dilations():
-    cfg = tiny_cfg(num_patches=4, seq_len=12, patch_len=3)
+    cfg = tiny_cfg(num_patches=4, seq_len=12)
+    assert cfg.patch_len == 3
     assert cfg.num_blocks == 2
     assert cfg.dilations == (1, 2)
-    one = ModelConfig(
-        channels=1, seq_len=3, num_patches=1, patch_len=3, model_dim=2
-    )
+    one = ModelConfig(channels=1, seq_len=3, num_patches=1, model_dim=2)
     assert one.num_blocks == 1  # floor keeps a temporal stage even for N=1
     assert one.dilations == (1,)
 
@@ -97,7 +94,7 @@ def test_derive_config_indivisible_names_sizes():
 
 def test_embed_patches_identity_projection():
     cfg = ModelConfig(
-        channels=1, seq_len=4, num_patches=2, patch_len=2, model_dim=2
+        channels=1, seq_len=4, num_patches=2, model_dim=2
     )
     out = embed_patches(
         Tensor([[1.0, 2.0, 3.0, 4.0]]), cfg, Tensor(np.eye(2)), Tensor(np.zeros(2))
@@ -118,7 +115,7 @@ def test_embed_patches_zero_input():
 def test_embed_patches_flattens_channel_major():
     # patch j must read as [ch0 samples..., ch1 samples...]
     cfg = ModelConfig(
-        channels=2, seq_len=4, num_patches=2, patch_len=2, model_dim=4
+        channels=2, seq_len=4, num_patches=2, model_dim=4
     )
     x = np.array([[1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0]])
     out = embed_patches(Tensor(x), cfg, Tensor(np.eye(4)), Tensor(np.zeros(4)))

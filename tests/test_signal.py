@@ -45,10 +45,10 @@ def test_filter_params_validation():
      "sample_rate_hz must be positive, got nan"),
     (lambda: butterworth_lowpass(np.zeros((2, 0)), FilterParams()), DataError,
      "cannot filter an empty series"),
-    (lambda: SegmentSet(np.zeros((2, 3)), *[np.zeros(2)] * 3, 2000.0, 200), DataError,
+    (lambda: SegmentSet(np.zeros((2, 3)), *[np.zeros(2)] * 3, 2000.0), DataError,
      r"segment data must be M x C x L, got \(2, 3\)"),
     (lambda: SegmentSet(np.zeros((2, 1, 3)), np.zeros(2), np.zeros(3), np.zeros(2),
-                        2000.0, 200), DataError,
+                        2000.0), DataError,
      r"subjects must have one entry per segment \(2\), got \(3,\)"),
 ], ids=["inf-rate", "nan-rate", "empty-series", "not-3d", "short-column"])
 def test_signal_types_refuse_malformed_input(build, error, words):
