@@ -563,7 +563,9 @@ def generate_synthetic(
     frequency, harmonic mix, per-channel amplitude profile); spans get
     per-repetition phase, gain jitter and noise from the seeded
     generator. Layout mirrors an acquisition protocol: for each gesture,
-    ``reps`` repetitions of rest followed by the active span.
+    ``reps`` repetitions of rest followed by the active span. Every
+    class's third harmonic lies below the Nyquist frequency, so at most
+    51 classes fit at 2 kHz.
 
     Subjects are filled on a thread pool of up to the usable cores, each
     with its own seeded generator, so the bytes do not depend on the
@@ -579,6 +581,15 @@ def generate_synthetic(
         raise ConfigError(f"repetitions must lie in 1..6, got {reps}")
     if not (sample_rate_hz > 0 and np.isfinite(sample_rate_hz)):
         raise ConfigError(f"sample rate must be positive and finite, got {sample_rate_hz}")
+    # class g's third harmonic reaches 3 (22 + 6 g + 1.5) Hz (_class_signature);
+    # at or above the Nyquist frequency it would alias onto another class
+    fits = math.floor((sample_rate_hz / 6 - 23.5) / 6)
+    if classes > fits:
+        raise ConfigError(
+            f"{classes} classes alias at {sample_rate_hz:g} Hz: class {classes}'s third "
+            f"harmonic reaches {3 * (23.5 + 6 * classes):g} Hz, above the Nyquist "
+            f"frequency {sample_rate_hz / 2:g} Hz; at most {max(fits, 0)} classes fit"
+        )
     for name, seconds in (("gesture", gesture_seconds), ("rest", rest_seconds)):
         if not (seconds >= 0 and np.isfinite(seconds)):
             raise ConfigError(
@@ -600,6 +611,14 @@ def generate_synthetic(
 
     signatures = [_class_signature(g, channels) for g in range(1, classes + 1)]
     t_active = np.arange(active_n) / sample_rate_hz
+    # each span's wave is sum_h w_h gain amp sin(a_h + b_h), a_h = 2 pi f h t
+    # and b_h = h (phase + span phase), formed as sin a cos b + cos a sin b;
+    # so sin a_h and cos a_h are computed once per class, and each span
+    # takes 6 multiply-adds (elementwise, so no BLAS build moves a byte)
+    harmonics, bases = np.arange(1, 4), []
+    for _, base_hz, _, _ in signatures:
+        angles = [2.0 * np.pi * base_hz * h * t_active for h in harmonics]
+        bases.append([np.sin(a) for a in angles] + [np.cos(a) for a in angles])
     total = classes * reps * (rest_n + active_n)
     # allocated here, not in the workers: glibc keeps what a thread's arena frees
     arrays = [
@@ -613,9 +632,10 @@ def generate_synthetic(
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((seed, 5150, subj)))
         )
+        wave, term = np.empty((channels, active_n)), np.empty((channels, active_n))
         pos = 0
         for g in range(1, classes + 1):
-            amplitude, base_hz, weights, phase = signatures[g - 1]
+            amplitude, _, weights, phase = signatures[g - 1]
             for rep in range(1, reps + 1):
                 data[:, pos : pos + rest_n] = rng.normal(
                     scale=0.01, size=(channels, rest_n)
@@ -623,14 +643,12 @@ def generate_synthetic(
                 pos += rest_n
                 span_phase = rng.uniform(0.0, 2.0 * np.pi)
                 gain = rng.uniform(0.9, 1.1)
-                wave = np.zeros((channels, active_n))
-                for h, wgt in enumerate(weights, start=1):
-                    angle = (
-                        2.0 * np.pi * base_hz * h * t_active
-                        + h * (phase[:, None] + span_phase)
-                    )
-                    wave += wgt * np.sin(angle)
-                wave *= gain * amplitude[:, None]
+                shift = np.multiply.outer(harmonics, phase + span_phase)
+                scale = np.multiply.outer(weights, gain * amplitude)
+                rows = np.concatenate([scale * np.cos(shift), scale * np.sin(shift)])
+                wave.fill(0.0)
+                for row, basis in zip(rows, bases[g - 1]):
+                    wave += np.multiply(row[:, None], basis, out=term)
                 wave += rng.normal(scale=0.05, size=(channels, active_n))
                 data[:, pos : pos + active_n] = wave
                 gesture[pos : pos + active_n] = g

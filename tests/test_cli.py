@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -380,6 +381,8 @@ def test_synth_bad_span_seconds_exit_2(tmp_path, capsys):
     (["--num-classes", 70000], "65535"),
     (["--sample-rate-hz", 1e300], "numpy can index"),
     (["--sample-rate-hz", 1e308, "--gesture-seconds", 10], "numpy can index"),
+    (["--num-classes", 60], "at most 51 classes fit"),
+    (["--num-classes", 2, "--sample-rate-hz", 100], "at most 0 classes fit"),
 ])
 def test_synth_output_it_cannot_write_exits_2(tmp_path, capsys, argv, words):
     out = tmp_path / "s"
@@ -404,10 +407,14 @@ def test_synth_beyond_numpy_names_the_samples_of_a_subject(tmp_path, capsys):
 
 
 def test_synth_out_of_memory_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
-    def sin(*args, **kwargs):
+    empty = np.empty
+
+    def empty_in_main_thread(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            return empty(*args, **kwargs)
         raise MemoryError("cannot allocate the wave")
 
-    monkeypatch.setattr(np, "sin", sin)
+    monkeypatch.setattr(np, "empty", empty_in_main_thread)
     out = tmp_path / "s"
     code = run([
         "synth", "--out-dir", out, "--subjects", 3, "--num-classes", 2, "--reps", 1,

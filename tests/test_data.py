@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -789,14 +790,79 @@ def test_generate_synthetic_bytes_do_not_depend_on_the_worker_count(monkeypatch,
 
 def test_generate_synthetic_worker_error_reaches_the_caller(monkeypatch):
     err = MemoryError("cannot allocate the wave")
+    empty, raised_in = np.empty, []
 
-    def sin(*args, **kwargs):
+    def empty_in_main_thread(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            return empty(*args, **kwargs)
+        raised_in.append(threading.current_thread())
         raise err
 
-    monkeypatch.setattr(np, "sin", sin)
+    monkeypatch.setattr(np, "empty", empty_in_main_thread)
     with pytest.raises(MemoryError) as info:
         generate_synthetic(subjects=3, **_SYNTH_ARGS)
     assert info.value is err
+    assert raised_in  # from inside a worker thread
+
+
+def _reference_subject(classes, reps, seed, channels, sample_rate_hz,
+                       gesture_seconds, rest_seconds):
+    """Subject 1's samples, gesture and repetition ids as the generator
+    wrote them with one np.sin per harmonic and span: the reference the
+    sum-of-angles form is held to."""
+    active_n = int(round(gesture_seconds * sample_rate_hz))
+    rest_n = int(round(rest_seconds * sample_rate_hz))
+    t_active = np.arange(active_n) / sample_rate_hz
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 5150, 0))))
+    parts, gesture, repetition = [], [], []
+    for g in range(1, classes + 1):
+        amplitude, base_hz, weights, phase = data_module._class_signature(g, channels)
+        for rep in range(1, reps + 1):
+            parts.append(rng.normal(scale=0.01, size=(channels, rest_n)))
+            span_phase = rng.uniform(0.0, 2.0 * np.pi)
+            gain = rng.uniform(0.9, 1.1)
+            wave = np.zeros((channels, active_n))
+            for h, wgt in enumerate(weights, start=1):
+                angle = (2.0 * np.pi * base_hz * h * t_active
+                         + h * (phase[:, None] + span_phase))
+                wave += wgt * np.sin(angle)
+            wave *= gain * amplitude[:, None]
+            wave += rng.normal(scale=0.05, size=(channels, active_n))
+            parts.append(wave)
+            gesture += [0] * rest_n + [g] * active_n
+            repetition += [0] * rest_n + [rep] * active_n
+    return (np.concatenate(parts, axis=1).astype(np.float32),
+            np.array(gesture, dtype=np.uint16), np.array(repetition, dtype=np.uint16))
+
+
+@pytest.mark.parametrize("seed, gesture_seconds, rest_seconds", [
+    (0, 1.0, 0.25),
+    (1, 5.0, 3.0),
+], ids=["default", "db2"])
+def test_generate_synthetic_stays_within_one_float32_rounding_of_the_sine_loop(
+        seed, gesture_seconds, rest_seconds):
+    args = dict(classes=17, reps=6, seed=seed, channels=12, sample_rate_hz=2000.0,
+                gesture_seconds=gesture_seconds, rest_seconds=rest_seconds)
+    (rec,) = generate_synthetic(subjects=1, **args)
+    data, gesture, repetition = _reference_subject(**args)
+    assert rec.gesture.tobytes() == gesture.tobytes()
+    assert rec.repetition.tobytes() == repetition.tobytes()
+    rest = gesture == 0
+    assert rec.data[:, rest].tobytes() == data[:, rest].tobytes()
+    # absolute: near a zero crossing one rounding of the float64 sum is
+    # many float32 ulps of the sample
+    moved = np.abs(rec.data[:, ~rest].astype(np.float64) - data[:, ~rest])
+    assert moved.max() <= 2.0**-23
+
+
+@pytest.mark.parametrize("rate, fits", [(2000.0, 51), (800.0, 18), (300.0, 4), (100.0, 0)])
+def test_generate_synthetic_refuses_classes_that_alias(rate, fits):
+    if fits >= 2:
+        generate_synthetic(subjects=1, classes=fits, reps=1, channels=1,
+                           sample_rate_hz=rate, gesture_seconds=0.01, rest_seconds=0)
+    with pytest.raises(ConfigError, match=f"; at most {fits} classes fit$"):
+        generate_synthetic(subjects=1, classes=max(fits + 1, 2), reps=1,
+                           sample_rate_hz=rate, gesture_seconds=0.01, rest_seconds=0)
 
 
 def test_generate_synthetic_layout():
