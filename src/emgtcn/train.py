@@ -268,7 +268,7 @@ def make_checkpoint(
 
 
 def restore_model(ckpt: Checkpoint) -> AttentionTcn:
-    """Rebuild the model of a checkpoint as an inference model.
+    """Copy a loaded checkpoint's weights into a new inference model.
 
     Every parameter comes back with ``requires_grad=False``, so a forward
     pass records no graph and keeps no activations for backward. The
@@ -278,42 +278,20 @@ def restore_model(ckpt: Checkpoint) -> AttentionTcn:
     ``train``'s default) makes them trainable again.
     """
     model = AttentionTcn(ckpt.config, seed=0)
-    params = model.named_parameters()
-    _check_group("w", ckpt.weights, params)
-    for name, p in params.items():
+    for name, p in model.named_parameters().items():
         p.data = np.array(ckpt.weights[name], dtype=np.float64, order="C")
         p.requires_grad = False
     return model
 
 
 def restore_optimizer(ckpt: Checkpoint, model: AttentionTcn) -> Adam:
+    """Adam over ``model`` with a loaded checkpoint's lr, step and moments."""
     opt = Adam(model.named_parameters(), lr=ckpt.opt["lr"])
     opt.step_count = int(ckpt.opt["step"])
-    for group, saved, views in (("m", ckpt.m, opt.m), ("v", ckpt.v, opt.v)):
-        _check_group(group, saved, views)
+    for saved, views in ((ckpt.m, opt.m), (ckpt.v, opt.v)):
         for name, view in views.items():
             view[...] = saved[name]
     return opt
-
-
-def _check_group(group: str, saved: dict, expected: dict):
-    """Refuse a checkpoint group (``w``, ``m`` or ``v``) unless it holds
-    exactly the model's parameter names, each in the expected shape;
-    ``expected`` maps names to arrays or tensors of that shape."""
-    missing = sorted(set(expected) - set(saved))
-    if missing:
-        raise FormatError(f"checkpoint is missing entry '{group}/{missing[0]}'")
-    unknown = sorted(set(saved) - set(expected))
-    if unknown:
-        raise FormatError(
-            f"checkpoint entry '{group}/{unknown[0]}' is not a model parameter"
-        )
-    for name, want in expected.items():
-        if saved[name].shape != want.shape:
-            raise FormatError(
-                f"checkpoint entry '{group}/{name}' has shape "
-                f"{saved[name].shape}, expected {want.shape}"
-            )
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
@@ -334,8 +312,9 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a TCHG file. Its arrays are views over a private
-    copy-on-write map of the file; the restorers copy them."""
+    """Read a TCHG file and judge all of it, so the restorers only copy: groups
+    ``w``, ``m`` and ``v`` each hold exactly ``AttentionTcn(config)``'s parameters
+    in their shapes. The arrays are views over a private copy-on-write map of the file."""
     meta, arrays = _read_file(path, _MAGIC, "checkpoint", {f"{g}/*": "<f8" for g in _GROUPS},
                               {"config": dict, "epoch": int, "opt": dict, "rng": object})
     config, epoch, opt, rng_state = (meta[k] for k in ("config", "epoch", "opt", "rng"))
@@ -369,4 +348,14 @@ def load_checkpoint(path) -> Checkpoint:
         if group == "v" and (value < 0).any():
             raise FormatError(f"checkpoint entry {name!r} holds a negative second moment")
         groups[group][param] = value
+    shapes = {name: p.shape for name, p in AttentionTcn(config).named_parameters().items()}
+    for group, saved in groups.items():
+        if missing := sorted(shapes.keys() - saved.keys()):
+            raise FormatError(f"checkpoint is missing entry '{group}/{missing[0]}'")
+        if unknown := sorted(saved.keys() - shapes.keys()):
+            raise FormatError(f"checkpoint entry '{group}/{unknown[0]}' is not a model parameter")
+        for name, shape in shapes.items():
+            if saved[name].shape != shape:
+                raise FormatError(f"checkpoint entry '{group}/{name}' has shape "
+                                  f"{saved[name].shape}, expected {shape}")
     return Checkpoint(config, epoch, *groups.values(), opt=opt, rng_state=rng_state)

@@ -1,6 +1,7 @@
 """Every committed ``BENCH_*.json`` (written by ``tools/bench_pair.py``)
 parses, names both commits, and holds a summary that recomputes from its
-pairs. The tool itself is not run here: ten pairs take minutes."""
+pairs; an A/A file (``BENCH_*_aa*.json``) runs one committed tree on both
+sides. The tool itself is not run here: ten pairs take minutes."""
 
 import importlib.util
 import json
@@ -37,6 +38,15 @@ def test_bench_file_names_two_commits_and_recomputes_from_its_pairs(path):
         for side in ("base", "change"):
             values = [p[side]["metrics"][name] for p in pairs]
             assert entry[side]["median"] == statistics.median(values), (name, side)
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*_aa*.json")), ids=lambda p: p.name)
+def test_aa_file_runs_one_committed_tree_on_both_sides(path):
+    bench = json.loads(path.read_text())
+    base, change = bench["base"], bench["change"]
+    assert base["commit"] == change["commit"]
+    assert base["src_sha256"] == change["src_sha256"]
+    assert change["src_differs_from_commit"] is False
 
 
 def test_summary_counts_wins_in_each_metric_direction():

@@ -701,6 +701,31 @@ def test_eval_of_a_checkpoint_with_a_nan_weight_exits_4(pipeline, tmp_path, caps
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("doctor, words", [
+    (lambda c: c.m.pop("attn.wq"), "checkpoint is missing entry 'm/attn.wq'"),
+    (lambda c: c.v.update({"no.such": np.ones(1)}),
+     "checkpoint entry 'v/no.such' is not a model parameter"),
+    (lambda c: c.m.update({"head.b": np.ones(1)}),
+     "checkpoint entry 'm/head.b' has shape (1,), expected (3,)"),
+    (lambda c: (c.m.clear(), c.v.clear()), "checkpoint is missing entry 'm/attn.bk'"),
+], ids=["missing-m", "unknown-v", "misshaped-m", "no-moments"])
+def test_eval_of_a_checkpoint_whose_moments_do_not_fit_its_model_exits_4(
+    pipeline, tmp_path, capsys, doctor, words
+):
+    """A checkpoint that no run could resume from is refused by eval too."""
+    ckpt = tr.load_checkpoint(pipeline["ckpt"])
+    doctor(ckpt)
+    bad = tmp_path / "bad.ckpt"
+    tr.save_checkpoint(bad, ckpt)
+    out_dir = tmp_path / "reports"
+    assert run(["eval", bad, pipeline["segs"], "--out-dir", out_dir]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert words in lines[0], lines
+    assert not out_dir.exists()
+
+
 def test_eval_scores_subjects_across_a_chunk_boundary(tmp_path, capsys):
     # three held-out subjects of 150 windows: subject 2 straddles the
     # 256-window chunk boundary of eval's one scoring pass

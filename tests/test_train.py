@@ -548,6 +548,8 @@ def test_resume_matches_uninterrupted_run(tmp_path):
 
 
 def test_restore_optimizer_rejects_mismatched_moments(tmp_path):
+    """Moments that do not fit the model are refused when the file is
+    read, before any restorer runs."""
     model = tiny_model(seed=4)
     opt = Adam(model.named_parameters(), lr=1e-3)
     path = tmp_path / "good.tchg"
@@ -564,9 +566,8 @@ def test_restore_optimizer_rejects_mismatched_moments(tmp_path):
                         (unknown, "m/no.such")):
         doctored = tmp_path / "doctored.tchg"
         save_checkpoint(doctored, ckpt)
-        loaded = load_checkpoint(doctored)
         with pytest.raises(FormatError) as err:
-            restore_optimizer(loaded, restore_model(loaded))
+            load_checkpoint(doctored)
         assert entry in str(err.value)
 
 
