@@ -15,6 +15,7 @@ problems, 3 numerical failures, 4 file format or I/O problems.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -176,41 +177,69 @@ def _check_out_dir(out_dir, outputs, inputs):
 
 
 def _cmd_preprocess(args, cfg):
+    """Two passes over the inputs, so that no more than one recording's
+    samples are conditioned at a time. The first reads each input, makes
+    every refusal, and finds each window's start and columns, which fix
+    the file's head; the second reads each input again, conditions it
+    and writes its windows straight out of the conditioned buffer."""
     mu = sig.MuLawParams(mu=cfg.mu)
     _check_outputs([args.out], args.inputs)
-    parts = []
+    parts, plan = [], []
     for index, path in enumerate(args.inputs, start=1):
-        try:
-            segs = _segment_input(path, index, cfg, mu)
-        except EmgTcnError as err:
-            # CSV reader errors already lead with their path
-            if str(err).startswith(f"{path}:"):
-                raise
-            raise type(err)(f"{path}: {err}") from None
+        with _naming(path):
+            rec, filt, seg_len, stride = _read_input(path, index, cfg)
+            if not rec.data.size:  # conditioning refuses it: do so in this pass
+                sig.preprocess(rec.data, filt, mu)
+            starts, segs = sig.segment_index(rec, seg_len, stride)
+        shape = rec.data.shape
+        del rec  # so that no input stays mapped through the second pass
         _note(f"{path}: {len(segs)} segments from subject {index}")
         parts.append(segs)
+        plan.append((path, index, starts, shape))
     labels = np.concatenate([p.labels for p in parts])
     classes, counts = np.unique(labels, return_counts=True)
     for cls, count in zip(classes, counts):
         _note(f"  class {cls}: {count} segments")
-    dio.write_segments(args.out, *parts)
+
+    def windows():
+        for (path, index, starts, shape), segs in zip(plan, parts):
+            with _naming(path):
+                rec, filt, _, _ = _read_input(path, index, cfg)
+                if rec.data.shape != shape:
+                    raise DataError(f"changed while being read: {shape} samples, then "
+                                    f"{rec.data.shape}")
+                processed = sig.preprocess(rec.data, filt, mu)
+            yield from sig.window_blocks(processed, starts, segs.seg_len)
+            del processed  # before the next recording is conditioned
+
+    dio.write_segments(args.out, *parts, windows=windows())
     _emit(segments=args.out, count=len(labels), classes=len(classes))
 
 
-def _segment_input(path, subject: int, cfg, mu: sig.MuLawParams):
-    """Read one recording, then filter it at its own sample rate and cut
-    it into windows. Only a CSV takes its rate from the settings."""
+@contextlib.contextmanager
+def _naming(path):
+    """Lead the message of an error raised in the block with ``path``;
+    the CSV reader's errors already lead with it."""
+    try:
+        yield
+    except EmgTcnError as err:
+        if str(err).startswith(f"{path}:"):
+            raise
+        raise type(err)(f"{path}: {err}") from None
+
+
+def _read_input(path, subject: int, cfg) -> tuple:
+    """Read one recording; return it with the filter, window and stride
+    at its own sample rate. Only a CSV takes its rate from the settings."""
     if str(path).endswith(".csv"):
         rec = dio.read_annotated_csv(
             path, sample_rate_hz=cfg.sample_rate_hz, subject=subject
         )
     else:
         rec = dio.read_recording(path, subject=subject)
-    # refuse a bad duration before conditioning
-    sig.window_samples(cfg.window_ms, cfg.stride_ms, float(rec.sample_rate_hz))
+    seg_len, stride = sig.window_samples(cfg.window_ms, cfg.stride_ms, float(rec.sample_rate_hz))
     filt = sig.FilterParams(cutoff_hz=cfg.cutoff_hz, sample_rate_hz=rec.sample_rate_hz)
-    processed = rec.with_data(sig.preprocess(rec.data, filt, mu))
-    return sig.segment(processed, window_ms=cfg.window_ms, stride_ms=cfg.stride_ms)
+    return rec, filt, seg_len, stride
 
 
 def _read_side(path, cfg, side: str, num_classes: int):

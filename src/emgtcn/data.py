@@ -210,22 +210,29 @@ def _replacing(path):
 def _write_file(path, magic: bytes, meta: dict, arrays: dict):
     """Write one file of the layout in the module docstring, replacing
     ``path`` atomically (``_replacing``). ``arrays`` maps each name to
-    its dtype and a list of parts: one array of any shape, or several
-    stacked on their first axis, written in turn and never joined."""
-    index = []
-    for name, (dtype, parts) in arrays.items():
-        shape = list(parts[0].shape)
-        if len(parts) > 1:
-            shape[0] = sum(len(p) for p in parts)
-        index.append([name, dtype, shape])
+    its dtype, its shape and its parts: arrays stacked on their first
+    axis that fill the shape, written in turn and never joined. The
+    parts may be produced only as they are written (an iterator); parts
+    that hold more or fewer values than the shape are refused, and then
+    nothing is written."""
+    index = [[name, dtype, list(shape)] for name, (dtype, shape, _) in arrays.items()]
     head = json.dumps({"arrays": index, "meta": meta}, sort_keys=True).encode()
     head += b" " * (-len(head) % 8)
     with _replacing(path) as fh:
         fh.write(magic + struct.pack("<IQ", _VERSION, len(head)) + head)
-        for dtype, parts in arrays.values():
+        for name, (dtype, shape, parts) in arrays.items():
             fh.write(bytes(-fh.tell() % 8))
+            count = 0
             for part in parts:
-                fh.write(np.ascontiguousarray(part, dtype=dtype))
+                part = np.ascontiguousarray(part, dtype=dtype)
+                fh.write(part)
+                count += part.size
+                del part  # freed before the next part is produced
+            if count != math.prod(shape):
+                raise DataError(
+                    f"{name} got {count} values from its parts; its shape "
+                    f"{tuple(shape)} holds {math.prod(shape)}"
+                )
 
 
 def _unique_keys(pairs) -> dict:
@@ -334,9 +341,9 @@ def write_recording(path, rec: Recording):
             raise DataError(f"sample {i} of channel ch{c + 1} ({float(rec.data[c, i])}) "
                             "is beyond the float32 range of the recording format")
     _write_file(path, _REC_MAGIC, {"sample_rate_hz": float(rec.sample_rate_hz)}, {
-        "samples": ("<f4", [samples]),
-        "gesture": ("<u2", [rec.gesture]),
-        "repetition": ("<u2", [rec.repetition]),
+        "samples": ("<f4", samples.shape, [samples]),
+        "gesture": ("<u2", rec.gesture.shape, [rec.gesture]),
+        "repetition": ("<u2", rec.repetition.shape, [rec.repetition]),
     })
 
 
@@ -416,7 +423,7 @@ def read_annotated_csv(path, sample_rate_hz: float, subject: int = 0) -> Recordi
     )
 
 
-def write_segments(path, *parts: SegmentSet):
+def write_segments(path, *parts: SegmentSet, windows=None):
     """Persist one or more SegmentSets as one SSEG file: the arrays
     ``SegmentSet.PER_WINDOW``, ``data`` as ``<f8`` (M x C x L) and the
     columns as ``<u2`` (M), and the meta ``sample_rate_hz``. The window
@@ -424,6 +431,13 @@ def write_segments(path, *parts: SegmentSet):
 
     Several parts give the bytes of ``concat_segments(parts)``: their
     windows are written in turn and never joined in memory.
+
+    ``windows``, when given, holds the parts' windows instead: an
+    iterable of k x C x L blocks that together are every part's windows
+    in turn, drawn only as the file is written, so they can be produced
+    then, one block at a time. The parts' ``data`` then gives only their
+    shape (``signal.segment_index`` makes such parts). Blocks that do
+    not add up to the parts' windows are refused.
 
     ``path`` is replaced atomically (``_replacing``), so windows that
     ``read_segments`` has mapped from the old file, even those being
@@ -437,9 +451,10 @@ def write_segments(path, *parts: SegmentSet):
     for name, arr in columns.items():
         if arr.size and (arr.min() < 0 or arr.max() > np.iinfo(np.uint16).max):
             raise DataError(f"{name} exceed the u16 range of the segment format")
+    shape = (len(columns["labels"]), *first.data.shape[1:])
     _write_file(path, _SEG_MAGIC, {"sample_rate_hz": float(first.sample_rate_hz)}, {
-        "data": ("<f8", [p.data for p in parts]),
-        **{name: ("<u2", [arr]) for name, arr in columns.items()},
+        "data": ("<f8", shape, [p.data for p in parts] if windows is None else windows),
+        **{name: ("<u2", arr.shape, [arr]) for name, arr in columns.items()},
     })
 
 

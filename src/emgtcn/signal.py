@@ -15,7 +15,7 @@ length, i.e. non-overlapping segments.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -32,6 +32,8 @@ __all__ = [
     "normalize_max_abs",
     "mu_law",
     "segment",
+    "segment_index",
+    "window_blocks",
     "preprocess",
     "ms_to_samples",
     "window_samples",
@@ -177,14 +179,25 @@ def segment(recording, window_ms: int, stride_ms: int | None = None) -> SegmentS
     a run of span samples the count is floor((span - L) / stride) + 1.
     Emitted labels are zero-based (gesture g -> class g-1).
     """
-    sample_rate_hz = float(recording.sample_rate_hz)
-    seg_len, stride = window_samples(window_ms, stride_ms, sample_rate_hz)
-
+    seg_len, stride = window_samples(window_ms, stride_ms, float(recording.sample_rate_hz))
     data = np.asarray(recording.data, dtype=np.float64)
+    starts, segs = segment_index(recording, seg_len, stride)
+    if len(starts):  # one gather from the (T - L + 1) x C x L view of every window
+        out = sliding_window_view(data, seg_len, axis=1).transpose(1, 0, 2)[starts]
+    else:
+        out = np.empty(segs.data.shape)
+    return replace(segs, data=out)
+
+
+def segment_index(recording, seg_len: int, stride: int) -> tuple:
+    """The windows of ``seg_len`` samples that ``segment`` cuts from
+    ``recording`` at ``stride``, without cutting them: (starts, segs),
+    the first sample of each window and a SegmentSet of their labels,
+    subjects and repetitions whose ``data`` is a read-only M x C x L
+    placeholder of zeros that holds no memory. Warns, as ``segment``
+    does, when the recording has active samples but no window fits."""
     gesture = np.asarray(recording.gesture)
     repetition = np.asarray(recording.repetition)
-    subject = int(getattr(recording, "subject", 0))
-
     # bounds of the maximal runs of constant (gesture, repetition)
     change = (gesture[1:] != gesture[:-1]) | (repetition[1:] != repetition[:-1])
     bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [len(gesture)]))
@@ -193,23 +206,33 @@ def segment(recording, window_ms: int, stride_ms: int | None = None) -> SegmentS
         for a, b in zip(bounds[:-1], bounds[1:]) if a < b and gesture[a]
     ])
     m = len(starts)
-    if m:  # one gather from the (T - L + 1) x C x L view of every window
-        out = sliding_window_view(data, seg_len, axis=1).transpose(1, 0, 2)[starts]
-    else:
-        if gesture.any():
-            warnings.warn(
-                f"window of {seg_len} samples exceeds every active gesture span; "
-                "no segments emitted",
-                stacklevel=2,
-            )
-        out = np.empty((0, data.shape[0], seg_len))
-    return SegmentSet(
-        data=out,
+    if not m and gesture.any():
+        warnings.warn(
+            f"window of {seg_len} samples exceeds every active gesture span; "
+            "no segments emitted",
+            stacklevel=3,
+        )
+    shape = (m, len(recording.data), seg_len)
+    return starts, SegmentSet(
+        data=np.broadcast_to(np.float64(0.0), shape),
         labels=gesture[starts].astype(np.int64) - 1,
-        subjects=np.full(m, subject, dtype=np.int64),
+        subjects=np.full(m, int(getattr(recording, "subject", 0)), dtype=np.int64),
         repetitions=repetition[starts].astype(np.int64),
-        sample_rate_hz=sample_rate_hz,
+        sample_rate_hz=float(recording.sample_rate_hz),
     )
+
+
+def window_blocks(data: np.ndarray, starts: np.ndarray, seg_len: int):
+    """Yield the windows of ``seg_len`` samples of ``data`` (C x T) that
+    begin at ``starts``, in order: ``segment``'s gather, in contiguous
+    k x C x L blocks of at most 1 MiB (or one window), so that a writer
+    can stream a recording's windows without ever holding them all."""
+    if not len(starts):
+        return
+    view = sliding_window_view(data, seg_len, axis=1).transpose(1, 0, 2)
+    per_block = max(1, (1 << 20) // view[0].nbytes)
+    for lo in range(0, len(starts), per_block):
+        yield view[starts[lo : lo + per_block]]
 
 
 def preprocess(

@@ -306,7 +306,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
             "rng": ckpt.rng_state}
     groups = zip(_GROUPS, (ckpt.weights, ckpt.m, ckpt.v))
     _write_file(path, _MAGIC, meta, {
-        f"{group}/{name}": ("<f8", [arr]) for group, arrays in groups
+        f"{group}/{name}": ("<f8", arr.shape, [arr]) for group, arrays in groups
         for name, arr in arrays.items()
     })
 

@@ -247,6 +247,173 @@ def test_preprocess_and_train_hold_the_windows_about_once(tmp_path):
     assert peak <= 1.85 * size, peak / size
 
 
+def test_preprocess_peak_does_not_grow_with_the_corpus(tmp_path):
+    # each subject's windows at a 100 ms stride are about 8.3 MB; only one
+    # recording is conditioned at a time, so 6 subjects peak as 2 do
+    assert run([
+        "synth", "--out-dir", tmp_path / "raw", "--subjects", 6,
+        "--num-classes", 4, "--reps", 6, "--seed", 3,
+    ]) == 0
+    inputs = sorted((tmp_path / "raw").iterdir())
+    peaks = {}
+    for n in (2, 6):
+        code, peaks[n] = _peak_bytes([
+            "preprocess", *inputs[:n], "--out", tmp_path / f"s{n}.sseg", "--stride-ms", 100,
+        ])
+        assert code == 0
+    assert max(peaks.values()) <= 1.1 * min(peaks.values()), peaks
+    size = (tmp_path / "s6.sseg").stat().st_size
+    assert peaks[6] < 0.35 * size, peaks[6] / size
+
+
+def _write_annotated_csv(path, rec):
+    """``rec`` in the CSV bridge format; its float32 samples read back exactly."""
+    header = [f"ch{c + 1}" for c in range(rec.channels)] + ["gesture", "repetition"]
+    rows = [",".join(map(repr, map(float, col))) + f",{g},{r}"
+            for col, g, r in zip(rec.data.T, rec.gesture, rec.repetition)]
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
+
+
+def test_streamed_segment_file_equals_the_segments_written_whole(tmp_path):
+    # a SEMG, a SEMG whose 150 ms spans hold no 200 ms window, and a CSV
+    synth = ["synth", "--subjects", 1, "--num-classes", 3, "--reps", 2,
+             "--channels", 3, "--rest-seconds", 0.1]
+    for name, seconds, seed in (("a", 0.5, 1), ("short", 0.15, 2), ("c", 0.6, 3)):
+        assert run([*synth, "--out-dir", tmp_path / name,
+                    "--gesture-seconds", seconds, "--seed", seed]) == 0
+    _write_annotated_csv(tmp_path / "c.csv", dio.read_recording(tmp_path / "c" / "subject01.semg"))
+    inputs = ["a/subject01.semg", "short/subject01.semg", "c.csv"]
+    proc = _run_module(["preprocess", *inputs, "--out", "s.sseg", "--stride-ms", 100], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+    recs = [dio.read_recording(tmp_path / path, subject=i)
+            for i, path in enumerate(inputs[:2], start=1)]
+    recs.append(dio.read_annotated_csv(tmp_path / inputs[2], 2000.0, subject=3))
+    with pytest.warns(UserWarning, match="no segments emitted"):
+        parts = [signal.segment(r.with_data(signal.preprocess(r.data)), 200, 100)
+                 for r in recs]
+    dio.write_segments(tmp_path / "whole.sseg", *parts)
+    assert (tmp_path / "s.sseg").read_bytes() == (tmp_path / "whole.sseg").read_bytes()
+
+    labels = np.concatenate([p.labels for p in parts])
+    classes, counts = np.unique(labels, return_counts=True)
+    assert proc.stdout == f"segments=s.sseg count={len(labels)} classes={len(classes)}\n"
+    assert proc.stderr.splitlines() == [
+        f"{inputs[0]}: {len(parts[0])} segments from subject 1",
+        "warning: window of 400 samples exceeds every active gesture span; "
+        "no segments emitted",
+        f"{inputs[1]}: 0 segments from subject 2",
+        f"{inputs[2]}: {len(parts[2])} segments from subject 3",
+        *(f"  class {cls}: {count} segments" for cls, count in zip(classes, counts)),
+    ]
+
+
+def _counting_preprocess(monkeypatch) -> list:
+    """Count the recordings conditioned from here on."""
+    calls, conditioned = [], signal.preprocess
+    monkeypatch.setattr(signal, "preprocess",
+                        lambda *args, **kw: calls.append(1) or conditioned(*args, **kw))
+    return calls
+
+
+def test_preprocess_refuses_in_input_order_and_keeps_the_old_file(
+    tmp_path, capsys, monkeypatch
+):
+    assert run(["synth", "--out-dir", tmp_path / "raw", "--subjects", 2, "--num-classes", 2,
+                "--reps", 2, "--channels", 2, "--gesture-seconds", 0.3]) == 0
+    good, other = sorted((tmp_path / "raw").iterdir())
+    raw = bytearray(other.read_bytes())
+    at = array_offset(bytes(raw), "samples") + 4 * 7  # sample 7 of ch1
+    raw[at : at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    nonfinite, junk = tmp_path / "nonfinite.semg", tmp_path / "junk.semg"
+    nonfinite.write_bytes(bytes(raw))
+    junk.write_bytes(b"not a recording")
+    out = tmp_path / "out.sseg"
+    out.write_bytes(b"old segments")
+    calls = _counting_preprocess(monkeypatch)
+    capsys.readouterr()
+    code = run(["preprocess", good, nonfinite, junk, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    note, line = captured.err.splitlines()
+    assert note.startswith(f"{good}: ") and line.startswith("error: ")
+    assert line == f"error: {nonfinite}: sample 7 of channel ch1 is not finite (nan)"
+    assert str(junk) not in captured.err
+    assert calls == []  # refused before any recording was conditioned
+    assert out.read_bytes() == b"old segments"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_preprocess_refuses_an_empty_recording_before_reading_on(tmp_path, capsys):
+    # conditioning refuses it; the first pass does, ahead of the next input
+    empty, junk = tmp_path / "empty.semg", tmp_path / "junk.semg"
+    dio.write_recording(empty, dio.Recording(np.zeros((2, 0), dtype=np.float32), 2000.0,
+                                             np.zeros(0), np.zeros(0)))
+    junk.write_bytes(b"not a recording")
+    line = assert_one_error_line(
+        run(["preprocess", empty, junk, "--out", tmp_path / "x.sseg"]), capsys.readouterr()
+    )
+    assert line == f"error: {empty}: cannot filter an empty series"
+
+
+@pytest.mark.parametrize("change", [
+    lambda rec: dataclasses.replace(rec, data=rec.data[:1]),
+    lambda rec: dataclasses.replace(rec, sample_rate_hz=1000.0),
+], ids=["channels", "rate"])
+def test_preprocess_refuses_disagreeing_inputs_before_writing(
+    tmp_path, capsys, monkeypatch, change
+):
+    (rec,) = dio.generate_synthetic(1, classes=2, reps=2, channels=2, gesture_seconds=0.5,
+                                    rest_seconds=0.1)
+    inputs = [tmp_path / "a.semg", tmp_path / "b.semg"]
+    recs = [rec, change(rec)]
+    for path, r in zip(inputs, recs):
+        dio.write_recording(path, r)
+    parts = [signal.segment(r.with_data(signal.preprocess(
+        r.data, signal.FilterParams(sample_rate_hz=r.sample_rate_hz))), 200) for r in recs]
+    with pytest.raises(dio.DataError) as refused:
+        dio.write_segments(tmp_path / "whole.sseg", *parts)
+    out = tmp_path / "out.sseg"
+    out.write_bytes(b"old segments")
+    calls = _counting_preprocess(monkeypatch)
+    code = run(["preprocess", *inputs, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: {refused.value}"
+    assert calls == []
+    assert out.read_bytes() == b"old segments"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_preprocess_refuses_an_input_that_shrinks_between_passes(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    reads, read = [], dio.read_recording
+
+    def read_shorter_the_second_time(path, subject=0):
+        rec = read(path, subject)
+        reads.append(path)
+        if len(reads) == 1:
+            return rec
+        half = rec.num_samples // 2
+        return dataclasses.replace(rec, data=rec.data[:, :half],
+                                   gesture=rec.gesture[:half], repetition=rec.repetition[:half])
+
+    monkeypatch.setattr(dio, "read_recording", read_shorter_the_second_time)
+    out = tmp_path / "out.sseg"
+    out.write_bytes(b"old segments")
+    path = pipeline["inputs"][0]
+    code = run(["preprocess", path, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    t = read(path).num_samples
+    assert captured.err.splitlines()[-1] == (
+        f"error: {path}: changed while being read: (12, {t}) samples, then (12, {t // 2})"
+    )
+    assert out.read_bytes() == b"old segments"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_peak_rss_tool_reports_one_line(tmp_path):
     tool = Path(__file__).resolve().parent.parent / "tools" / "peak_rss.py"
     proc = subprocess.run(

@@ -626,6 +626,24 @@ def test_write_segments_parts_give_the_concatenated_file(tmp_path):
     assert several.read_bytes() == joined.read_bytes()
     read = read_segments(several)
     assert read.data.tobytes() == concat_segments(parts).data.tobytes()
+    # the same windows drawn one at a time, behind parts that give only shapes
+    streamed = tmp_path / "streamed.sseg"
+    shapes = [replace(p, data=np.broadcast_to(0.0, p.data.shape)) for p in parts]
+    write_segments(streamed, *shapes, windows=(w[None] for p in parts for w in p.data))
+    assert streamed.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize("drop, extra", [(1, 0), (0, 1)], ids=["short", "long"])
+def test_write_segments_refuses_windows_that_miss_the_shape(tmp_path, drop, extra):
+    segs = sample_segments(m=5, seed=2)
+    path = tmp_path / "x.sseg"
+    path.write_bytes(b"old")
+    blocks = [segs.data[:2], segs.data[2 : 5 - drop], segs.data[:extra]]
+    with pytest.raises(DataError, match=r"^data got \d+ values from its parts; "
+                                        r"its shape \(5, 2, 8\) holds 80$"):
+        write_segments(path, segs, windows=iter(blocks))
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.sseg"]
 
 
 def test_write_segments_refuses_what_concat_refuses(tmp_path):

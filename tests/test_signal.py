@@ -15,6 +15,8 @@ from emgtcn.signal import (
     normalize_max_abs,
     preprocess,
     segment,
+    segment_index,
+    window_blocks,
 )
 
 # ln(128.5)/ln(256) at 40 decimal digits, rounded to float64
@@ -295,7 +297,9 @@ def test_segment_matches_the_loop_oracle(runs, window, stride, channels, seed):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = segment(rec, window_ms=window, stride_ms=stride)
-    assert len(caught) == int(saw_active and not windows)
+        starts, index = segment_index(rec, window, stride)
+    # segment and segment_index warn alike
+    assert len(caught) == 2 * int(saw_active and not windows)
     want = np.stack(windows) if windows else np.empty((0, channels, window))
     assert out.data.shape == want.shape
     assert out.data.tobytes() == want.tobytes()
@@ -303,6 +307,27 @@ def test_segment_matches_the_loop_oracle(runs, window, stride, channels, seed):
     for col, expect in ((out.labels, labels), (out.repetitions, reps)):
         assert col.dtype == np.int64 and col.tolist() == expect
     assert out.subjects.dtype == np.int64 and out.subjects.tolist() == [4] * len(out)
+    # the index cuts nothing, and its starts give the same windows block by block
+    assert index.data.shape == want.shape and not any(index.data.strides)
+    for name in SegmentSet.PER_WINDOW[1:]:
+        assert getattr(index, name).tolist() == getattr(out, name).tolist()
+    blocks = list(window_blocks(rec.data, starts, window))
+    got = np.concatenate(blocks) if blocks else np.empty((0, channels, window))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_window_blocks_hold_at_most_1_mib():
+    # 64-byte windows at stride 1: 39993 from a 40000-sample run, more
+    # than two 1 MiB blocks hold, then 93 from a short run after rest
+    gesture = np.r_[np.ones(40000), np.zeros(50), np.full(100, 2)]
+    rec = FakeRecording(np.random.default_rng(8).normal(size=(1, len(gesture))),
+                        gesture, np.ones(len(gesture)), rate=1000.0)
+    starts, _ = segment_index(rec, 8, 1)
+    blocks = list(window_blocks(rec.data, starts, 8))
+    assert [len(b) for b in blocks] == [16384, 16384, 7318]
+    assert all(b.flags.c_contiguous and b.nbytes <= 1 << 20 for b in blocks)
+    got = np.concatenate(blocks)
+    assert got.tobytes() == segment(rec, window_ms=8, stride_ms=1).data.tobytes()
 
 
 def test_segment_allocates_only_its_windows():
