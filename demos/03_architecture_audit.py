@@ -3,7 +3,8 @@ Architecture geometry and parameter audit
 =========================================
 
 Derives the eight standard configurations, prints a per-stage parameter
-table, and demonstrates the causal receptive field of the dilated
+table counted in closed form from each configuration (no model is
+built), and demonstrates the causal receptive field of the dilated
 temporal-convolution stack.
 """
 
@@ -11,7 +12,6 @@ import numpy as np
 
 from emgtcn.model import (
     BASELINE_RECURRENT_PARAMS,
-    AttentionTcn,
     count_parameters,
     derive_config,
 )
@@ -24,7 +24,7 @@ for window_ms in (200, 300):
         if window_ms == 300 and n == 16:
             n = 15  # 600 samples split into 15 patches of 40
         cfg = derive_config(window_ms, n, d)
-        total, parts = count_parameters(AttentionTcn(cfg, seed=0))
+        total, parts = count_parameters(cfg)
         print(f"{window_ms:>5}ms {n:>3} {d:>3} {cfg.num_blocks:>2} "
               f"{parts['embedding']:>6} {parts['attention']:>5} "
               f"{parts['blocks']:>6} {parts['classifier']:>5} {total:>6} "

@@ -35,7 +35,9 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .model import BASELINE_RECURRENT_PARAMS, AttentionTcn, ModelConfig, count_parameters
+from .model import (
+    BASELINE_RECURRENT_PARAMS, AttentionTcn, ModelConfig, count_parameters, derive_config,
+)
 
 __all__ = ["main"]
 
@@ -258,20 +260,17 @@ def _read_side(path, cfg, side: str, num_classes: int):
     return segs
 
 
-def _model_config(cfg, seq_len: int, channels: int) -> ModelConfig:
-    return ModelConfig(
-        channels=channels, seq_len=seq_len, num_patches=cfg.num_patches,
-        model_dim=cfg.model_dim, kernel_size=cfg.kernel_size, num_classes=cfg.num_classes,
-    )
-
-
 def _cmd_train(args, cfg):
     train_cfg = tr.TrainConfig(
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, seed=cfg.seed,
     )
     _check_outputs([args.checkpoint, args.trace], [args.segments])
     train_set = _read_side(args.segments, cfg, "train", cfg.num_classes)
-    model_cfg = _model_config(cfg, train_set.seg_len, train_set.channels)
+    model_cfg = ModelConfig(
+        channels=train_set.channels, seq_len=train_set.seg_len,
+        num_patches=cfg.num_patches, model_dim=cfg.model_dim,
+        kernel_size=cfg.kernel_size, num_classes=cfg.num_classes,
+    )
     model = AttentionTcn(model_cfg, seed=cfg.seed)
     _note(
         f"training on {len(train_set)} segments "
@@ -324,10 +323,12 @@ def _predict(model: AttentionTcn, windows: np.ndarray, chunk: int = 256) -> np.n
 
 
 def _cmd_params(args, cfg):
-    seq_len = sig.ms_to_samples(cfg.window_ms, cfg.sample_rate_hz, "window_ms")
-    model_cfg = _model_config(cfg, seq_len, args.channels)
-    model = AttentionTcn(model_cfg, seed=0)
-    total, breakdown = count_parameters(model)
+    model_cfg = derive_config(
+        cfg.window_ms, cfg.num_patches, cfg.model_dim, channels=args.channels,
+        sample_rate_hz=cfg.sample_rate_hz, kernel_size=cfg.kernel_size,
+        num_classes=cfg.num_classes,
+    )
+    total, breakdown = count_parameters(model_cfg)
     _note(
         f"architecture: window {cfg.window_ms} ms, N={model_cfg.num_patches}, "
         f"D={model_cfg.model_dim}, Z={model_cfg.num_blocks}, "
@@ -485,11 +486,15 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv=None) -> int:
-    # a library warning reaches stderr as one line, without its source
+    # a library warning reaches stderr as one line, without its source, and
+    # each time it is raised (once per input, say), not once per line of
+    # code; other categories keep Python's filters
     saved_format, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
-        args = build_parser().parse_args(argv)
-        args.func(args, _load_run_config(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", UserWarning)
+            args = build_parser().parse_args(argv)
+            args.func(args, _load_run_config(args))
         return 0
     except NumericalError as err:
         _note(f"numerical failure: {err}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError
-from .signal import ms_to_samples
+from .signal import window_samples
 from .tensor import Tensor
 
 __all__ = [
@@ -94,13 +94,13 @@ def derive_config(
 ) -> ModelConfig:
     """Resolve a window length in milliseconds into a full ModelConfig.
 
-    The window converts to samples by the same rule ``signal.segment``
-    uses, so the model fits the windows that ``segment`` cuts at the
-    same length and rate.
+    The window converts to samples by ``signal.window_samples``, the rule
+    ``segment`` and ``preprocess`` use, so the model fits the windows cut
+    at the same length and rate, and refuses the windows they refuse.
     """
     return ModelConfig(
         channels=channels,
-        seq_len=ms_to_samples(window_ms, sample_rate_hz, "window_ms"),
+        seq_len=window_samples(window_ms, None, sample_rate_hz)[0],
         num_patches=num_patches,
         model_dim=model_dim,
         kernel_size=kernel_size,
@@ -221,8 +221,9 @@ class AttentionTcn:
         return T.linear(flat, self.head_weight, self.head_bias)
 
 
-def count_parameters(model: AttentionTcn) -> tuple:
-    """Closed-form audit of trainable scalars.
+def count_parameters(cfg: ModelConfig) -> tuple:
+    """Closed-form audit of the trainable scalars of a model built from
+    ``cfg``, without building it.
 
     Returns (total, breakdown) where the per-stage breakdown is
     embedding (C*P*D + D), attention (4 * (D^2 + D)), blocks
@@ -230,7 +231,6 @@ def count_parameters(model: AttentionTcn) -> tuple:
     num_classes). The total must equal brute-force enumeration of the
     weight buffers; the test suite holds this to exact equality.
     """
-    cfg = model.cfg
     c, p, d, k = cfg.channels, cfg.patch_len, cfg.model_dim, cfg.kernel_size
     n, z, classes = cfg.num_patches, cfg.num_blocks, cfg.num_classes
     breakdown = {

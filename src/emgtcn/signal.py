@@ -35,7 +35,6 @@ __all__ = [
     "segment_index",
     "window_blocks",
     "preprocess",
-    "ms_to_samples",
     "window_samples",
 ]
 
@@ -250,33 +249,27 @@ def preprocess(
     return mu_law(x, mu_params)
 
 
-def ms_to_samples(ms: int, rate_hz: float, name: str) -> int:
-    """Convert a duration to a sample count, refusing any duration that
-    is not a whole positive number of samples at ``rate_hz``."""
-    try:
-        exact = ms * rate_hz / 1000.0
-    except OverflowError:  # an int beyond any float
-        exact = np.inf
-    n = round(exact) if np.isfinite(exact) else 0
-    if abs(exact - n) > 1e-9 or n < 1:
-        raise ConfigError(
-            f"{name}={ms} is not a whole positive number of samples at {rate_hz} Hz"
-        )
-    return int(n)
-
-
 def window_samples(window_ms: int, stride_ms: int | None, rate_hz: float) -> tuple:
     """The window and the stride (by default the window) in samples at
-    ``rate_hz``. A duration must be a whole positive number of samples;
-    it and its count stay below 2**32, far beyond any real window."""
+    ``rate_hz``: the one rule by which a duration becomes a sample count.
+    A duration must be a whole positive number of samples; it and its
+    count stay below 2**32, far beyond any real window."""
     counts = []
     for name, ms in (("window_ms", window_ms), ("stride_ms", stride_ms)):
         ms = window_ms if ms is None else ms
-        n = ms_to_samples(ms, rate_hz, name)
+        try:
+            exact = ms * rate_hz / 1000.0
+        except OverflowError:  # an int beyond any float
+            exact = np.inf
+        n = round(exact) if np.isfinite(exact) else 0
+        if abs(exact - n) > 1e-9 or n < 1:
+            raise ConfigError(
+                f"{name}={ms} is not a whole positive number of samples at {rate_hz} Hz"
+            )
         if max(ms, n) >= 2**32:
             raise ConfigError(
                 f"{name}={ms} is {n:.6g} samples at {rate_hz} Hz; a duration and its "
                 "sample count must each be below 2**32"
             )
-        counts.append(n)
+        counts.append(int(n))
     return tuple(counts)

@@ -128,7 +128,7 @@ def test_criterion_4_parameter_audit(acceptance_gate):
     with acceptance_gate.criterion(4, "parameter audit for all eight variants"):
         for window_ms, n, d in VARIANTS:
             model = AttentionTcn(derive_config(window_ms, n, d), seed=0)
-            total, breakdown = count_parameters(model)
+            total, breakdown = count_parameters(model.cfg)
             enumerated = sum(
                 p.data.size for p in model.named_parameters().values()
             )

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from emgtcn import cli, data as dio, signal, stats, train as tr
 from emgtcn.cli import main
+from emgtcn.errors import ConfigError
 from emgtcn.model import AttentionTcn, derive_config
 from file_heads import (
     array_offset, file_bytes, head_of, huge_recording, with_head, with_meta,
@@ -696,6 +697,34 @@ def test_duration_beyond_the_segment_format_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window_ms, rate, words", [
+    (0, 2000.0, "window_ms=0 is not a whole positive number of samples at 2000.0 Hz"),
+    (200, 999.0, "window_ms=200 is not a whole positive number of samples at 999.0 Hz"),
+    (3 * 10**9, 2000.0, "window_ms=3000000000 is 6e+09 samples at 2000.0 Hz; a "
+                        "duration and its sample count must each be below 2**32"),
+], ids=["zero", "not-whole", "2**32-samples"])
+def test_model_params_and_preprocess_refuse_a_window_alike(
+    pipeline, tmp_path, capsys, window_ms, rate, words
+):
+    with pytest.raises(ConfigError) as err:
+        derive_config(window_ms, 10, 12, sample_rate_hz=rate)
+    assert str(err.value) == words
+    line = assert_one_error_line(
+        run(["params", "--window-ms", window_ms, "--sample-rate-hz", rate]),
+        capsys.readouterr(),
+    )
+    assert line == f"error: {words}", line
+    path, out = tmp_path / "rec.semg", tmp_path / "x.sseg"
+    rec = dio.read_recording(pipeline["inputs"][0])
+    dio.write_recording(path, dataclasses.replace(rec, sample_rate_hz=rate))
+    line = assert_one_error_line(
+        run(["preprocess", path, "--out", out, "--window-ms", window_ms]),
+        capsys.readouterr(),
+    )
+    assert line == f"error: {path}: {words}", line
+    assert not out.exists()
+
+
 def test_module_entry_point_error_is_one_line(tmp_path):
     # `python -m emgtcn` runs the CLI without the installed script and
     # without runpy's "found in sys.modules" warning ahead of the message
@@ -745,6 +774,26 @@ def test_library_warnings_are_one_stderr_line(tmp_path):
         assert len(warned) == 1 and text in warned[0], proc.stderr
         # no "<file>.py:<line>: UserWarning:" prefix, so no echoed source line
         assert ".py:" not in proc.stderr and "UserWarning" not in proc.stderr
+
+
+def test_every_input_without_windows_warns(tmp_path):
+    # one warning per input, though each comes from the same line of code
+    # with the same text; run as a module, since pytest sets its own filters
+    assert _run_module([
+        "synth", "--out-dir", "raw", "--subjects", 3, "--num-classes", 2,
+        "--reps", 1, "--gesture-seconds", 0.1,
+    ], tmp_path).returncode == 0
+    inputs = [f"raw/subject0{i}.semg" for i in (1, 2, 3)]
+    proc = _run_module(["preprocess", *inputs, "--out", "s.sseg"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "segments=s.sseg count=0 classes=0\n"
+    assert proc.stderr.splitlines() == [
+        line for i, path in enumerate(inputs, start=1) for line in (
+            "warning: window of 400 samples exceeds every active gesture span; "
+            "no segments emitted",
+            f"{path}: 0 segments from subject {i}",
+        )
+    ]
 
 
 def test_help_lists_exactly_the_read_settings(capsys):
@@ -1109,6 +1158,15 @@ def test_largest_published_geometry_accepted(capsys):
     assert float(fields["ratio"]) > 10.0
 
 
+def test_params_counts_a_config_without_building_it(capsys):
+    # a 2e6 ms window gives a patch projection of 57.6M weights (460 MB
+    # as float64), which a built model would allocate
+    code, peak = _peak_bytes(["params", "--window-ms", 2_000_000])
+    assert code == 0
+    assert int(machine_line(capsys)["total"]) == 57_606_245
+    assert peak < 5 * 10**6, peak
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"num_patches": 10, "model_dim": 12}))
@@ -1310,16 +1368,21 @@ def test_infinite_lr_exits_2(pipeline, tmp_path, capsys):
         assert not ckpt.exists()
 
 
-def test_out_of_memory_exits_2(capsys):
-    # a 2 EiB patch projection; numpy refuses it at once on any host
-    code = run(["params", "--window-ms", 10**15, "--num-patches", 1])
+def test_out_of_memory_exits_2(tmp_path, capsys):
+    # a 1.39 EiB time axis for one 1e14-second span, beyond any address
+    # space, so numpy refuses it at once on any host
+    code = run([
+        "synth", "--out-dir", tmp_path / "s", "--subjects", 1, "--num-classes", 2,
+        "--reps", 1, "--channels", 1, "--gesture-seconds", 1e14, "--rest-seconds", 0,
+    ])
     line = assert_one_error_line(code, capsys.readouterr())
     assert "memory" in line
 
 
 @pytest.mark.parametrize("argv", [
     ["--model-dim", 10**21],
-    ["--window-ms", 10**23, "--num-patches", 1],
+    # 2e9 samples, below 2**32, in one patch of D = 1e8
+    ["--window-ms", 10**9, "--num-patches", 1, "--model-dim", 10**8],
 ])
 def test_geometry_numpy_cannot_index_exits_2(argv, capsys):
     line = assert_one_error_line(run(["params", *argv]), capsys.readouterr())

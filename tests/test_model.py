@@ -307,7 +307,7 @@ def test_parameter_audit_all_variants(window_ms, n, d, reported):
     cfg = derive_config(window_ms, num_patches=n, model_dim=d)
     assert cfg.num_blocks == 4
     model = AttentionTcn(cfg, seed=0)
-    total, breakdown = count_parameters(model)
+    total, breakdown = count_parameters(model.cfg)
     enumerated = sum(p.data.size for p in model.named_parameters().values())
     assert total == enumerated
     assert sum(breakdown.values()) == total
@@ -318,8 +318,8 @@ def test_parameter_audit_all_variants(window_ms, n, d, reported):
 def test_parameter_count_grows_superlinearly_in_model_dim():
     base = derive_config(200, num_patches=10, model_dim=12)
     double = derive_config(200, num_patches=10, model_dim=24)
-    t1, _ = count_parameters(AttentionTcn(base, seed=0))
-    t2, _ = count_parameters(AttentionTcn(double, seed=0))
+    t1, _ = count_parameters(AttentionTcn(base, seed=0).cfg)
+    t2, _ = count_parameters(AttentionTcn(double, seed=0).cfg)
     assert t2 > 2 * t1
 
 
