@@ -94,16 +94,17 @@ _SETTINGS = (
 
 
 def _load_run_config(args) -> argparse.Namespace:
-    """The table's defaults, overlaid by the config file, then by the
-    flags. A command that takes --seed refuses a negative seed, naming
-    its source; an unset seed is 0. Each command checks the other
-    settings it reads by building its objects."""
+    """The table's defaults, overlaid by the config file (each value read
+    by its flag's parser, from the text the flag would be given: a list
+    joined by commas), then by the flags. A command that takes --seed
+    refuses a negative seed, naming its source; an unset seed is 0. Each
+    command checks the other settings it reads by building its objects."""
     kinds = {name: kind for name, _, kind, _, _, _ in _SETTINGS}
     cfg = {name: default for name, _, _, default, _, _ in _SETTINGS}
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, object_pairs_hook=dio._unique_keys)
         # also bytes that are not UTF-8, and nesting beyond the recursion limit
         except (ValueError, RecursionError) as err:
             raise ConfigError(f"{args.config}: not valid JSON ({err})") from None
@@ -115,10 +116,11 @@ def _load_run_config(args) -> argparse.Namespace:
                 f"{args.config}: unknown config keys {sorted(unknown)}"
             )
         for key, value in loaded.items():
-            _, want, fits = _KINDS[kinds[key]]
+            parse, want, fits = _KINDS[kinds[key]]
             if not fits(value):
                 raise ConfigError(f"{args.config}: {key} must be {want}, got {value!r}")
-        cfg.update(loaded)
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            cfg[key] = None if value is None else parse(text)
     for name in kinds:
         value = getattr(args, name, None)
         if value is not None:
@@ -239,7 +241,7 @@ def _read_input(path, subject: int, cfg) -> tuple:
         )
     else:
         rec = dio.read_recording(path, subject=subject)
-    seg_len, stride = sig.window_samples(cfg.window_ms, cfg.stride_ms, float(rec.sample_rate_hz))
+    seg_len, stride = sig.window_samples(cfg.window_ms, cfg.stride_ms, rec.sample_rate_hz)
     filt = sig.FilterParams(cutoff_hz=cfg.cutoff_hz, sample_rate_hz=rec.sample_rate_hz)
     return rec, filt, seg_len, stride
 

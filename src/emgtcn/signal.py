@@ -60,7 +60,8 @@ class FilterParams:
             raise ConfigError(
                 f"sample_rate_hz must be positive, got {self.sample_rate_hz!r}"
             )
-        if not (0 < self.cutoff_hz < self.sample_rate_hz / 2):
+        # butter's normalised cutoff, which underflows to 0 for a tiny one
+        if not (0 < 2 * self.cutoff_hz / self.sample_rate_hz < 1):
             raise ConfigError(
                 f"cutoff_hz must lie in (0, {self.sample_rate_hz / 2}) "
                 f"(below Nyquist), got {self.cutoff_hz!r}"

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -598,6 +599,13 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte order mark
     line = assert_one_error_line(run(["params", "--config", cfg]), capsys.readouterr())
     assert f"{cfg}: not valid JSON" in line, line
+
+
+def test_config_that_names_a_key_twice_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"window_ms": 300, "window_ms": 200}')
+    line = assert_one_error_line(run(["params", "--config", cfg]), capsys.readouterr())
+    assert line == f"error: {cfg}: not valid JSON (key 'window_ms' appears twice)", line
 
 
 def test_preprocess_csv_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -1362,10 +1370,63 @@ def test_infinite_lr_exits_2(pipeline, tmp_path, capsys):
              "--num-classes", 3]
     cfg = tmp_path / "run.json"
     cfg.write_text('{"lr": Infinity}')  # Python's json reads this as a float
+    lines = []
     for argv in ([*train, "--lr", "inf"], [*train, "--config", cfg]):
-        line = assert_one_error_line(run(argv), capsys.readouterr())
-        assert "lr" in line and "inf" in line, line
+        lines.append(assert_one_error_line(run(argv), capsys.readouterr()))
+        assert "lr" in lines[-1] and "inf" in lines[-1], lines[-1]
         assert not ckpt.exists()
+    assert lines[0] == lines[1]
+
+
+def _tiny_csv(folder):
+    """A one-channel CSV recording: 400 samples each of gestures 1 and 2,
+    one window of the default 200 ms at the default 2000 Hz."""
+    path = Path(folder) / "tiny.csv"
+    rows = [f"{i % 7 / 10},{1 + i // 400},1" for i in range(800)]
+    path.write_text("ch1,gesture,repetition\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_cutoff_that_underflows_the_filter_design_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.sseg"
+    code = run(["preprocess", _tiny_csv(tmp_path), "--out", out, "--cutoff-hz", "5e-324"])
+    line = assert_one_error_line(code, capsys.readouterr())
+    assert "cutoff_hz must lie in (0, 1000.0) (below Nyquist), got 5e-324" in line, line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, flag", [
+    (command, key, flag)
+    for key, flag, kind, _, commands, _ in cli._SETTINGS if kind == "number"
+    for command in commands
+])
+@pytest.mark.parametrize("value", [0, 999, 1e-3, 10**30, 10**400, -10**400, math.nan, -0.0],
+                         ids=["0", "999", "1e-3", "1e30", "1e400", "-1e400", "nan", "-0.0"])
+def test_config_number_reads_as_its_flag(pipeline, tmp_path, capsys, command, key, flag,
+                                         value):
+    """A number from the file runs as the same text given to its flag:
+    the same exit code, stdout and stderr. The ``=`` form lets argparse
+    take a value that starts with a minus sign."""
+    out, trace = tmp_path / "out", tmp_path / "t.csv"
+    argv = {
+        "preprocess": ["preprocess", _tiny_csv(tmp_path), "--out", out],
+        "train": ["train", pipeline["segs"], "--checkpoint", out, "--trace", trace,
+                  "--epochs", 1, "--model-dim", 4, "--num-classes", 3],
+        "params": ["params"],
+        "synth": ["synth", "--out-dir", out, "--subjects", 1, "--reps", 1,
+                  "--gesture-seconds", 0.02, "--rest-seconds", 0],
+    }[command]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    results = []
+    for source in (["--config", cfg], [f"{flag}={json.dumps(value)}"]):
+        code = run([*argv, *source])
+        results.append((code, *capsys.readouterr()))
+        for path in (out, trace):
+            if path.is_dir():
+                shutil.rmtree(path)
+            path.unlink(missing_ok=True)
+    assert results[0] == results[1]
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys):
@@ -1389,12 +1450,16 @@ def test_geometry_numpy_cannot_index_exits_2(argv, capsys):
     assert "largest weight" in line, line
 
 
-# magnitudes stay small, so no draw allocates more than a few MB;
-# negative integers get a strategy of their own, as Hypothesis rarely
-# draws them from a range that spans zero
-_JSON_INT = st.integers(0, 32) | st.integers(-5, -1)
+# magnitudes stay small, so no draw allocates more than a few MB, save
+# a few integers beyond uint64 and beyond any float, which are refused
+# before anything of their size is allocated; negative integers get a
+# strategy of their own, as Hypothesis rarely draws them from a range
+# that spans zero
+_JSON_INT = st.integers(0, 32) | st.integers(-5, -1) | st.sampled_from(
+    [2**64, 10**30, 10**400, -10**400]
+)
 _JSON_NUMBER = _JSON_INT | st.floats(-5, 32) | st.sampled_from(
-    [math.nan, math.inf, -math.inf]
+    [math.nan, math.inf, -math.inf, 5e-324]
 )
 _JSON_REPS = st.lists(_JSON_INT, max_size=4)
 _JSON_VALUES = st.one_of(
@@ -1438,6 +1503,7 @@ def test_random_config_exits_0_or_2(pipeline, config):
     cfg = root / "run.json"
     cfg.write_text(json.dumps(config))
     for argv in (
+        ["preprocess", _tiny_csv(root), "--out", root / "x.sseg"],
         ["params"],
         ["synth", "--out-dir", root / "raw", "--subjects", 1, "--reps", 1,
          "--gesture-seconds", 0.02, "--rest-seconds", 0],

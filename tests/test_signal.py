@@ -45,6 +45,9 @@ def test_filter_params_validation():
      "sample_rate_hz must be positive, got inf"),
     (lambda: FilterParams(sample_rate_hz=float("nan")), ConfigError,
      "sample_rate_hz must be positive, got nan"),
+    # 2 * cutoff / rate, the cutoff butter designs with, underflows to 0
+    (lambda: FilterParams(cutoff_hz=5e-324), ConfigError,
+     r"cutoff_hz must lie in \(0, 1000.0\) \(below Nyquist\), got 5e-324"),
     (lambda: butterworth_lowpass(np.zeros((2, 0)), FilterParams()), DataError,
      "cannot filter an empty series"),
     (lambda: SegmentSet(np.zeros((2, 3)), *[np.zeros(2)] * 3, 2000.0), DataError,
@@ -52,7 +55,7 @@ def test_filter_params_validation():
     (lambda: SegmentSet(np.zeros((2, 1, 3)), np.zeros(2), np.zeros(3), np.zeros(2),
                         2000.0), DataError,
      r"subjects must have one entry per segment \(2\), got \(3,\)"),
-], ids=["inf-rate", "nan-rate", "empty-series", "not-3d", "short-column"])
+], ids=["inf-rate", "nan-rate", "subnormal-cutoff", "empty-series", "not-3d", "short-column"])
 def test_signal_types_refuse_malformed_input(build, error, words):
     with pytest.raises(error, match=words):
         build()
