@@ -14,13 +14,13 @@ length, i.e. non-overlapping segments.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import butter, lfilter
 
 from .errors import ConfigError, DataError
 
@@ -60,8 +60,8 @@ class FilterParams:
             raise ConfigError(
                 f"sample_rate_hz must be positive, got {self.sample_rate_hz!r}"
             )
-        # butter's normalised cutoff, which underflows to 0 for a tiny one
-        if not (0 < 2 * self.cutoff_hz / self.sample_rate_hz < 1):
+        # the ratio the filter is designed from underflows for a tiny cutoff
+        if not (0 < self.cutoff_hz / self.sample_rate_hz < 0.5):
             raise ConfigError(
                 f"cutoff_hz must lie in (0, {self.sample_rate_hz / 2}) "
                 f"(below Nyquist), got {self.cutoff_hz!r}"
@@ -117,13 +117,53 @@ def butterworth_lowpass(signal: np.ndarray, p: FilterParams) -> np.ndarray:
 
     Accepts a single series or a channels x T matrix; returns float64 of
     the same shape. The discretization is the bilinear transform with
-    frequency prewarping, which pins DC gain to exactly 1.
+    frequency prewarping, which pins DC gain to exactly 1: with
+    t = tan(pi * cutoff / rate), y[n] = a*y[n-1] + b*(x[n] + x[n-1]) for
+    b = t/(1+t) and the pole a = (1-t)/(1+t), from rest. A series is NaN
+    from its first n with x[n] + x[n-1] not finite on.
     """
-    x = np.asarray(signal, dtype=np.float64)
+    x = np.asarray(signal)
     if x.size == 0:
         raise DataError("cannot filter an empty series")
-    b, a = butter(1, p.cutoff_hz, btype="low", fs=p.sample_rate_hz)
-    return lfilter(b, a, x, axis=-1)
+    t = math.tan(math.pi * (p.cutoff_hz / p.sample_rate_hz))
+    rows = x.reshape(-1, x.shape[-1])
+    n = rows.shape[1]
+    u = np.zeros((len(rows), -(-n // _BLOCK), _BLOCK))  # x[n] + x[n-1], zero-padded
+    flat = u.reshape(len(rows), -1)
+    flat[:, :n] = rows
+    after = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat[:, 1:n] += rows[:, :-1]
+        if not np.isfinite(flat.sum()):
+            # a block's product spreads a NaN or inf to its earlier outputs
+            # too (0 * nan is nan), so a series is scanned only up to one
+            after = np.logical_or.accumulate(~np.isfinite(flat), axis=1)
+            flat[after] = 0.0
+    y = _scan(u, (1 - t) / (1 + t), t / (1 + t)).reshape(len(rows), -1)
+    if after is not None:
+        y[after] = np.nan
+    return y[:, :n].reshape(x.shape)
+
+
+_BLOCK = 32  # samples per block of _scan
+
+
+def _scan(u: np.ndarray, a: float, gain: float = 1.0) -> np.ndarray:
+    """gain * y for y[n] = a*y[n-1] + u[n] from rest, u being R series of m
+    blocks of K samples (overwritten): a times the y each block's forerunner
+    ends in, itself this recurrence at a**K, is added to the block's first
+    sample, then each series is one product with the powers of a."""
+    k = u.shape[-1]
+    powers = a ** np.arange(k)
+    # subnormals would slow the products manyfold and add less than rounding
+    powers[abs(powers) < np.finfo(float).tiny] = 0.0
+    lag = np.arange(k) - np.arange(k)[:, None]
+    if u.shape[1] > 1:
+        ends = u[:, :-1] @ powers[::-1]  # each block's last y from rest
+        state = np.zeros((len(u), -(-ends.shape[1] // k), k))
+        state.reshape(len(u), -1)[:, : ends.shape[1]] = ends
+        u[:, 1:, 0] += a * _scan(state, a**k).reshape(len(u), -1)[:, : ends.shape[1]]
+    return u @ (gain * np.where(lag >= 0, powers[np.abs(lag)], 0.0))
 
 
 def normalize_max_abs(x: np.ndarray) -> np.ndarray:

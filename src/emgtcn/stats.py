@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import _csv_rows, _write_csv
 from .errors import DataError, DimensionError, UsageError
@@ -126,11 +125,21 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     if n == 0:
         return WilcoxonResult(statistic=0.0, p_value=1.0, n_effective=0)
 
-    ranks = rankdata(np.abs(d), method="average")
+    ranks = _average_ranks(np.abs(d))
     w_pos = float(ranks[d > 0].sum())
     w_neg = float(ranks[d < 0].sum())
     w = min(w_pos, w_neg)
     return WilcoxonResult(statistic=w, p_value=_exact_p(ranks, w), n_effective=n)
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``v``; equal values share their mean rank, a half-integer."""
+    order = np.argsort(v, kind="stable")
+    fresh = np.diff(v[order], prepend=np.nan) != 0  # where a run of equal values starts
+    edges = np.append(np.flatnonzero(fresh), v.size)
+    ranks = np.empty(v.size)
+    ranks[order] = ((edges[:-1] + edges[1:] + 1) / 2)[np.cumsum(fresh) - 1]
+    return ranks
 
 
 def _exact_p(ranks: np.ndarray, w: float) -> float:

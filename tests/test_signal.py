@@ -1,10 +1,17 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import example, given, settings, strategies as st
 
+from emgtcn import signal
 from emgtcn.errors import ConfigError, DataError
 from emgtcn.signal import (
     FilterParams,
@@ -94,6 +101,63 @@ def test_filter_applies_per_channel():
     y = butterworth_lowpass(x, FilterParams())
     for c in range(3):
         assert np.array_equal(y[c], butterworth_lowpass(x[c], FilterParams()))
+
+
+K = signal._BLOCK
+
+
+@pytest.mark.parametrize("rate", [1.0, 2000.0, 44100.0])
+@pytest.mark.parametrize("ratio", [1e-4, 1e-3, 0.05, 0.225, 0.25, 0.4, 0.4999])
+def test_filter_matches_scipy_butter_lfilter(ratio, rate):
+    # K - 1, K and K + 1 samples end inside, at and past the first block;
+    # K*K - 1 .. K*K + 1 do so for the block-end states' own blocks
+    rng = np.random.default_rng(int(ratio * 1e4))
+    p = FilterParams(cutoff_hz=ratio * rate, sample_rate_hz=rate)
+    b, a = scipy.signal.butter(1, p.cutoff_hz, fs=rate)
+    for n in (1, 2, K - 1, K, K + 1, K * K - 1, K * K, K * K + 1, 20011):
+        for dtype in (np.float32, np.float64):
+            x = (rng.normal(size=(3, n)) * 50.0 + 20.0).astype(dtype)
+            want = scipy.signal.lfilter(b, a, x.astype(np.float64))
+            got = butterworth_lowpass(x, p)
+            assert got.dtype == np.float64 and got.shape == x.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(butterworth_lowpass(x[1], p), got[1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_filter_output_before_a_non_finite_sample_is_unchanged(bad):
+    # a block's triangular product multiplies later inputs by zeros, and
+    # 0 * nan is nan: the samples before one must not see it
+    x = np.random.default_rng(6).normal(size=(2, 5 * K + 7))
+    clean = butterworth_lowpass(x, FilterParams())
+    for n in (0, 1, K - 1, K, K + 3, 3 * K - 1, x.shape[1] - 1):
+        dirty = x.copy()
+        dirty[1, n] = bad
+        y = butterworth_lowpass(dirty, FilterParams())
+        assert np.array_equal(y[0], clean[0])
+        assert np.array_equal(y[1, :n], clean[1, :n])
+        assert np.isnan(y[1, n:]).all()
+        assert np.array_equal(butterworth_lowpass(dirty[1], FilterParams()), y[1],
+                              equal_nan=True)
+
+
+def test_filter_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import hashlib, numpy as np; from emgtcn.signal import FilterParams, "
+            "butterworth_lowpass as f; x = np.random.default_rng(2).normal("
+            "size=(12, 40000)).astype(np.float32); "
+            "print(hashlib.sha256(f(x, FilterParams()).tobytes()).hexdigest())")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    x = np.random.default_rng(2).normal(size=(12, 40000)).astype(np.float32)
+    digests.add(hashlib.sha256(butterworth_lowpass(x, FilterParams()).tobytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_mu_law_fixes_zero_and_endpoints():

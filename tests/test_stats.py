@@ -7,6 +7,7 @@ import scipy.stats
 
 from emgtcn.errors import DataError, DimensionError, UsageError
 from emgtcn.stats import (
+    _average_ranks,
     accuracy,
     aggregate,
     emit_report,
@@ -98,6 +99,16 @@ def test_wilcoxon_hand_case_all_positive():
     assert r.statistic == 0.0
     assert r.p_value == pytest.approx(2.0 / 32.0, abs=1e-15)
     assert r.n_effective == 5
+
+
+def test_average_ranks_equal_scipy_rankdata_on_ties():
+    rng = np.random.default_rng(3)
+    for n in [*range(1, 25), 200, 1001]:
+        for levels in (1, 2, max(1, n // 3), n):
+            v = rng.integers(0, levels, n) / 7.0
+            ranks = _average_ranks(v)
+            assert np.array_equal(ranks, scipy.stats.rankdata(v, method="average"))
+            assert np.array_equal(2 * ranks, np.rint(2 * ranks))  # half-integers
 
 
 def test_wilcoxon_tied_ranks_hand_case():
