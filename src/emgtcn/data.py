@@ -30,6 +30,7 @@ import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -161,6 +162,14 @@ class SplitSpec:
             )
 
 
+def _named(name, call, *args):
+    """``call(*args)``, with an ``OSError`` it raises told as one about ``name``."""
+    try:
+        return call(*args)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, name) from None
+
+
 def _writable(path) -> str:
     """The real path of ``path`` (symlinks resolved), once it is clear
     that ``_replacing`` may write there: its folder exists, and a file
@@ -168,10 +177,7 @@ def _writable(path) -> str:
     in-place write would need (a device, FIFO or folder is never
     replaced). A failure is an ``OSError`` naming ``path``."""
     target, name = os.fsdecode(os.path.realpath(path)), os.fsdecode(path)
-    try:  # the error ``open`` gives: a missing folder, or a file on the way
-        mode = os.stat(os.path.dirname(target)).st_mode
-    except OSError as err:
-        raise OSError(err.errno, err.strerror, name) from None
+    mode = _named(name, os.stat, os.path.dirname(target)).st_mode  # as ``open`` would fail
     if not stat.S_ISDIR(mode):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), name)
     if os.path.exists(target) and not os.path.isfile(target):
@@ -183,26 +189,26 @@ def _writable(path) -> str:
 
 @contextlib.contextmanager
 def _replacing(path):
-    """A binary file to write in place of ``path``; every output goes
-    through it. It is made exclusively beside the real path of ``path``
-    (a symlink keeps its link), takes the old file's permission bits,
-    and is renamed over it, so ``path`` is replaced whole or not at all
-    and arrays mapped from the old file keep their values. On any
-    failure, ``KeyboardInterrupt`` too, it is removed and ``path`` is
-    left as it was. ``_writable`` says which paths it refuses."""
-    target = _writable(path)
+    """The ``write`` and ``tell`` of a binary file that replaces ``path``; every
+    output goes through them. The file is made exclusively beside the real path
+    of ``path`` (a symlink keeps its link), takes the old file's permission
+    bits, and is renamed over it, so ``path`` is replaced whole or not at all
+    and arrays mapped from the old file keep their values. On any failure,
+    ``KeyboardInterrupt`` too, it is removed and ``path`` is left as it was.
+    ``_writable`` says which paths it refuses. An ``OSError`` of the file itself
+    (open, write, close, rename) names ``path``."""
+    target, name = _writable(path), os.fsdecode(path)
     tmp = f"{target}.{secrets.token_hex(4)}.tmp"
-    try:  # exclusive, so a name already in use is never taken
-        fh = open(tmp, "xb")
-    except OSError as err:  # a folder that cannot take it: name the target
-        raise OSError(err.errno, err.strerror, os.fsdecode(path)) from None
+    fh = _named(name, open, tmp, "xb")  # exclusive, so a name already in use is never taken
     try:
-        with fh:
-            with contextlib.suppress(FileNotFoundError):
-                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
-            yield fh
-        os.replace(tmp, target)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        yield SimpleNamespace(write=lambda data: _named(name, fh.write, data), tell=fh.tell)
+        _named(name, fh.close)
+        _named(name, os.replace, tmp, target)
     except BaseException:
+        with contextlib.suppress(OSError):  # the first error is the one to tell
+            fh.close()
         os.remove(tmp)
         raise
 

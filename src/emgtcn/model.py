@@ -26,6 +26,7 @@ from .tensor import Tensor
 __all__ = [
     "ModelConfig",
     "derive_config",
+    "parameter_shapes",
     "AttentionWeights",
     "TcBlockWeights",
     "AttentionTcn",
@@ -62,8 +63,7 @@ class ModelConfig:
             raise ConfigError(
                 f"window length {self.seq_len} is not divisible into {self.num_patches} patches"
             )
-        c, p, d, k = self.channels, self.patch_len, self.model_dim, self.kernel_size
-        largest = max(c * p * d, d * d * k, self.num_patches * d * self.num_classes)
+        largest = max(math.prod(shape) for shape, _ in parameter_shapes(self).values())
         if largest > np.iinfo(np.intp).max // 8:
             raise ConfigError(
                 f"the largest weight would hold {largest} float64 values, beyond "
@@ -106,6 +106,21 @@ def derive_config(
         kernel_size=kernel_size,
         num_classes=num_classes,
     )
+
+
+def parameter_shapes(cfg: ModelConfig) -> dict:
+    """Each checkpoint name of a model built from ``cfg`` mapped to (shape,
+    init fan-in), in the order ``AttentionTcn`` draws the weights, without
+    building it. A fan-in of 0 marks a bias that starts at zero."""
+    c, p, d, k = cfg.channels, cfg.patch_len, cfg.model_dim, cfg.kernel_size
+    n = cfg.num_patches * d
+    shapes = {"patch.w": ((c * p, d), c * p), "patch.b": ((d,), 0)}
+    for role in "qkvo":
+        shapes.update({f"attn.w{role}": ((d, d), d), f"attn.b{role}": ((d,), 0)})
+    for conv in (f"block{i}.conv{j}" for i in range(cfg.num_blocks) for j in (1, 2)):
+        shapes.update({f"{conv}.k": ((d, d, k), d * k), f"{conv}.b": ((d,), 0)})
+    shapes.update({"head.w": ((n, cfg.num_classes), n), "head.b": ((cfg.num_classes,), 0)})
+    return shapes
 
 
 @dataclass
@@ -167,38 +182,20 @@ class AttentionTcn:
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
-        c, p, d, k = cfg.channels, cfg.patch_len, cfg.model_dim, cfg.kernel_size
-        # every parameter under its checkpoint name, in creation order
         params = self._params = {}
-
-        def param(name, data):
+        for name, (shape, fan_in) in parameter_shapes(cfg).items():
+            bound = 1.0 / math.sqrt(fan_in) if fan_in else 0.0
+            data = rng.uniform(-bound, bound, size=shape) if fan_in else np.zeros(shape)
             params[name] = Tensor(data, requires_grad=True)
-            return params[name]
 
-        def weight(name, shape, fan_in):
-            bound = 1.0 / math.sqrt(fan_in)
-            return param(name, rng.uniform(-bound, bound, size=shape))
+        def under(prefix):  # in creation order, which is the weight classes' field order
+            return [p for name, p in params.items() if name.startswith(prefix)]
 
-        self.patch_weight = weight("patch.w", (c * p, d), c * p)
-        self.patch_bias = param("patch.b", np.zeros(d))
-        attn = {}
-        for role in "qkvo":
-            attn[f"w{role}"] = weight(f"attn.w{role}", (d, d), d)
-            attn[f"b{role}"] = param(f"attn.b{role}", np.zeros(d))
-        self.attention = AttentionWeights(**attn)
-        self.blocks = [
-            TcBlockWeights(
-                kernel1=weight(f"block{i}.conv1.k", (d, d, k), d * k),
-                bias1=param(f"block{i}.conv1.b", np.zeros(d)),
-                kernel2=weight(f"block{i}.conv2.k", (d, d, k), d * k),
-                bias2=param(f"block{i}.conv2.b", np.zeros(d)),
-                dilation=dil,
-            )
-            for i, dil in enumerate(cfg.dilations)
-        ]
-        n = cfg.num_patches * d
-        self.head_weight = weight("head.w", (n, cfg.num_classes), n)
-        self.head_bias = param("head.b", np.zeros(cfg.num_classes))
+        self.patch_weight, self.patch_bias = params["patch.w"], params["patch.b"]
+        self.attention = AttentionWeights(*under("attn."))
+        self.blocks = [TcBlockWeights(*under(f"block{i}."), dilation=dil)
+                       for i, dil in enumerate(cfg.dilations)]
+        self.head_weight, self.head_bias = params["head.w"], params["head.b"]
 
     def named_parameters(self) -> dict:
         """Every trainable tensor, keyed by a stable dotted name."""
@@ -222,21 +219,10 @@ class AttentionTcn:
 
 
 def count_parameters(cfg: ModelConfig) -> tuple:
-    """Closed-form audit of the trainable scalars of a model built from
-    ``cfg``, without building it.
-
-    Returns (total, breakdown) where the per-stage breakdown is
-    embedding (C*P*D + D), attention (4 * (D^2 + D)), blocks
-    (Z * 2 * (D^2*k + D)) and classifier (N*D*num_classes +
-    num_classes). The total must equal brute-force enumeration of the
-    weight buffers; the test suite holds this to exact equality.
-    """
-    c, p, d, k = cfg.channels, cfg.patch_len, cfg.model_dim, cfg.kernel_size
-    n, z, classes = cfg.num_patches, cfg.num_blocks, cfg.num_classes
-    breakdown = {
-        "embedding": c * p * d + d,
-        "attention": 4 * (d * d + d),
-        "blocks": z * 2 * (d * d * k + d),
-        "classifier": n * d * classes + classes,
-    }
+    """(total, breakdown): the trainable scalars of a model built from ``cfg``,
+    without building it, and their sums by stage over ``parameter_shapes``."""
+    stages = {"patch": "embedding", "attn": "attention", "block": "blocks", "head": "classifier"}
+    breakdown = dict.fromkeys(stages.values(), 0)
+    for name, (shape, _) in parameter_shapes(cfg).items():
+        breakdown[stages[name.split(".")[0].rstrip("0123456789")]] += math.prod(shape)
     return sum(breakdown.values()), breakdown

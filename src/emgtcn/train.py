@@ -24,7 +24,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .model import AttentionTcn, ModelConfig
+from .model import AttentionTcn, ModelConfig, parameter_shapes
 from .tensor import Tensor, make_op
 
 __all__ = [
@@ -312,9 +312,9 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a TCHG file and judge all of it, so the restorers only copy: groups
-    ``w``, ``m`` and ``v`` each hold exactly ``AttentionTcn(config)``'s parameters
-    in their shapes. The arrays are views over a private copy-on-write map of the file."""
+    """Read a TCHG file and judge all of it without building a model, so the restorers
+    only copy: groups ``w``, ``m`` and ``v`` each hold exactly ``parameter_shapes(config)``.
+    The arrays are views over a private copy-on-write map of the file."""
     meta, arrays = _read_file(path, _MAGIC, "checkpoint", {f"{g}/*": "<f8" for g in _GROUPS},
                               {"config": dict, "epoch": int, "opt": dict, "rng": object})
     config, epoch, opt, rng_state = (meta[k] for k in ("config", "epoch", "opt", "rng"))
@@ -348,7 +348,7 @@ def load_checkpoint(path) -> Checkpoint:
         if group == "v" and (value < 0).any():
             raise FormatError(f"checkpoint entry {name!r} holds a negative second moment")
         groups[group][param] = value
-    shapes = {name: p.shape for name, p in AttentionTcn(config).named_parameters().items()}
+    shapes = {name: shape for name, (shape, _) in parameter_shapes(config).items()}
     for group, saved in groups.items():
         if missing := sorted(shapes.keys() - saved.keys()):
             raise FormatError(f"checkpoint is missing entry '{group}/{missing[0]}'")

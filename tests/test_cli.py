@@ -8,11 +8,13 @@ stderr only, and byte-identical artifacts for identical invocations.
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -414,6 +416,56 @@ def test_preprocess_refuses_an_input_that_shrinks_between_passes(
     )
     assert out.read_bytes() == b"old segments"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_preprocess_over_the_file_size_limit_names_its_output(pipeline, tmp_path):
+    # the limit is set in the child only; its 1.4 MB segment file passes it
+    out = tmp_path / "out.sseg"
+    out.write_bytes(b"old segments")
+    limit = 256 * 1024
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "emgtcn", "preprocess", *pipeline["inputs"], "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert proc.returncode == 4 and proc.stdout == "", proc.stderr
+    lines = proc.stderr.splitlines()
+    too_large = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    assert lines[-1] == f"file error: {too_large}: {str(out)!r}"
+    assert [ln for ln in lines if ln.startswith(("file error", "error", "Traceback"))] == [
+        lines[-1]]
+    assert out.read_bytes() == b"old segments"
+    assert os.listdir(tmp_path) == ["out.sseg"]
+
+
+def test_preprocess_names_an_input_that_vanishes_between_passes(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    # an error while the windows are produced is the input's, not the output's
+    path = tmp_path / "in.semg"
+    shutil.copyfile(pipeline["inputs"][0], path)
+    reads, read = [], dio.read_recording
+
+    def vanish_before_the_second_read(path, subject=0):
+        reads.append(path)
+        if len(reads) == 2:
+            os.remove(path)
+        return read(path, subject)
+
+    monkeypatch.setattr(dio, "read_recording", vanish_before_the_second_read)
+    out = tmp_path / "out.sseg"
+    out.write_bytes(b"old segments")
+    code = run(["preprocess", path, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"file error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(path)!r}"
+    )
+    assert out.read_bytes() == b"old segments"
+    assert os.listdir(tmp_path) == ["out.sseg"]
 
 
 def test_peak_rss_tool_reports_one_line(tmp_path):
@@ -922,6 +974,22 @@ def test_eval_of_a_checkpoint_with_a_nan_weight_exits_4(pipeline, tmp_path, caps
     lines = captured.err.strip().splitlines()
     assert captured.out == "" and len(lines) == 1, lines
     assert "'w/head.w' is not an array of finite numbers" in lines[0]
+    assert not out_dir.exists()
+
+
+def test_eval_of_a_checkpoint_claiming_a_larger_model_exits_4(pipeline, tmp_path, capsys):
+    bad = tmp_path / "inflated.ckpt"
+    raw = pipeline["ckpt"].read_bytes()
+    head = head_of(raw)
+    head["meta"]["config"]["model_dim"] = 1000
+    bad.write_bytes(with_head(raw, head))
+    out_dir = tmp_path / "reports"
+    assert run(["eval", bad, pipeline["segs"], "--out-dir", out_dir]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith("file error: checkpoint entry 'w/patch.w' has shape "), lines
+    assert lines[0].endswith(", 1000)"), lines
     assert not out_dir.exists()
 
 

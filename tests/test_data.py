@@ -968,6 +968,53 @@ def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
     assert os.listdir(tmp_path) == ["out"]
 
 
+class _CloseFails(io.FileIO):
+    def close(self):
+        super().close()
+        raise OSError(errno.EIO, "Input/output error")
+
+
+def _replace_fails(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link", src, None, dst)
+
+
+@pytest.mark.parametrize("step", ["write", "close", "rename"])
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_failed_write_names_the_output_not_its_temporary_file(
+    tmp_path, monkeypatch, writer, step
+):
+    path = tmp_path / "out"
+    _WRITERS[writer](path, 2)
+    blob = path.read_bytes()
+    if step == "rename":
+        monkeypatch.setattr(data_module.os, "replace", _replace_fails)
+    else:
+        opener = {"write": _DiskFullAfterFirstWrite, "close": _CloseFails}[step]
+        monkeypatch.setattr(data_module, "open", opener, raising=False)
+    with pytest.raises(OSError) as err:
+        _WRITERS[writer](path, 3)
+    assert err.value.filename == str(path) and err.value.filename2 is None
+    assert str(err.value).endswith(f": {str(path)!r}")
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_an_error_while_producing_the_windows_keeps_its_own_name(tmp_path):
+    segs = sample_segments(m=5, seed=2)
+    path = tmp_path / "set.sseg"
+    path.write_bytes(b"old")
+
+    def windows():
+        yield segs.data[:2]
+        raise OSError(errno.EIO, "Input/output error", "input.semg")
+
+    with pytest.raises(OSError) as err:
+        write_segments(path, segs, windows=windows())
+    assert err.value.filename == "input.semg"
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["set.sseg"]
+
+
 @pytest.mark.parametrize("writer", sorted(_WRITERS))
 def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
     path = tmp_path / "out"

@@ -13,6 +13,7 @@ from emgtcn.model import (
     count_parameters,
     derive_config,
     embed_patches,
+    parameter_shapes,
     self_attention,
     tc_block,
 )
@@ -313,6 +314,66 @@ def test_parameter_audit_all_variants(window_ms, n, d, reported):
     assert sum(breakdown.values()) == total
     assert total < 110_000
     assert total < reported
+
+
+def paper_form_count(cfg):
+    """The per-stage parameter count in the paper's closed form, written
+    independently of ``parameter_shapes``."""
+    c, p, d, k = cfg.channels, cfg.patch_len, cfg.model_dim, cfg.kernel_size
+    n, z, classes = cfg.num_patches, cfg.num_blocks, cfg.num_classes
+    return {
+        "embedding": c * p * d + d,
+        "attention": 4 * (d * d + d),
+        "blocks": z * 2 * (d * d * k + d),
+        "classifier": n * d * classes + classes,
+    }
+
+
+@pytest.mark.parametrize("num_classes", [2, 17])
+@pytest.mark.parametrize("kernel_size", [2, 3, 5])
+@pytest.mark.parametrize("window_ms,n,d,reported", VARIANTS)
+def test_parameter_count_equals_the_closed_form(window_ms, n, d, reported, kernel_size,
+                                                num_classes):
+    cfg = derive_config(window_ms, n, d, kernel_size=kernel_size, num_classes=num_classes)
+    total, breakdown = count_parameters(cfg)
+    want = paper_form_count(cfg)
+    assert list(breakdown.items()) == list(want.items())
+    assert total == sum(want.values())
+    model = AttentionTcn(cfg, seed=0)
+    shapes = parameter_shapes(cfg)
+    params = model.named_parameters()
+    assert list(shapes) == list(params)
+    assert [s for s, _ in shapes.values()] == [p.shape for p in params.values()]
+    assert total == sum(p.data.size for p in params.values())
+
+
+def test_weights_are_drawn_in_checkpoint_order_by_their_fan_in():
+    # the draw order and bounds the model was first built with, written
+    # out by hand: a reordered layout would change every seeded model
+    cfg = tiny_cfg()
+    c, p, d, k, n = 2, 3, 3, 2, 4 * 3
+    layout = [("patch.w", (c * p, d), c * p), ("patch.b", (d,), 0)]
+    for role in "qkvo":
+        layout += [(f"attn.w{role}", (d, d), d), (f"attn.b{role}", (d,), 0)]
+    for i in range(cfg.num_blocks):
+        for conv in (1, 2):
+            layout += [(f"block{i}.conv{conv}.k", (d, d, k), d * k),
+                       (f"block{i}.conv{conv}.b", (d,), 0)]
+    layout += [("head.w", (n, 5), n), ("head.b", (5,), 0)]
+    assert [(name, s, f) for name, (s, f) in parameter_shapes(cfg).items()] == layout
+    rng = np.random.default_rng(7)
+    model = AttentionTcn(cfg, seed=7)
+    params = model.named_parameters()
+    for name, shape, fan_in in layout:
+        bound = 1.0 / math.sqrt(fan_in) if fan_in else 0.0
+        want = rng.uniform(-bound, bound, size=shape) if fan_in else np.zeros(shape)
+        assert params[name].data.tobytes() == want.tobytes(), name
+    assert model.patch_weight is params["patch.w"] and model.head_bias is params["head.b"]
+    assert model.attention.wq is params["attn.wq"] and model.attention.bo is params["attn.bo"]
+    for i, blk in enumerate(model.blocks):
+        assert blk.kernel1 is params[f"block{i}.conv1.k"]
+        assert blk.bias2 is params[f"block{i}.conv2.b"]
+        assert blk.dilation == 2**i
 
 
 def test_parameter_count_grows_superlinearly_in_model_dim():

@@ -1,6 +1,7 @@
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -664,3 +665,27 @@ def test_checkpoint_geometry_numpy_cannot_index_is_format_error(tmp_path):
     save_checkpoint(path, ckpt)
     with pytest.raises(FormatError, match="largest weight"):
         load_checkpoint(path)
+
+
+def inflated_checkpoint(path, model_dim=1000):
+    """A desk checkpoint (0.3 MB) whose config claims ``model_dim``: the
+    weights of the model it claims would take hundreds of MB."""
+    model = AttentionTcn(derive_config(200, 10, 12), seed=0)
+    save_checkpoint(path, make_checkpoint(model, Adam(model.named_parameters()), 0, None))
+    head = head_of(path.read_bytes())
+    head["meta"]["config"]["model_dim"] = model_dim
+    path.write_bytes(with_head(path.read_bytes(), head))
+    return path
+
+
+def test_checkpoint_claiming_a_larger_model_is_refused_without_building_it(tmp_path):
+    path = inflated_checkpoint(tmp_path / "inflated.ckpt")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"'w/patch.w' has shape \(480, 12\), "
+                                              r"expected \(480, 1000\)"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
