@@ -12,7 +12,7 @@ import numpy as np
 from emgtcn import data as dio
 from emgtcn import signal as sig
 
-rec = dio.generate_synthetic(subjects=1, classes=5, reps=6, seed=42)[0]
+(rec,) = dio.generate_synthetic(subjects=1, classes=5, reps=6, seed=42)
 print(f"recording: {rec.channels} channels x {rec.num_samples} samples "
       f"at {rec.sample_rate_hz:.0f} Hz")
 

@@ -18,7 +18,7 @@ from emgtcn import train as tr
 from emgtcn.model import AttentionTcn, derive_config
 
 # one subject, five gestures, conditioned and windowed
-rec = dio.generate_synthetic(subjects=1, classes=5, reps=6, seed=3)[0]
+(rec,) = dio.generate_synthetic(subjects=1, classes=5, reps=6, seed=3)
 segments = sig.segment(rec.with_data(sig.preprocess(rec.data)), window_ms=200)
 train_set, test_set = dio.split(segments)
 print(f"{len(train_set)} training / {len(test_set)} held-out segments")

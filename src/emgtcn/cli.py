@@ -138,7 +138,16 @@ def _note(msg: str):
 
 
 def _emit(**pairs):
-    print(" ".join(f"{k}={v}" for k, v in pairs.items()))
+    """Print the key=value line and flush it. A stdout that cannot take it (a
+    closed pipe) is an OSError naming '<stdout>', and is pointed at the null
+    device, so that the flush at exit does not fail again."""
+    try:
+        print(" ".join(f"{k}={v}" for k, v in pairs.items()), flush=True)
+    except OSError as err:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise OSError(err.errno, err.strerror, "<stdout>") from None
 
 
 def _fmt(x: float) -> str:
@@ -398,10 +407,15 @@ def _cmd_synth(args, cfg):
         sample_rate_hz=cfg.sample_rate_hz,
         gesture_seconds=args.gesture_seconds, rest_seconds=args.rest_seconds,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
-    for path, rec in zip(paths, recordings):
-        dio.write_recording(path, rec)
-        _note(f"wrote {path} ({rec.num_samples} samples)")
+    # no zip or enumerate: their reused tuple would hold the last subject
+    # while the next is made
+    with contextlib.closing(recordings):  # a failed write shuts the pool down here
+        for rec in recordings:
+            os.makedirs(args.out_dir, exist_ok=True)  # once the first subject is ready
+            path = paths[rec.subject - 1]
+            dio.write_recording(path, rec)
+            _note(f"wrote {path} ({rec.num_samples} samples)")
+            del rec  # before the next subject is allocated
     _emit(
         out_dir=args.out_dir, subjects=args.subjects,
         classes=cfg.num_classes, reps=args.reps, seed=cfg.seed,

@@ -28,6 +28,8 @@ import secrets
 import stat
 import struct
 import warnings
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -577,8 +579,8 @@ def generate_synthetic(
     sample_rate_hz: float = 2000.0,
     gesture_seconds: float = 1.0,
     rest_seconds: float = 0.25,
-) -> list:
-    """Build one synthetic Recording per subject.
+) -> Iterator[Recording]:
+    """One synthetic Recording per subject, yielded in subject order.
 
     Each class is a fixed band-limited oscillation (distinct base
     frequency, harmonic mix, per-channel amplitude profile); spans get
@@ -588,9 +590,14 @@ def generate_synthetic(
     class's third harmonic lies below the Nyquist frequency, so at most
     51 classes fit at 2 kHz.
 
-    Subjects are filled on a thread pool of up to the usable cores, each
-    with its own seeded generator, so the bytes do not depend on the
-    worker count; samples go straight into each subject's float32 array.
+    The settings are checked when this is called; the subjects are made
+    as the result is iterated. They are filled on a thread pool of up to
+    the usable cores, each with its own seeded generator, so the bytes do
+    not depend on the worker count; samples go straight into each
+    subject's float32 array. At most one subject per worker is allocated
+    at a time, the one being handed over included, so a caller that drops
+    each subject before it asks for the next holds no more than that. An
+    error in a worker is raised when its subject is due.
     """
     if not 2 <= classes <= 65535:
         raise ConfigError(f"classes must lie in 2..65535 (u16 gesture ids), got {classes}")
@@ -641,15 +648,8 @@ def generate_synthetic(
         angles = [2.0 * np.pi * base_hz * h * t_active for h in harmonics]
         bases.append([np.sin(a) for a in angles] + [np.cos(a) for a in angles])
     total = classes * reps * (rest_n + active_n)
-    # allocated here, not in the workers: glibc keeps what a thread's arena frees
-    arrays = [
-        (np.empty((channels, total), dtype=np.float32),
-         np.zeros(total, dtype=np.uint16), np.zeros(total, dtype=np.uint16))
-        for _ in range(subjects)
-    ]
 
-    def fill(subj):  # numpy only, so a tracer sees one generate_synthetic span
-        data, gesture, repetition = arrays[subj]
+    def fill(subj, data, gesture, repetition):  # numpy only: no tracer span opens in a worker
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((seed, 5150, subj)))
         )
@@ -676,14 +676,31 @@ def generate_synthetic(
                 repetition[pos : pos + active_n] = rep
                 pos += active_n
 
+    def start(pool, subj):
+        # allocated here, not in the workers: glibc keeps what a thread's arena frees
+        arrays = (np.empty((channels, total), dtype=np.float32),
+                  np.zeros(total, dtype=np.uint16), np.zeros(total, dtype=np.uint16))
+        return subj, arrays, pool.submit(fill, subj, *arrays)
+
+    def finish(subj, arrays, filled):
+        filled.result()  # a worker's error ends the iteration
+        data, gesture, repetition = arrays
+        return Recording(data=data, sample_rate_hz=sample_rate_hz, gesture=gesture,
+                         repetition=repetition, subject=subj + 1)
+
+    def recordings():
+        with ThreadPoolExecutor(workers) as pool:
+            pending = deque()
+            for subj in range(subjects):
+                if len(pending) == workers:  # the oldest is handed over before another is made
+                    yield finish(*pending.popleft())
+                pending.append(start(pool, subj))
+            while pending:
+                yield finish(*pending.popleft())
+
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    with ThreadPoolExecutor(min(subjects, cores)) as pool:
-        list(pool.map(fill, range(subjects)))  # a worker's error cancels the rest
-    return [
-        Recording(data=d, sample_rate_hz=sample_rate_hz, gesture=g, repetition=r,
-                  subject=subj + 1)
-        for subj, (d, g, r) in enumerate(arrays)
-    ]
+    workers = min(subjects, cores)
+    return recordings()

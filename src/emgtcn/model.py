@@ -177,15 +177,21 @@ class AttentionTcn:
     Weights are drawn uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) from a
     seeded generator in a fixed order; biases start at zero, so two
     models built with the same config and seed are bit-identical.
+    ``weights``, when given, maps every name of ``parameter_shapes(cfg)``
+    to an array of its shape; the model then holds a float64 copy of each
+    and draws nothing.
     """
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int = 0, weights: dict | None = None):
         self.cfg = cfg
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if weights is None else None
         params = self._params = {}
         for name, (shape, fan_in) in parameter_shapes(cfg).items():
-            bound = 1.0 / math.sqrt(fan_in) if fan_in else 0.0
-            data = rng.uniform(-bound, bound, size=shape) if fan_in else np.zeros(shape)
+            if weights is not None:
+                data = np.array(weights[name], dtype=np.float64, order="C")
+            else:
+                bound = 1.0 / math.sqrt(fan_in) if fan_in else 0.0
+                data = rng.uniform(-bound, bound, size=shape) if fan_in else np.zeros(shape)
             params[name] = Tensor(data, requires_grad=True)
 
         def under(prefix):  # in creation order, which is the weight classes' field order

@@ -277,9 +277,8 @@ def restore_model(ckpt: Checkpoint) -> AttentionTcn:
     the parameters to an optimizer (``Adam``, ``restore_optimizer`` or
     ``train``'s default) makes them trainable again.
     """
-    model = AttentionTcn(ckpt.config, seed=0)
-    for name, p in model.named_parameters().items():
-        p.data = np.array(ckpt.weights[name], dtype=np.float64, order="C")
+    model = AttentionTcn(ckpt.config, weights=ckpt.weights)
+    for p in model.named_parameters().values():
         p.requires_grad = False
     return model
 

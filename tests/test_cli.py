@@ -270,6 +270,23 @@ def test_preprocess_peak_does_not_grow_with_the_corpus(tmp_path):
     assert peaks[6] < 0.35 * size, peaks[6] / size
 
 
+def test_synth_peak_does_not_grow_with_the_corpus(tmp_path, monkeypatch):
+    # each subject's samples are about 2.9 MB; with two workers no more than
+    # two subjects exist at a time, so 6 subjects peak as 2 do
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    peaks = {}
+    for n in (2, 6):
+        code, peaks[n] = _peak_bytes([
+            "synth", "--out-dir", tmp_path / f"raw{n}", "--subjects", n,
+            "--num-classes", 4, "--reps", 6, "--seed", 3,
+        ])
+        assert code == 0
+    assert max(peaks.values()) <= 1.1 * min(peaks.values()), peaks
+    # two subjects, the workers' span buffers and each class's harmonics
+    subject = (tmp_path / "raw6" / "subject01.semg").stat().st_size
+    assert peaks[6] < 4 * subject, peaks[6] / subject
+
+
 def _write_annotated_csv(path, rec):
     """``rec`` in the CSV bridge format; its float32 samples read back exactly."""
     header = [f"ch{c + 1}" for c in range(rec.channels)] + ["gesture", "repetition"]
@@ -478,7 +495,7 @@ def test_peak_rss_tool_reports_one_line(tmp_path):
     first, last = proc.stderr.splitlines()
     assert "--bogus" in first
     assert re.fullmatch(
-        r"exit=2 peak_rss_mb=\d+\.\d cpu_s=\d+\.\d\d wall_s=\d+\.\d\d", last
+        r"exit=2 peak_rss_mb=\d+\.\d cpu_s=\d+\.\d\d wall_s=\d+\.\d\d minflt=\d+", last
     ), last
 
 
@@ -646,6 +663,40 @@ def test_synth_out_of_memory_in_a_worker_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cores", [1, 3])
+def test_synth_failure_at_subject_2_keeps_subject_1_whole(
+    tmp_path, monkeypatch, capsys, cores
+):
+    # subject 1 is written as soon as it is ready; subject 2's generator
+    # fails, so the run exits 2 with subject01.semg whole and no temporary
+    small = ["--subjects", 3, "--num-classes", 2, "--reps", 1,
+             "--gesture-seconds", 0.02, "--rest-seconds", 0]
+    assert run(["synth", "--out-dir", tmp_path / "whole", *small]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    seed_sequence = np.random.SeedSequence
+
+    def failing(entropy, *args, **kwargs):  # generate_synthetic seeds subject 2 with index 1
+        if entropy == (0, 5150, 1):
+            raise MemoryError("cannot allocate subject 2")
+        return seed_sequence(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", failing)
+    out = tmp_path / "s"
+    code = run(["synth", "--out-dir", out, *small])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = out / "subject01.semg"
+    assert captured.err.splitlines() == [
+        f"wrote {first} (80 samples)",
+        "error: out of memory: cannot allocate subject 2",
+    ]
+    assert os.listdir(out) == ["subject01.semg"]
+    assert first.read_bytes() == (tmp_path / "whole" / "subject01.semg").read_bytes()
+
+
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with a byte order mark
@@ -801,6 +852,43 @@ def test_module_entry_point_error_is_one_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "span" in lines[0], lines
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["params"],
+    ["synth", "--out-dir", "raw", "--subjects", 2, "--num-classes", 2, "--reps", 1,
+     "--gesture-seconds", 0.1, "--rest-seconds", 0],
+], ids=["params", "synth"])
+def test_closed_stdout_is_one_file_error_naming_it(tmp_path, argv, unbuffered):
+    # stdout is a pipe whose reader has gone before the key=value line is
+    # printed: the command's work stands, and exit 4 names '<stdout>' once,
+    # with no "Exception ignored" from the flush at exit
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "emgtcn", *map(str, argv)], cwd=tmp_path, env=env,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[-1] == "file error: [Errno 32] Broken pipe: '<stdout>'", lines
+    assert not any(word in line for line in lines[:-1]
+                   for word in ("error", "Error", "Exception")), lines
+    if argv[0] == "synth":
+        assert run([*argv[:2], tmp_path / "whole", *argv[3:]]) == 0
+        assert sorted(os.listdir(tmp_path / "raw")) == ["subject01.semg", "subject02.semg"]
+        for name in os.listdir(tmp_path / "raw"):
+            assert (tmp_path / "raw" / name).read_bytes() == (
+                tmp_path / "whole" / name).read_bytes(), name
 
 
 def _run_module(args, cwd):

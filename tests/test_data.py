@@ -742,8 +742,8 @@ def test_split_sides_hold_their_rows_of_every_per_window_array():
 
 
 def test_split_every_gesture_in_both_halves():
-    rec = generate_synthetic(subjects=1, classes=5, reps=6, seed=3,
-                             channels=4, gesture_seconds=0.5)[0]
+    (rec,) = generate_synthetic(subjects=1, classes=5, reps=6, seed=3,
+                                channels=4, gesture_seconds=0.5)
     segs = segment(rec, window_ms=200)
     train, test = split(segs)
     assert set(train.labels) == set(range(5))
@@ -751,15 +751,16 @@ def test_split_every_gesture_in_both_halves():
 
 
 def test_generate_synthetic_deterministic():
-    a = generate_synthetic(subjects=2, classes=3, reps=2, seed=11, channels=4,
-                           gesture_seconds=0.3, rest_seconds=0.1)
-    b = generate_synthetic(subjects=2, classes=3, reps=2, seed=11, channels=4,
-                           gesture_seconds=0.3, rest_seconds=0.1)
+    a = list(generate_synthetic(subjects=2, classes=3, reps=2, seed=11, channels=4,
+                                gesture_seconds=0.3, rest_seconds=0.1))
+    b = list(generate_synthetic(subjects=2, classes=3, reps=2, seed=11, channels=4,
+                                gesture_seconds=0.3, rest_seconds=0.1))
+    assert len(a) == len(b) == 2
     for ra, rb in zip(a, b):
         assert ra.data.tobytes() == rb.data.tobytes()
         assert np.array_equal(ra.gesture, rb.gesture)
-    c = generate_synthetic(subjects=2, classes=3, reps=2, seed=12, channels=4,
-                           gesture_seconds=0.3, rest_seconds=0.1)
+    c = list(generate_synthetic(subjects=2, classes=3, reps=2, seed=12, channels=4,
+                                gesture_seconds=0.3, rest_seconds=0.1))
     assert a[0].data.tobytes() != c[0].data.tobytes()
 
 
@@ -780,14 +781,16 @@ def _synth_digest(recs):
 
 
 def test_generate_synthetic_bytes_are_pinned():
-    recs = generate_synthetic(subjects=3, **_SYNTH_ARGS)
+    recs = list(generate_synthetic(subjects=3, **_SYNTH_ARGS))
+    assert [rec.subject for rec in recs] == [1, 2, 3]
     assert _synth_digest(recs) == _SYNTH_SHA256
     for rec in recs:
         assert rec.data.dtype == np.float32 and rec.data.flags.c_contiguous
     # subject k is the same recording however many subjects are asked for
     for n in (1, 2):
-        for short, full in zip(generate_synthetic(subjects=n, **_SYNTH_ARGS), recs):
-            assert _synth_digest([short]) == _synth_digest([full])
+        short = list(generate_synthetic(subjects=n, **_SYNTH_ARGS))
+        assert len(short) == n
+        assert _synth_digest(short) == _synth_digest(recs[:n])
 
 
 @pytest.mark.parametrize("cores", [1, 3])
@@ -818,9 +821,34 @@ def test_generate_synthetic_worker_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(np, "empty", empty_in_main_thread)
     with pytest.raises(MemoryError) as info:
-        generate_synthetic(subjects=3, **_SYNTH_ARGS)
+        list(generate_synthetic(subjects=3, **_SYNTH_ARGS))
     assert info.value is err
     assert raised_in  # from inside a worker thread
+
+
+@pytest.mark.parametrize("cores, subjects", [(1, 3), (2, 5), (3, 2)])
+def test_generate_synthetic_holds_at_most_one_subject_per_worker(
+        monkeypatch, cores, subjects):
+    # subjects are allocated in the calling thread as the result is drawn:
+    # when subject k is handed over, only subjects k..k+workers-1 exist
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    empty, made = np.empty, []
+
+    def counting_empty(*args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()
+                and kwargs.get("dtype") is np.float32):
+            made.append(len(made))
+        return empty(*args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", counting_empty)
+    recs = generate_synthetic(subjects=subjects, **_SYNTH_ARGS)
+    assert made == []  # settings are checked, nothing is made yet
+    workers = min(cores, subjects)
+    for k, rec in enumerate(recs):
+        assert rec.subject == k + 1
+        assert len(made) == min(k + workers, subjects), (k, made)
+    assert len(made) == subjects
 
 
 def _reference_subject(classes, reps, seed, channels, sample_rate_hz,
@@ -884,8 +912,8 @@ def test_generate_synthetic_refuses_classes_that_alias(rate, fits):
 
 
 def test_generate_synthetic_layout():
-    recs = generate_synthetic(subjects=2, classes=17, reps=6, seed=0,
-                              channels=3, gesture_seconds=0.2, rest_seconds=0.05)
+    recs = list(generate_synthetic(subjects=2, classes=17, reps=6, seed=0,
+                                   channels=3, gesture_seconds=0.2, rest_seconds=0.05))
     assert len(recs) == 2
     for i, rec in enumerate(recs):
         assert rec.subject == i + 1
@@ -898,6 +926,7 @@ def test_generate_synthetic_layout():
 
 
 def test_generate_synthetic_validation():
+    # none is iterated: the settings are checked when it is called
     with pytest.raises(ConfigError):
         generate_synthetic(subjects=0)
     with pytest.raises(ConfigError):

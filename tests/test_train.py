@@ -447,6 +447,38 @@ def test_restored_model_is_frozen(tmp_path):
     assert out._backward is None and out._parents == ()
 
 
+def test_restore_draws_no_weights(tmp_path, monkeypatch):
+    # the checkpoint's arrays go straight into the model: no seeded draw is
+    # made and thrown away, and each weight is the checkpoint's bytes
+    model = tiny_model(seed=9)
+    path = tmp_path / "model.tchg"
+    save_checkpoint(path, make_checkpoint(model, Adam(model.named_parameters()), 0, None))
+    loaded = load_checkpoint(path)
+    draws, default_rng = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def uniform(self, *args, **kwargs):
+            draws.append(kwargs.get("size"))
+            return self._rng.uniform(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    tiny_model(seed=9)
+    assert draws  # the spy sees a model that draws its weights
+    draws.clear()
+    restored = restore_model(loaded)
+    assert draws == []
+    params = restored.named_parameters()
+    assert list(params) == list(loaded.weights)
+    for name, arr in loaded.weights.items():
+        p = params[name].data
+        assert p.dtype == np.float64 and p.flags.c_contiguous and p.flags.writeable
+        assert p.tobytes() == arr.tobytes(), name
+        assert not np.shares_memory(p, arr), name
+
+
 @pytest.mark.parametrize("window_ms,patches,dim", [(200, 10, 12), (300, 15, 16)])
 def test_frozen_logits_equal_trainable_logits(window_ms, patches, dim):
     trainable = AttentionTcn(derive_config(window_ms, patches, dim), seed=0)
